@@ -42,7 +42,6 @@ __all__ = [
     "downsample_sweep",
     "pearson",
     "profile_dataset",
-    "weighted_average",
 ]
 
 METRIC_NAMES = ("diversity", "density", "homogeneity")
@@ -125,18 +124,17 @@ class CorrelationReport:
     entries: list[CorrelationEntry] = field(default_factory=list)
 
 
-def _group_report(cluster: np.ndarray, cap: int | None, rng_seed,
-                  workers: int | None) -> MetricReport:
+def _group_report(cluster: np.ndarray, cap: int | None, rng_seed) -> MetricReport:
     """Metric report with homogeneity optionally computed on a subsample."""
     m = cluster.shape[0]
     if cap is None or m <= cap or m < 3:
-        return metric_report(cluster, workers=workers)
+        return metric_report(cluster)
     stats = axis_stats(cluster)
     den = density(stats)
     rng = np.random.default_rng(rng_seed)
     idx = rng.choice(m, size=cap, replace=False)
     idx.sort()
-    base = metric_report(cluster[idx], workers=workers)
+    base = metric_report(cluster[idx])
     return MetricReport(
         diversity=diversity(stats),
         density=den.value,
@@ -148,14 +146,16 @@ def _group_report(cluster: np.ndarray, cap: int | None, rng_seed,
     )
 
 
-def average_reports(keyed_reports: list[tuple[str, MetricReport]],
-                    weights=None) -> AggregateMetrics:
-    """Average metric reports, skipping absent homogeneity values.
+def average_reports(
+        keyed_reports: list[tuple[str, MetricReport | AggregateMetrics]],
+        weights=None) -> AggregateMetrics:
+    """Weighted mean of metric reports, skipping absent homogeneity values.
 
     ``keyed_reports`` pairs a displayable key (layer name, class label) with
-    each report so skipped homogeneity sources can be named. Uniform weights
-    when none are given; homogeneity weights are renormalized over the
-    reports that actually have a value.
+    each report (a per-group report or a per-class aggregate) so skipped
+    homogeneity sources can be named. Uniform weights when none are given;
+    homogeneity weights are renormalized over the reports that actually have
+    a value.
     """
     if not keyed_reports:
         raise ValueError("nothing to average")
@@ -177,29 +177,9 @@ def average_reports(keyed_reports: list[tuple[str, MetricReport]],
                             homogeneity=hom, homogeneity_skipped=skipped)
 
 
-def weighted_average(per_class: dict[str, AggregateMetrics],
-                     class_sizes: dict[str, int]) -> AggregateMetrics:
-    """Class-size-weighted combination of per-class aggregates."""
-    total = sum(class_sizes.values())
-    weights = {label: size / total for label, size in class_sizes.items()}
-    div = sum(weights[lb] * agg.diversity for lb, agg in per_class.items())
-    den = sum(weights[lb] * agg.density for lb, agg in per_class.items())
-    have = [(weights[lb], agg.homogeneity) for lb, agg in per_class.items()
-            if agg.homogeneity is not None]
-    skipped = tuple(lb for lb, agg in per_class.items() if agg.homogeneity is None)
-    if have:
-        wsum = sum(w for w, _ in have)
-        hom = sum(w * h for w, h in have) / wsum
-    else:
-        hom = None
-    return AggregateMetrics(diversity=div, density=den,
-                            density_log=math.log(den) if den > 0 else -math.inf,
-                            homogeneity=hom, homogeneity_skipped=skipped)
-
-
 def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
-                    homogeneity_cap: int | None = None, seed: int = 0,
-                    workers: int | None = None) -> DatasetProfile:
+                    homogeneity_cap: int | None = None,
+                    seed: int = 0) -> DatasetProfile:
     """Aggregate per-group clusters into a dataset profile.
 
     Every layer of a class must hold the same number of points, since the
@@ -222,7 +202,7 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
     for index, ((label, layer), cluster) in enumerate(groups.items()):
         per_group[(label, layer)] = _group_report(
             cluster, homogeneity_cap,
-            np.random.SeedSequence([seed, index]), workers)
+            np.random.SeedSequence([seed, index]))
 
     per_class: dict[str, AggregateMetrics] = {}
     for label in class_sizes:
@@ -230,7 +210,9 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
                          if lb == label]
         per_class[label] = average_reports(layer_reports)
 
-    final = weighted_average(per_class, class_sizes)
+    total = sum(class_sizes.values())
+    final = average_reports(list(per_class.items()),
+                            [class_sizes[label] / total for label in per_class])
     return DatasetProfile(per_group=per_group, per_class=per_class, final=final,
                           class_sizes=class_sizes, homogeneity_cap=homogeneity_cap)
 
@@ -245,8 +227,8 @@ def _sample_units(units: list, fraction: float, rng, what: str) -> list:
 
 
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
-                     stratified: bool = True, homogeneity_cap: int | None = None,
-                     workers: int | None = None) -> SweepTable:
+                     stratified: bool = True,
+                     homogeneity_cap: int | None = None) -> SweepTable:
     """Profile the collection at each fraction of its sampling units.
 
     The sampling unit is the distinct (label, id) pair, so a text embedded
@@ -263,23 +245,21 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     if any(b >= a for a, b in zip(fractions, fractions[1:])):
         raise ValueError("fractions must be strictly decreasing")
 
-    # Distinct sampling units per class, in first-seen order.
-    units_by_class: dict[str, list[str]] = {}
+    # Distinct sampling units per class, in first-seen order; the dict keys
+    # double as the membership set for the full fraction.
+    units_by_class: dict[str, dict[str, None]] = {}
     for rec in embeddings.records:
-        ids = units_by_class.setdefault(rec.label, [])
-        if rec.id not in set(ids):
-            ids.append(rec.id)
-    # Membership tests during filtering need sets.
-    unit_sets = {label: set(ids) for label, ids in units_by_class.items()}
+        units_by_class.setdefault(rec.label, {})[rec.id] = None
 
     rows: list[SweepRow] = []
     for index, fraction in enumerate(fractions):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         if fraction == 1.0:
-            chosen = {label: unit_sets[label] for label in units_by_class}
+            chosen = units_by_class
         elif stratified:
             chosen = {
-                label: set(_sample_units(ids, fraction, rng, f"class {label!r}"))
+                label: set(_sample_units(list(ids), fraction, rng,
+                                         f"class {label!r}"))
                 for label, ids in units_by_class.items()
             }
         else:
@@ -302,7 +282,7 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         )
         profile = profile_dataset(group_by_label(subset),
                                   homogeneity_cap=homogeneity_cap,
-                                  seed=seed, workers=workers)
+                                  seed=seed)
         size = sum(len(ids) for ids in chosen.values())
         rows.append(SweepRow(fraction=fraction, size=size,
                              final=profile.final, profile=profile))

@@ -3,8 +3,7 @@
 Exit codes follow the usual convention: 0 on success, 1 on a runtime
 failure (one-line diagnostic on stderr), 2 on bad flags (argparse usage).
 Numeric CSV cells are written with 17 significant digits so text output
-round-trips to the exact float. `TEXTCHAR_THREADS` caps the worker count
-used by the metric computations (0 or unset picks a default).
+round-trips to the exact float.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,21 +43,6 @@ def _num(value) -> str:
     return format(float(value), ".17g")
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("TEXTCHAR_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"TEXTCHAR_THREADS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if count < 0:
-        raise ValueError(f"TEXTCHAR_THREADS must be >= 0, got {count}")
-    return count or None
-
-
 def _require_inputs(*paths) -> None:
     for path in paths:
         if path is not None and not Path(path).exists():
@@ -79,7 +62,7 @@ def cmd_simulate(args) -> int:
         kind, dim=args.dims, points=args.points, seed=args.seed,
         outlier_radius=args.radius, spacing=args.spacing,
     )
-    result = simulation.run_scenario(spec, workers=_workers())
+    result = simulation.run_scenario(spec)
 
     lines = [",".join(_SIM_COLUMNS)]
     for row in result.rows:
@@ -121,16 +104,15 @@ def _parse_fractions(raw: str) -> list[float]:
 
 def cmd_profile(args) -> int:
     embeddings = _read_embeddings(args)
-    workers = _workers()
     if args.fractions is None:
         profile = analysis.profile_dataset(
             io.group_by_label(embeddings),
-            homogeneity_cap=args.cap, seed=args.seed, workers=workers)
+            homogeneity_cap=args.cap, seed=args.seed)
         doc = {"kind": "profile", **profile.to_dict()}
     else:
         sweep = analysis.downsample_sweep(
             embeddings, _parse_fractions(args.fractions), seed=args.seed,
-            homogeneity_cap=args.cap, workers=workers)
+            homogeneity_cap=args.cap)
         doc = {
             "kind": "sweep",
             "seed": sweep.seed,

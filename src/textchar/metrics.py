@@ -20,7 +20,6 @@ contract.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,9 +49,8 @@ __all__ = [
 # infinity. Diversity reports an honest 0 instead.
 DEFAULT_STD_FLOOR = 1e-12
 
-# Rows are processed in fixed-size blocks during the pairwise passes. The
-# block grid is independent of the worker count, which keeps results stable
-# when the same computation is spread over a different number of threads.
+# Rows are processed in fixed-size blocks during the pairwise pass, which
+# bounds the working memory at ``_BLOCK_ROWS x m`` weights.
 _BLOCK_ROWS = 256
 
 
@@ -182,81 +180,68 @@ def pairwise_weight(e_i, e_j) -> float:
     return dist ** math.log(a.shape[0])
 
 
-def _weight_block(arr: np.ndarray, sq_norms: np.ndarray, start: int, stop: int,
-                  log_dim: float) -> np.ndarray:
-    """Weights of edges from rows ``start:stop`` to every row of ``arr``.
+def _first_copies(arr: np.ndarray) -> np.ndarray:
+    """Index of the first row equal to each row under ``==``.
 
-    Squared distances come from the inner-product expansion
-    ``|x|^2 + |y|^2 - 2 x.y`` so one BLAS product covers the whole block.
-    Self-distances are reset to exactly zero, and near-zero entries are
-    checked for bitwise row equality so genuinely coincident points get an
-    exact zero weight rather than expansion roundoff.
+    Rows are keyed by their bytes after ``+ 0.0``, which turns ``-0.0`` into
+    ``0.0``, so two rows share an index exactly when they compare equal
+    element by element (the cluster holds no NaN).
     """
-    block = arr[start:stop]
-    d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ arr.T)
-    np.maximum(d2, 0.0, out=d2)
-    rows = np.arange(stop - start)
-    d2[rows, rows + start] = 0.0
-
-    # Roundoff in the expansion is bounded by a small multiple of the norm
-    # scale; anything below that which is also bitwise-equal is a true zero.
-    tol = 64.0 * np.finfo(np.float64).eps * (sq_norms[start:stop, None] + sq_norms[None, :])
-    suspects = np.argwhere((d2 > 0.0) & (d2 <= tol))
-    for r, c in suspects:
-        if np.array_equal(block[r], arr[c]):
-            d2[r, c] = 0.0
-
-    dist = np.sqrt(d2)
-    weights = np.zeros_like(dist)
-    nonzero = dist > 0.0
-    weights[nonzero] = dist[nonzero] ** log_dim
-    return weights
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault((row + 0.0).tobytes(), i)
+                     for i, row in enumerate(arr)])
 
 
-def _block_ranges(m: int, block_rows: int) -> list[tuple[int, int]]:
-    return [(s, min(s + block_rows, m)) for s in range(0, m, block_rows)]
+def _chain_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row strengths ``S_i`` and row transition entropies ``H_i``, in nats.
 
-
-def _map_blocks(fn, ranges, workers: int | None):
-    """Apply ``fn`` to each row block, optionally on a thread pool.
-
-    Results are returned in block order regardless of completion order, so
-    the reduction that follows is identical for any worker count.
+    One streaming pass over fixed row blocks, so the full ``m x m`` matrix
+    never exists in memory. Squared distances come from the inner-product
+    expansion ``|x|^2 + |y|^2 - 2 x.y`` so one BLAS product covers a block.
+    Weights are built in log space, ``ln w_ij = (ln H / 2) ln d2_ij``, which
+    also yields the entropy without a second pass:
+    ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge between rows that
+    are equal under ``==`` (the diagonal included) or whose expanded squared
+    distance is not positive gets an exact zero weight rather than expansion
+    roundoff.
     """
-    if workers is None or workers <= 1 or len(ranges) <= 1:
-        return [fn(start, stop) for start, stop in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda rng: fn(*rng), ranges))
-
-
-def _row_strengths(arr: np.ndarray, sq_norms: np.ndarray, log_dim: float,
-                   workers: int | None) -> np.ndarray:
-    ranges = _block_ranges(arr.shape[0], _BLOCK_ROWS)
-    parts = _map_blocks(
-        lambda s, t: _weight_block(arr, sq_norms, s, t, log_dim).sum(axis=1),
-        ranges, workers,
-    )
-    strengths = np.concatenate(parts)
+    m = arr.shape[0]
+    first = _first_copies(arr)
+    # A row strength can only vanish when every point equals that row, i.e.
+    # the whole cluster is one repeated point. Detect that exactly instead
+    # of trusting floating-point distance sums.
+    if (first == 0).all():
+        raise DegenerateCluster(
+            f"all {m} points coincide; the distance chain has no edges"
+        )
+    half_log_dim = 0.5 * math.log(arr.shape[1])
+    sq_norms = np.einsum("ij,ij->i", arr, arr)
+    strengths = np.empty(m)
+    w_log_w = np.empty(m)
+    for start in range(0, m, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, m)
+        log_w = sq_norms[start:stop, None] + sq_norms[None, :]
+        log_w -= 2.0 * (arr[start:stop] @ arr.T)
+        zero = log_w <= 0.0
+        zero |= first[start:stop, None] == first[None, :]
+        # ln 1 = 0 keeps the masked entries finite; their weight is reset below.
+        np.copyto(log_w, 1.0, where=zero)
+        np.log(log_w, out=log_w)
+        log_w *= half_log_dim
+        weights = np.exp(log_w)
+        np.copyto(weights, 0.0, where=zero)
+        strengths[start:stop] = weights.sum(axis=1)
+        w_log_w[start:stop] = np.einsum("ij,ij->i", weights, log_w)
     if not (strengths > 0.0).all():
         # Only reachable when every weight of a row underflowed to zero.
         raise DegenerateCluster(
             "a point has zero total edge weight; distances are below the "
             "floating-point range"
         )
-    return strengths
+    return strengths, np.log(strengths) - w_log_w / strengths
 
 
-def _check_not_coincident(arr: np.ndarray) -> None:
-    # A row strength can only vanish when every point equals that row, i.e.
-    # the whole cluster is one repeated point. Detect that exactly instead
-    # of trusting floating-point distance sums.
-    if np.array_equal(arr, np.broadcast_to(arr[0], arr.shape)):
-        raise DegenerateCluster(
-            f"all {arr.shape[0]} points coincide; the distance chain has no edges"
-        )
-
-
-def stationary_distribution(cluster, workers: int | None = None) -> np.ndarray:
+def stationary_distribution(cluster) -> np.ndarray:
     """Stationary distribution of the distance-weighted chain.
 
     Because the weight matrix is symmetric the chain is reversible and the
@@ -266,42 +251,22 @@ def stationary_distribution(cluster, workers: int | None = None) -> np.ndarray:
     arr = as_cluster(cluster)
     if arr.shape[0] < 2:
         raise TooFewSamples("need at least 2 points for a transition chain")
-    _check_not_coincident(arr)
-    log_dim = math.log(arr.shape[1])
-    sq_norms = np.einsum("ij,ij->i", arr, arr)
-    strengths = _row_strengths(arr, sq_norms, log_dim, workers)
+    strengths, _ = _chain_rows(arr)
     return strengths / strengths.sum()
 
 
-def entropy_rate(cluster, workers: int | None = None) -> MarkovChainSummary:
+def entropy_rate(cluster) -> MarkovChainSummary:
     """Entropy rate of the distance-weighted chain, in nats.
 
-    Two streaming passes over row blocks: the first accumulates row
-    strengths, the second per-row transition entropies, so the full ``m x m``
-    matrix never exists in memory. Per-block contributions are assembled in
-    block order, making the result independent of the worker count.
+    One streaming pass over row blocks yields each point's row strength and
+    transition entropy; the rate is their stationary-weighted mean.
     """
     arr = as_cluster(cluster)
     m = arr.shape[0]
     if m < 2:
         raise TooFewSamples("need at least 2 points for a transition chain")
-    _check_not_coincident(arr)
-    log_dim = math.log(arr.shape[1])
-    sq_norms = np.einsum("ij,ij->i", arr, arr)
-
-    strengths = _row_strengths(arr, sq_norms, log_dim, workers)
+    strengths, entropies = _chain_rows(arr)
     stationary = strengths / strengths.sum()
-
-    def row_entropies(start: int, stop: int) -> np.ndarray:
-        weights = _weight_block(arr, sq_norms, start, stop, log_dim)
-        probs = weights / strengths[start:stop, None]
-        contrib = np.zeros_like(probs)
-        positive = probs > 0.0
-        contrib[positive] = probs[positive] * np.log(probs[positive])
-        return -contrib.sum(axis=1)
-
-    ranges = _block_ranges(m, _BLOCK_ROWS)
-    entropies = np.concatenate(_map_blocks(row_entropies, ranges, workers))
     rate = float(stationary @ entropies)
     return MarkovChainSummary(
         stationary=stationary,
@@ -310,7 +275,7 @@ def entropy_rate(cluster, workers: int | None = None) -> MarkovChainSummary:
     )
 
 
-def homogeneity(cluster, workers: int | None = None) -> float:
+def homogeneity(cluster) -> float:
     """Entropy rate normalized by its ``ln(m - 1)`` upper bound.
 
     Lies in ``[0, 1]``; equals 1 exactly when all pairwise distances are
@@ -322,13 +287,12 @@ def homogeneity(cluster, workers: int | None = None) -> float:
         raise TooFewSamples(
             f"homogeneity needs at least 3 points, got {arr.shape[0]}"
         )
-    summary = entropy_rate(arr, workers=workers)
+    summary = entropy_rate(arr)
     # The rate provably cannot exceed the bound; roundoff in the last ulp can.
     return min(summary.entropy_rate / summary.upper_bound, 1.0)
 
 
-def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR,
-                  workers: int | None = None) -> MetricReport:
+def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport:
     """Bundle diversity, density, and homogeneity for one cluster.
 
     Never raises for degenerate inputs: when homogeneity cannot be computed
@@ -349,7 +313,7 @@ def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR,
         reason = f"fewer than 3 samples (m={arr.shape[0]})"
     else:
         try:
-            hom = homogeneity(arr, workers=workers)
+            hom = homogeneity(arr)
         except DegenerateCluster as exc:
             reason = str(exc)
 

@@ -238,7 +238,7 @@ def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
     raise ValueError(f"unknown scenario kind {spec.kind!r}")
 
 
-def run_scenario(spec: ScenarioSpec, workers: int | None = None) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Walk the sweep, computing a metric report per parameter value.
 
     The base blob is generated once and reused by the scenarios that modify
@@ -249,7 +249,7 @@ def run_scenario(spec: ScenarioSpec, workers: int | None = None) -> ScenarioResu
     for index, value in enumerate(spec.sweep):
         try:
             cluster = _scenario_cluster(spec, base_points, index, value)
-            report = metric_report(cluster, workers=workers)
+            report = metric_report(cluster)
             rows.append(ScenarioRow(parameter=float(value), report=report))
         except Exception as exc:  # noqa: BLE001 - row-level error capture
             rows.append(ScenarioRow(parameter=float(value), report=None,

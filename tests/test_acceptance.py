@@ -21,6 +21,7 @@ from conftest import (
     SNIPS_REFERENCE,
     SST2_REFERENCE,
     brute_entropy_rate,
+    brute_weights,
     power_iteration_stationary,
     random_cluster,
 )
@@ -358,15 +359,13 @@ def test_criterion_6_exact_value_suite(monkeypatch):
         metrics.entropy_rate(blocked).entropy_rate - brute_entropy_rate(blocked)))
     monkeypatch.undo()
 
-    # Row stochasticity of the implementation's own transition blocks.
+    # Row stochasticity: the kernel's row strengths normalize the oracle's
+    # per-pair weights.
     row_worst = 0.0
     for _ in range(5):
         pts = metrics.as_cluster(random_cluster(rng, max_m=40, max_dim=10))
-        sq_norms = np.einsum("ij,ij->i", pts, pts)
-        log_dim = math.log(pts.shape[1])
-        strengths = metrics._row_strengths(pts, sq_norms, log_dim, None)
-        weights = metrics._weight_block(pts, sq_norms, 0, pts.shape[0], log_dim)
-        row_sums = (weights / strengths[:, None]).sum(axis=1)
+        strengths, _ = metrics._chain_rows(pts)
+        row_sums = (brute_weights(pts) / strengths[:, None]).sum(axis=1)
         row_worst = max(row_worst, np.abs(row_sums - 1.0).max())
 
     # Scale, translation, and rotation invariance of homogeneity. The

@@ -53,10 +53,10 @@ def test_average_reports_skips_missing_homogeneity():
 
 
 def test_weighted_average_by_class_size():
-    final = analysis.weighted_average(
-        {"a": analysis.AggregateMetrics(0.2, 5.0, math.log(5.0), 0.9),
-         "b": analysis.AggregateMetrics(0.4, 15.0, math.log(15.0), 0.7)},
-        {"a": 75, "b": 25},
+    final = analysis.average_reports(
+        [("a", analysis.AggregateMetrics(0.2, 5.0, math.log(5.0), 0.9)),
+         ("b", analysis.AggregateMetrics(0.4, 15.0, math.log(15.0), 0.7))],
+        [75 / 100, 25 / 100],
     )
     assert final.diversity == pytest.approx(0.25, abs=1e-15)
     assert final.density == pytest.approx(7.5, abs=1e-14)

@@ -261,28 +261,3 @@ def test_correlate_accepts_profile_sweep_output(tmp_path):
     assert run(["correlate", "--metrics", str(sweep), "--scores", str(scores),
                 "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
-
-
-# --- worker environment ----------------------------------------------------
-
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    src = tmp_path / "vecs.jsonl"
-    write_two_class_jsonl(src, n_per_class=20)
-    args = ["profile", "--input", str(src), "--format", "jsonl"]
-
-    monkeypatch.delenv("TEXTCHAR_THREADS", raising=False)
-    a = tmp_path / "a.json"
-    assert run(args + ["--out", str(a)]) == 0
-
-    monkeypatch.setenv("TEXTCHAR_THREADS", "3")
-    b = tmp_path / "b.json"
-    assert run(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_invalid_thread_env_exits_1(tmp_path, monkeypatch, capsys):
-    src = tmp_path / "vecs.jsonl"
-    write_two_class_jsonl(src, n_per_class=4)
-    monkeypatch.setenv("TEXTCHAR_THREADS", "chaos")
-    assert run(["profile", "--input", str(src), "--format", "jsonl"]) == 1
-    assert "TEXTCHAR_THREADS" in capsys.readouterr().err
