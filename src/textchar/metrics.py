@@ -49,8 +49,10 @@ __all__ = [
 # infinity. Diversity reports an honest 0 instead.
 DEFAULT_STD_FLOOR = 1e-12
 
-# Rows are processed in fixed-size blocks during the pairwise pass, which
-# bounds the working memory at ``_BLOCK_ROWS x m`` weights.
+# The pairwise pass takes rows in fixed-size blocks, each paired once with
+# itself and every later row (an upper-triangle strip, whose weights feed
+# both row and column sums), which bounds the working memory at
+# ``_BLOCK_ROWS x m`` weights.
 _BLOCK_ROWS = 256
 
 
@@ -195,15 +197,20 @@ def _first_copies(arr: np.ndarray) -> np.ndarray:
 def _chain_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row strengths ``S_i`` and row transition entropies ``H_i``, in nats.
 
-    One streaming pass over fixed row blocks, so the full ``m x m`` matrix
-    never exists in memory. Squared distances come from the inner-product
-    expansion ``|x|^2 + |y|^2 - 2 x.y`` so one BLAS product covers a block.
-    Weights are built in log space, ``ln w_ij = (ln H / 2) ln d2_ij``, which
-    also yields the entropy without a second pass:
-    ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge between rows that
-    are equal under ``==`` (the diagonal included) or whose expanded squared
-    distance is not positive gets an exact zero weight rather than expansion
-    roundoff.
+    One streaming pass over upper-triangle strips: row block ``[s, t)`` is
+    paired only with columns ``s:``, so the full ``m x m`` matrix never
+    exists in memory and each point pair is computed once. Its weight and
+    ``w ln w`` go into the sums of both its row and its column, strip by
+    strip in a fixed order, so ``w_ij == w_ji`` holds bitwise and reruns are
+    byte-identical. Squared distances come from the inner-product expansion
+    ``|x|^2 + |y|^2 - 2 x.y`` on the centered cluster, so one BLAS product
+    covers a strip and a large common offset cannot cancel away the
+    distances. Weights are built in log space,
+    ``ln w_ij = (ln H / 2) ln d2_ij``, which also yields the entropy without
+    a second pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge
+    between rows that are equal under ``==`` (the diagonal included) or
+    whose expanded squared distance is not positive gets an exact zero
+    weight rather than expansion roundoff.
     """
     m = arr.shape[0]
     first = _first_copies(arr)
@@ -215,23 +222,31 @@ def _chain_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"all {m} points coincide; the distance chain has no edges"
         )
     half_log_dim = 0.5 * math.log(arr.shape[1])
-    sq_norms = np.einsum("ij,ij->i", arr, arr)
-    strengths = np.empty(m)
-    w_log_w = np.empty(m)
+    centered = arr - arr.mean(axis=0)
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    strengths = np.zeros(m)
+    w_log_w = np.zeros(m)
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
-        log_w = sq_norms[start:stop, None] + sq_norms[None, :]
-        log_w -= 2.0 * (arr[start:stop] @ arr.T)
+        size = stop - start
+        log_w = sq_norms[start:stop, None] + sq_norms[None, start:]
+        log_w -= 2.0 * (centered[start:stop] @ centered[start:].T)
         zero = log_w <= 0.0
-        zero |= first[start:stop, None] == first[None, :]
+        zero |= first[start:stop, None] == first[None, start:]
+        # The diagonal and below of the strip's leading square: self-loops,
+        # and pairs the strip already holds above the diagonal.
+        zero[:, :size] |= np.tri(size, dtype=bool)
         # ln 1 = 0 keeps the masked entries finite; their weight is reset below.
         np.copyto(log_w, 1.0, where=zero)
         np.log(log_w, out=log_w)
         log_w *= half_log_dim
         weights = np.exp(log_w)
         np.copyto(weights, 0.0, where=zero)
-        strengths[start:stop] = weights.sum(axis=1)
-        w_log_w[start:stop] = np.einsum("ij,ij->i", weights, log_w)
+        log_w *= weights
+        strengths[start:stop] += weights.sum(axis=1)
+        strengths[start:] += weights.sum(axis=0)
+        w_log_w[start:stop] += log_w.sum(axis=1)
+        w_log_w[start:] += log_w.sum(axis=0)
     if not (strengths > 0.0).all():
         # Only reachable when every weight of a row underflowed to zero.
         raise DegenerateCluster(
@@ -255,24 +270,29 @@ def stationary_distribution(cluster) -> np.ndarray:
     return strengths / strengths.sum()
 
 
-def entropy_rate(cluster) -> MarkovChainSummary:
-    """Entropy rate of the distance-weighted chain, in nats.
-
-    One streaming pass over row blocks yields each point's row strength and
-    transition entropy; the rate is their stationary-weighted mean.
-    """
-    arr = as_cluster(cluster)
-    m = arr.shape[0]
-    if m < 2:
-        raise TooFewSamples("need at least 2 points for a transition chain")
+def _chain_summary(arr: np.ndarray) -> MarkovChainSummary:
+    """Entropy rate of an already validated cluster of at least 2 points."""
     strengths, entropies = _chain_rows(arr)
     stationary = strengths / strengths.sum()
     rate = float(stationary @ entropies)
     return MarkovChainSummary(
         stationary=stationary,
         entropy_rate=max(rate, 0.0),
-        upper_bound=math.log(m - 1),
+        upper_bound=math.log(arr.shape[0] - 1),
     )
+
+
+def entropy_rate(cluster) -> MarkovChainSummary:
+    """Entropy rate of the distance-weighted chain, in nats.
+
+    One streaming pass over upper-triangle strips yields each point's row
+    strength and transition entropy; the rate is their stationary-weighted
+    mean.
+    """
+    arr = as_cluster(cluster)
+    if arr.shape[0] < 2:
+        raise TooFewSamples("need at least 2 points for a transition chain")
+    return _chain_summary(arr)
 
 
 def homogeneity(cluster) -> float:
@@ -287,7 +307,7 @@ def homogeneity(cluster) -> float:
         raise TooFewSamples(
             f"homogeneity needs at least 3 points, got {arr.shape[0]}"
         )
-    summary = entropy_rate(arr)
+    summary = _chain_summary(arr)
     # The rate provably cannot exceed the bound; roundoff in the last ulp can.
     return min(summary.entropy_rate / summary.upper_bound, 1.0)
 
@@ -298,7 +318,8 @@ def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport
     Never raises for degenerate inputs: when homogeneity cannot be computed
     the report carries the reason instead.
     """
-    arr = as_cluster(cluster)
+    arr = np.asarray(cluster, dtype=np.float64)
+    # axis_stats and homogeneity validate the array at their own boundaries.
     stats = axis_stats(arr)
     div = diversity(stats)
     den = density(stats, std_floor=std_floor)

@@ -246,12 +246,32 @@ def test_duplicate_rows_in_different_blocks_match_brute_force(monkeypatch):
     # zero coordinate, which still compares equal and so must get weight 0.
     # With this seed the distance expansion leaves roundoff above zero for
     # both pairs, so only the equality rule can zero their weights.
-    pts = np.random.default_rng(0).normal(size=(14, 3)) + 3.0
+    pts = np.random.default_rng(19).normal(size=(14, 4)) + 3.0
     pts[3, 0] = 0.0
     pts[12] = pts[1]
     pts[13] = pts[3]
     pts[13, 0] = -0.0
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", 4)
+    rate = metrics.entropy_rate(pts).entropy_rate
+    assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
+    gap = np.abs(metrics.stationary_distribution(pts)
+                 - power_iteration_stationary(pts)).max()
+    assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("block", [1, 3, 13, 19])
+def test_triangle_strips_match_brute_force(monkeypatch, block):
+    # m = 14 is a multiple of none of the block sizes except 1, so every
+    # grid has a short last strip. Rows 4 and 5 are copies sitting inside
+    # one strip's leading square (for blocks 3, 13 and 19); rows 1 and 13
+    # are copies in different strips (for blocks 1, 3 and 13), whose
+    # weight lands in a column sum. With this seed the distance expansion
+    # leaves roundoff above zero for the copies, so only the equality rule
+    # can zero their weights.
+    pts = np.random.default_rng(3).normal(size=(14, 3)) + 3.0
+    pts[5] = pts[4]
+    pts[13] = pts[1]
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     rate = metrics.entropy_rate(pts).entropy_rate
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
     gap = np.abs(metrics.stationary_distribution(pts)
@@ -279,6 +299,20 @@ def test_homogeneity_invariances():
         assert abs(metrics.homogeneity(pts * 7.25) - h) <= 1e-9
         q, _ = np.linalg.qr(rng.normal(size=(pts.shape[1], pts.shape[1])))
         assert abs(metrics.homogeneity(pts @ q) - h) <= 1e-9
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=4.0, max_value=7.0))
+@settings(max_examples=40, deadline=None)
+def test_homogeneity_invariant_under_large_offsets(seed, log_offset):
+    # Real embeddings share a large mean direction; the squared-distance
+    # expansion must not cancel the spread away against it.
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(60, 16))
+    direction = rng.normal(size=16)
+    offset = 10.0 ** log_offset * direction / np.linalg.norm(direction)
+    h = metrics.homogeneity(pts)
+    assert abs(metrics.homogeneity(pts + offset) - h) <= 1e-9
 
 
 # --- metric_report -----------------------------------------------------------
