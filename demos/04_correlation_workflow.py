@@ -23,13 +23,11 @@ OUT_DIR = Path(__file__).parent / "output"
 
 def build_corpus(path):
     rng = np.random.default_rng(5)
-    records = []
-    for label in ("pos", "neg"):
-        for i in range(60):
-            records.append(io.Record(
-                id=f"{label}{i}", label=label, layer="default",
-                vector=rng.normal(size=12)))
-    io.write_vectors(io.LabeledEmbeddings(records=records, dim=12), path, "jsonl")
+    labels = ["pos"] * 60 + ["neg"] * 60
+    ids = [f"{label}{i % 60}" for i, label in enumerate(labels)]
+    embeddings = io.LabeledEmbeddings(rng.normal(size=(120, 12)), ids, labels,
+                                      ["default"] * 120)
+    io.write_vectors(embeddings, path, "jsonl")
 
 
 def main():

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .io import (
     LabeledEmbeddings,
-    Record,
     TokenSequence,
     group_by_label,
     mean_pool,
@@ -95,7 +94,6 @@ __all__ = [
     "MetricReport",
     "NonFiniteValue",
     "ParseError",
-    "Record",
     "ScenarioResult",
     "ScenarioRow",
     "ScenarioSpec",

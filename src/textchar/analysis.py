@@ -248,8 +248,8 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     # Distinct sampling units per class, in first-seen order; the dict keys
     # double as the membership set for the full fraction.
     units_by_class: dict[str, dict[str, None]] = {}
-    for rec in embeddings.records:
-        units_by_class.setdefault(rec.label, {})[rec.id] = None
+    for label, rec_id in zip(embeddings.labels, embeddings.ids):
+        units_by_class.setdefault(label, {})[rec_id] = None
 
     rows: list[SweepRow] = []
     for index, fraction in enumerate(fractions):
@@ -275,11 +275,13 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
                         f"class {label!r} has no members left at fraction {fraction}"
                     )
 
-        subset = LabeledEmbeddings(
-            records=[rec for rec in embeddings.records
-                     if rec.id in chosen[rec.label]],
-            dim=embeddings.dim,
-        )
+        idx = [i for i, (label, rec_id) in enumerate(zip(embeddings.labels,
+                                                         embeddings.ids))
+               if rec_id in chosen[label]]
+        subset = LabeledEmbeddings(embeddings.vectors[idx],
+                                   [embeddings.ids[i] for i in idx],
+                                   [embeddings.labels[i] for i in idx],
+                                   [embeddings.layers[i] for i in idx])
         profile = profile_dataset(group_by_label(subset),
                                   homogeneity_cap=homogeneity_cap,
                                   seed=seed)

@@ -1,16 +1,19 @@
 """Reading, writing, pooling, and grouping of labeled embedding vectors.
 
-Three interchangeable on-disk formats:
+A collection is held as columns: one float64 ``m x H`` matrix plus the
+``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
+on-disk formats:
 
 * ``jsonl`` -- one object per line with required keys ``label`` and
   ``vector`` (or ``tokens``, a list of token vectors, for the token-level
   variant) and optional ``id`` and ``layer``.
 * ``csv`` -- header row with a ``label`` column, optional ``id`` and
-  ``layer`` columns, and the remaining columns as numeric axes in order.
+  ``layer`` columns, and the remaining columns as numeric axes in order;
+  columns may come in any order. The writer emits ``id,label,layer,d0,...``.
 * ``binary`` -- magic ``CMET``, version byte 1, float width byte (4 or 8),
   two reserved zero bytes, little-endian uint32 ``m`` and ``H``, then
   ``m * H`` little-endian floats row-major. Ids, labels, and layers live in
-  a JSONL sidecar at ``<path>.meta.jsonl`` whose line order matches the row
+  a JSONL sidecar at ``<path>.meta.jsonl``, one JSON object per row in row
   order.
 
 The binary format round-trips float64 payloads bitwise; the text formats
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +42,6 @@ from .errors import (
 __all__ = [
     "FORMATS",
     "LabeledEmbeddings",
-    "Record",
     "TokenSequence",
     "group_by_label",
     "mean_pool",
@@ -57,25 +60,26 @@ _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 DEFAULT_LAYER = "default"
 
 
-@dataclass(frozen=True, eq=False)
-class Record:
-    """One embedded text: an id, a class label, a layer tag, and a vector."""
-
-    id: str
-    label: str
-    layer: str
-    vector: np.ndarray
-
-
 @dataclass(eq=False)
 class LabeledEmbeddings:
-    """A collection of records sharing one dimensionality."""
+    """A float64 ``m x H`` matrix, ``(0, 0)`` when empty, plus the id, label
+    and layer of each row."""
 
-    records: list[Record] = field(default_factory=list)
-    dim: int = 0
+    vectors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    ids: list[str] = field(default_factory=list)
+    labels: list[str] = field(default_factory=list)
+    layers: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not len(self.vectors) == len(self.ids) == len(self.labels) == len(self.layers):
+            raise ValueError("vectors, ids, labels and layers need one entry per row")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +118,37 @@ def _check_record(record_id: str, vector: np.ndarray, dim: int | None) -> int:
     return vector.shape[0]
 
 
-def _check_unique(path, records: list[Record]) -> None:
+def _check_unique(path, embeddings: LabeledEmbeddings) -> None:
     seen = set()
-    for rec in records:
-        key = (rec.label, rec.layer, rec.id)
+    for key in zip(embeddings.labels, embeddings.layers, embeddings.ids):
         if key in seen:
-            raise ParseError(path, f"duplicate id {rec.id!r} for label "
-                                   f"{rec.label!r}, layer {rec.layer!r}")
+            label, layer, rec_id = key
+            raise ParseError(path, f"duplicate id {rec_id!r} for label "
+                                   f"{label!r}, layer {layer!r}")
         seen.add(key)
+
+
+def _matrix(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack equal-length rows once; ``(0, 0)`` when there are none."""
+    return np.stack(rows) if rows else np.empty((0, 0))
+
+
+def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file; every line must be a JSON object holding the ``required`` keys."""
+    keys = " and ".join(repr(key) for key in required)
+    expected = f"expected an object with {keys}" if required else "expected a JSON object"
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(obj, dict) or any(key not in obj for key in required):
+                raise ParseError(path, expected, line=lineno)
+            yield lineno, obj
 
 
 def read_vectors(path, format: str) -> LabeledEmbeddings:
@@ -135,7 +162,7 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     reader = {"jsonl": _read_jsonl, "csv": _read_csv, "binary": _read_binary}[format]
     embeddings = reader(Path(path))
-    _check_unique(path, embeddings.records)
+    _check_unique(path, embeddings)
     return embeddings
 
 
@@ -150,58 +177,45 @@ def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
 # --- jsonl ------------------------------------------------------------------
 
 def _read_jsonl(path: Path) -> LabeledEmbeddings:
-    records: list[Record] = []
+    ids, labels, layers, rows = [], [], [], []
     dim: int | None = None
-    ordinal = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ordinal += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict) or "label" not in obj or "vector" not in obj:
-                raise ParseError(path, "expected an object with 'label' and 'vector'",
-                                 line=lineno)
-            rec_id = str(obj.get("id", f"row-{ordinal}"))
-            try:
-                vector = np.asarray(obj["vector"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, f"'vector' is not numeric: {exc}",
-                                 line=lineno) from exc
-            if vector.ndim != 1:
-                raise ParseError(path, "'vector' must be a flat list of numbers",
-                                 line=lineno)
-            dim = _check_record(rec_id, vector, dim)
-            records.append(Record(id=rec_id, label=str(obj["label"]),
-                                  layer=str(obj.get("layer", DEFAULT_LAYER)),
-                                  vector=vector))
-    return LabeledEmbeddings(records=records, dim=dim or 0)
+    for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "vector")),
+                                            start=1):
+        rec_id = str(obj.get("id", f"row-{ordinal}"))
+        try:
+            vector = np.asarray(obj["vector"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(path, f"'vector' is not numeric: {exc}",
+                             line=lineno) from exc
+        if vector.ndim != 1:
+            raise ParseError(path, "'vector' must be a flat list of numbers",
+                             line=lineno)
+        dim = _check_record(rec_id, vector, dim)
+        ids.append(rec_id)
+        labels.append(str(obj["label"]))
+        layers.append(str(obj.get("layer", DEFAULT_LAYER)))
+        rows.append(vector)
+    return LabeledEmbeddings(_matrix(rows), ids, labels, layers)
 
 
 def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in embeddings.records:
-            fh.write(json.dumps({
-                "id": rec.id,
-                "label": rec.label,
-                "layer": rec.layer,
-                "vector": [float(v) for v in rec.vector],
-            }))
+        for rec_id, label, layer, vector in zip(embeddings.ids, embeddings.labels,
+                                                embeddings.layers, embeddings.vectors):
+            fh.write(json.dumps({"id": rec_id, "label": label, "layer": layer,
+                                 "vector": vector.tolist()}))
             fh.write("\n")
 
 
 # --- csv --------------------------------------------------------------------
 
 def _read_csv(path: Path) -> LabeledEmbeddings:
-    records: list[Record] = []
+    ids, labels, layers, rows = [], [], [], []
     dim: int | None = None
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
+        lines = csv.reader(fh)
         try:
-            header = next(rows)
+            header = next(lines)
         except StopIteration:
             raise ParseError(path, "missing header row", line=1) from None
         named = {name: i for i, name in enumerate(header)
@@ -210,7 +224,7 @@ def _read_csv(path: Path) -> LabeledEmbeddings:
             raise ParseError(path, "header has no 'label' column", line=1)
         axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
         ordinal = 0
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in enumerate(lines, start=2):
             if not row:
                 continue
             ordinal += 1
@@ -218,16 +232,17 @@ def _read_csv(path: Path) -> LabeledEmbeddings:
                 raise ParseError(path, f"expected {len(header)} cells, got {len(row)}",
                                  line=lineno)
             rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
-            layer = row[named["layer"]] if "layer" in named else DEFAULT_LAYER
             try:
                 vector = np.array([float(row[i]) for i in axis_cols], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(path, f"non-numeric axis value: {exc}",
                                  line=lineno) from exc
             dim = _check_record(rec_id, vector, dim)
-            records.append(Record(id=rec_id, label=row[named["label"]],
-                                  layer=layer, vector=vector))
-    return LabeledEmbeddings(records=records, dim=dim or 0)
+            ids.append(rec_id)
+            labels.append(row[named["label"]])
+            layers.append(row[named["layer"]] if "layer" in named else DEFAULT_LAYER)
+            rows.append(vector)
+    return LabeledEmbeddings(_matrix(rows), ids, labels, layers)
 
 
 def _write_csv(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -235,9 +250,10 @@ def _write_csv(embeddings: LabeledEmbeddings, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["id", "label", "layer"]
                         + [f"d{i}" for i in range(embeddings.dim)])
-        for rec in embeddings.records:
-            writer.writerow([rec.id, rec.label, rec.layer]
-                            + [format(v, ".17g") for v in rec.vector])
+        for rec_id, label, layer, vector in zip(embeddings.ids, embeddings.labels,
+                                                embeddings.layers, embeddings.vectors):
+            writer.writerow([rec_id, label, layer]
+                            + [format(v, ".17g") for v in vector.tolist()])
 
 
 # --- binary -----------------------------------------------------------------
@@ -270,42 +286,31 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise ParseError(path, f"missing metadata sidecar {sidecar.name!r}")
-    meta: list[dict] = []
-    with open(sidecar, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                meta.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(sidecar, f"invalid JSON: {exc.msg}",
-                                 line=lineno) from exc
+    meta = [obj for _, obj in _json_objects(sidecar, ())]
     if len(meta) != m:
         raise ParseError(sidecar, f"{len(meta)} metadata rows for {m} vectors")
+    ids = [str(obj.get("id", f"row-{i}")) for i, obj in enumerate(meta, start=1)]
 
-    records = []
-    for i, obj in enumerate(meta):
-        rec_id = str(obj.get("id", f"row-{i + 1}"))
-        _check_record(rec_id, vectors[i], dim)
-        records.append(Record(id=rec_id, label=str(obj.get("label", "")),
-                              layer=str(obj.get("layer", DEFAULT_LAYER)),
-                              vector=vectors[i]))
-    return LabeledEmbeddings(records=records, dim=int(dim))
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        row, axis = np.argwhere(~finite)[0]
+        raise NonFiniteValue(ids[row], int(axis))
+    return LabeledEmbeddings(vectors, ids,
+                             [str(obj.get("label", "")) for obj in meta],
+                             [str(obj.get("layer", DEFAULT_LAYER)) for obj in meta])
 
 
 def _write_binary(embeddings: LabeledEmbeddings, path: Path,
                   float_width: int = 8) -> None:
-    m = len(embeddings.records)
-    dim = embeddings.dim
+    m, dim = embeddings.vectors.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, float_width, m, dim))
-        if m:
-            matrix = np.stack([rec.vector for rec in embeddings.records])
-            fh.write(np.ascontiguousarray(matrix, dtype=_DTYPES[float_width]).tobytes())
+        fh.write(np.ascontiguousarray(embeddings.vectors,
+                                      dtype=_DTYPES[float_width]).tobytes())
     with open(_sidecar(path), "w", encoding="utf-8") as fh:
-        for rec in embeddings.records:
-            fh.write(json.dumps({"id": rec.id, "label": rec.label,
-                                 "layer": rec.layer}))
+        for rec_id, label, layer in zip(embeddings.ids, embeddings.labels,
+                                        embeddings.layers):
+            fh.write(json.dumps({"id": rec_id, "label": label, "layer": layer}))
             fh.write("\n")
 
 
@@ -319,39 +324,27 @@ def read_token_sequences(path) -> list[TokenSequence]:
     """
     path = Path(path)
     sequences: list[TokenSequence] = []
-    ordinal = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ordinal += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict) or "label" not in obj or "tokens" not in obj:
-                raise ParseError(path, "expected an object with 'label' and 'tokens'",
-                                 line=lineno)
-            rec_id = str(obj.get("id", f"row-{ordinal}"))
-            tokens = obj["tokens"]
-            if not isinstance(tokens, list):
-                raise ParseError(path, "'tokens' must be a list of vectors",
-                                 line=lineno)
-            try:
-                matrix = (np.asarray(tokens, dtype=np.float64)
-                          if tokens else np.empty((0, 0)))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, f"'tokens' is not a numeric matrix: {exc}",
-                                 line=lineno) from exc
-            if tokens and matrix.ndim != 2:
-                raise ParseError(path, "'tokens' rows must all have the same length",
-                                 line=lineno)
-            if tokens and not np.isfinite(matrix).all():
-                bad = np.argwhere(~np.isfinite(matrix))[0]
-                raise NonFiniteValue(rec_id, int(bad[1]))
-            sequences.append(TokenSequence(id=rec_id, label=str(obj["label"]),
-                                           layer=str(obj.get("layer", DEFAULT_LAYER)),
-                                           token_vectors=matrix))
+    for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "tokens")),
+                                            start=1):
+        rec_id = str(obj.get("id", f"row-{ordinal}"))
+        tokens = obj["tokens"]
+        if not isinstance(tokens, list):
+            raise ParseError(path, "'tokens' must be a list of vectors", line=lineno)
+        try:
+            matrix = (np.asarray(tokens, dtype=np.float64)
+                      if tokens else np.empty((0, 0)))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(path, f"'tokens' is not a numeric matrix: {exc}",
+                             line=lineno) from exc
+        if tokens and matrix.ndim != 2:
+            raise ParseError(path, "'tokens' rows must all have the same length",
+                             line=lineno)
+        if tokens and not np.isfinite(matrix).all():
+            bad = np.argwhere(~np.isfinite(matrix))[0]
+            raise NonFiniteValue(rec_id, int(bad[1]))
+        sequences.append(TokenSequence(id=rec_id, label=str(obj["label"]),
+                                       layer=str(obj.get("layer", DEFAULT_LAYER)),
+                                       token_vectors=matrix))
     return sequences
 
 
@@ -359,20 +352,23 @@ def pool_token_file(in_path, out_path) -> int:
     """Mean-pool every sequence of a token-level file into a vector file.
 
     Ids, labels, and layers are preserved. Returns the number of sequences
-    written; raises EmptySequence naming the first sequence with no tokens.
+    written. Nothing is written if a sequence has no tokens (EmptySequence)
+    or a token width other than the first sequence's (DimensionMismatch);
+    the first such sequence is named.
     """
     sequences = read_token_sequences(in_path)
-    records = []
-    dim = 0
+    rows = []
+    dim: int | None = None
     for seq in sequences:
         pooled = mean_pool(seq)
-        dim = pooled.shape[0]
-        records.append(Record(id=seq.id, label=seq.label, layer=seq.layer,
-                              vector=pooled))
-    out = LabeledEmbeddings(records=records, dim=dim)
-    _check_unique(in_path, out.records)
+        dim = _check_record(seq.id, pooled, dim)
+        rows.append(pooled)
+    out = LabeledEmbeddings(_matrix(rows), [seq.id for seq in sequences],
+                            [seq.label for seq in sequences],
+                            [seq.layer for seq in sequences])
+    _check_unique(in_path, out)
     write_vectors(out, out_path, "jsonl")
-    return len(records)
+    return len(out)
 
 
 def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.ndarray]:
@@ -381,7 +377,7 @@ def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.nd
     Insertion order of both the groups and the rows within a group follows
     the record order.
     """
-    buckets: dict[tuple[str, str], list[np.ndarray]] = {}
-    for rec in embeddings.records:
-        buckets.setdefault((rec.label, rec.layer), []).append(rec.vector)
-    return {key: np.stack(vectors) for key, vectors in buckets.items()}
+    buckets: dict[tuple[str, str], list[int]] = {}
+    for i, key in enumerate(zip(embeddings.labels, embeddings.layers)):
+        buckets.setdefault(key, []).append(i)
+    return {key: embeddings.vectors[idx] for key, idx in buckets.items()}

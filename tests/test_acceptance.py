@@ -414,15 +414,14 @@ def _random_payload(rng, index, float32):
     specials = _F4_SPECIALS if float32 else _F8_SPECIALS
     if rng.random() < 0.4:
         matrix[rng.integers(m), rng.integers(dim)] = specials[rng.integers(len(specials))]
-    records = []
+    ids, labels, layers = [], [], []
     for row in range(m):
         exotic = f"{_LABELS[int(rng.integers(len(_LABELS)))]} {row}" \
             if rng.random() < 0.2 else f"r{row}"
-        records.append(io.Record(
-            id=exotic, label=_LABELS[int(rng.integers(len(_LABELS)))],
-            layer=_LAYERS[int(rng.integers(len(_LAYERS)))],
-            vector=matrix[row]))
-    return io.LabeledEmbeddings(records=records, dim=dim), matrix
+        ids.append(exotic)
+        labels.append(_LABELS[int(rng.integers(len(_LABELS)))])
+        layers.append(_LAYERS[int(rng.integers(len(_LAYERS)))])
+    return io.LabeledEmbeddings(matrix, ids, labels, layers), matrix
 
 
 def test_criterion_7_format_round_trips(tmp_path):
@@ -443,9 +442,9 @@ def test_criterion_7_format_round_trips(tmp_path):
             expected = matrix
             counts["binary8" if fmt == "binary" else fmt] += 1
         back = io.read_vectors(path, fmt)
-        assert [(r.id, r.label, r.layer) for r in back.records] \
-            == [(r.id, r.label, r.layer) for r in payload.records]
-        returned = np.stack([r.vector for r in back.records])
+        assert (back.ids, back.labels, back.layers) \
+            == (payload.ids, payload.labels, payload.layers)
+        returned = back.vectors
         # Bitwise comparison (tobytes) so that -0.0 and subnormals count.
         assert returned.tobytes() == np.ascontiguousarray(expected).tobytes(), \
             f"payload {index} ({fmt}{'/f4' if float32 else ''}) not bitwise equal"

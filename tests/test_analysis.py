@@ -20,14 +20,11 @@ def fake_report(diversity=0.5, density=10.0, homogeneity=0.9):
 
 
 def two_class_embeddings(rng, n_per_class=20, dim=3, layers=("L1",)):
-    records = []
-    for label in ("pos", "neg"):
-        for i in range(n_per_class):
-            for layer in layers:
-                records.append(io.Record(
-                    id=f"{label}{i}", label=label, layer=layer,
-                    vector=rng.normal(size=dim)))
-    return io.LabeledEmbeddings(records=records, dim=dim)
+    keys = [(f"{label}{i}", label, layer) for label in ("pos", "neg")
+            for i in range(n_per_class) for layer in layers]
+    ids, labels, layer_tags = (list(column) for column in zip(*keys))
+    return io.LabeledEmbeddings(rng.normal(size=(len(keys), dim)),
+                                ids, labels, layer_tags)
 
 
 # --- aggregation arithmetic ---------------------------------------------

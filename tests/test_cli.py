@@ -134,6 +134,17 @@ def test_profile_parse_error_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_profile_sidecar_line_not_an_object_exits_1(tmp_path, capsys):
+    src = tmp_path / "vectors.bin"
+    src.write_bytes(b"CMET\x01\x08\x00\x00" + (1).to_bytes(4, "little")
+                    + (1).to_bytes(4, "little") + np.float64(1.0).tobytes())
+    (tmp_path / "vectors.bin.meta.jsonl").write_text("[1]\n")
+    assert run(["profile", "--input", str(src), "--format", "binary"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "vectors.bin.meta.jsonl" in err[0] and "line 1" in err[0]
+
+
 def test_profile_missing_input_exits_1(tmp_path, capsys):
     assert run(["profile", "--input", str(tmp_path / "nope.jsonl"),
                 "--format", "jsonl"]) == 1

@@ -13,15 +13,12 @@ from textchar.errors import (
 
 
 def make_collection(rng, n=12, dim=4, labels=("pos", "neg"), layers=("L1", "L2")):
-    records = []
-    for i in range(n):
-        records.append(io.Record(
-            id=f"s{i}",
-            label=labels[i % len(labels)],
-            layer=layers[i % len(layers)],
-            vector=rng.normal(size=dim),
-        ))
-    return io.LabeledEmbeddings(records=records, dim=dim)
+    return io.LabeledEmbeddings(
+        vectors=rng.normal(size=(n, dim)),
+        ids=[f"s{i}" for i in range(n)],
+        labels=[labels[i % len(labels)] for i in range(n)],
+        layers=[layers[i % len(layers)] for i in range(n)],
+    )
 
 
 # --- mean pooling -------------------------------------------------------
@@ -60,33 +57,30 @@ def test_round_trip_is_exact(tmp_path, format):
 
     assert loaded.dim == original.dim
     assert len(loaded) == len(original)
-    for got, want in zip(loaded.records, original.records):
-        assert (got.id, got.label, got.layer) == (want.id, want.label, want.layer)
-        assert np.array_equal(got.vector, want.vector)
+    assert (loaded.ids, loaded.labels, loaded.layers) \
+        == (original.ids, original.labels, original.layers)
+    assert np.array_equal(loaded.vectors, original.vectors)
 
 
 def test_round_trip_extreme_magnitudes(tmp_path):
     vectors = np.array([[1e-300, -1e300, 0.0, 1.0],
                         [2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 3.14]])
-    original = io.LabeledEmbeddings(
-        records=[io.Record(f"r{i}", "a", "L", vectors[i]) for i in range(2)],
-        dim=4)
+    original = io.LabeledEmbeddings(vectors, ["r0", "r1"], ["a", "a"], ["L", "L"])
     for format in io.FORMATS:
         path = tmp_path / f"extreme.{format}"
         io.write_vectors(original, path, format)
         loaded = io.read_vectors(path, format)
-        for got, want in zip(loaded.records, original.records):
-            assert np.array_equal(got.vector, want.vector), format
+        assert np.array_equal(loaded.vectors, original.vectors), format
 
 
 def test_csv_quotes_awkward_labels(tmp_path):
-    rec = io.Record("id,1", 'label "x", y', "layer\n2", np.array([1.5]))
-    original = io.LabeledEmbeddings(records=[rec], dim=1)
+    original = io.LabeledEmbeddings(np.array([[1.5]]), ["id,1"],
+                                    ['label "x", y'], ["layer\n2"])
     path = tmp_path / "quoted.csv"
     io.write_vectors(original, path, "csv")
     loaded = io.read_vectors(path, "csv")
-    got = loaded.records[0]
-    assert (got.id, got.label, got.layer) == (rec.id, rec.label, rec.layer)
+    assert (loaded.ids, loaded.labels, loaded.layers) \
+        == (original.ids, original.labels, original.layers)
 
 
 def test_binary_float32_round_trips_its_own_precision(tmp_path):
@@ -95,9 +89,8 @@ def test_binary_float32_round_trips_its_own_precision(tmp_path):
     path = tmp_path / "vectors.bin"
     io._write_binary(original, path, float_width=4)
     loaded = io.read_vectors(path, "binary")
-    for got, want in zip(loaded.records, original.records):
-        assert np.array_equal(got.vector,
-                              want.vector.astype(np.float32).astype(np.float64))
+    assert np.array_equal(loaded.vectors,
+                          original.vectors.astype(np.float32).astype(np.float64))
 
 
 def test_jsonl_defaults_for_missing_id_and_layer(tmp_path):
@@ -106,8 +99,8 @@ def test_jsonl_defaults_for_missing_id_and_layer(tmp_path):
                     '\n'
                     '{"label": "b", "vector": [3.0, 4.0]}\n')
     loaded = io.read_vectors(path, "jsonl")
-    assert [rec.id for rec in loaded.records] == ["row-1", "row-2"]
-    assert all(rec.layer == "default" for rec in loaded.records)
+    assert loaded.ids == ["row-1", "row-2"]
+    assert loaded.layers == ["default", "default"]
 
 
 def test_csv_handles_any_column_order(tmp_path):
@@ -115,9 +108,8 @@ def test_csv_handles_any_column_order(tmp_path):
     path.write_text("d0,label,d1,id,layer\n"
                     "1.5,pos,2.5,a,L1\n")
     loaded = io.read_vectors(path, "csv")
-    rec = loaded.records[0]
-    assert rec.label == "pos" and rec.id == "a" and rec.layer == "L1"
-    assert np.array_equal(rec.vector, [1.5, 2.5])
+    assert loaded.labels == ["pos"] and loaded.ids == ["a"] and loaded.layers == ["L1"]
+    assert np.array_equal(loaded.vectors, [[1.5, 2.5]])
 
 
 # --- parse errors ------------------------------------------------------------
@@ -240,6 +232,11 @@ def test_unknown_format_rejected(tmp_path):
         io.write_vectors(io.LabeledEmbeddings(), tmp_path / "x", "parquet")
 
 
+def test_columns_must_have_one_entry_per_row():
+    with pytest.raises(ValueError, match="one entry per row"):
+        io.LabeledEmbeddings(np.zeros((2, 3)), ["a"], ["x"], ["L"])
+
+
 # --- token sequences ----------------------------------------------------
 
 def test_read_token_sequences(tmp_path):
@@ -273,10 +270,9 @@ def test_pool_token_file(tmp_path):
     dst = tmp_path / "pooled.jsonl"
     assert io.pool_token_file(src, dst) == 2
     loaded = io.read_vectors(dst, "jsonl")
-    assert np.array_equal(loaded.records[0].vector, [2.0, 4.0])
-    assert np.array_equal(loaded.records[1].vector, [10.0, 20.0])
-    assert loaded.records[0].layer == "L1"
-    assert loaded.records[1].label == "y"
+    assert np.array_equal(loaded.vectors, [[2.0, 4.0], [10.0, 20.0]])
+    assert loaded.layers[0] == "L1"
+    assert loaded.labels[1] == "y"
 
 
 def test_pool_token_file_names_first_empty_sequence(tmp_path):
@@ -285,6 +281,16 @@ def test_pool_token_file_names_first_empty_sequence(tmp_path):
                    '{"id": "empty-7", "label": "x", "tokens": []}\n')
     with pytest.raises(EmptySequence, match="empty-7"):
         io.pool_token_file(src, tmp_path / "out.jsonl")
+
+
+def test_pool_token_file_rejects_mixed_widths_before_writing(tmp_path):
+    src = tmp_path / "tokens.jsonl"
+    src.write_text('{"id": "a", "label": "x", "tokens": [[1.0, 2.0]]}\n'
+                   '{"id": "b", "label": "x", "tokens": [[1.0, 2.0, 3.0]]}\n')
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(DimensionMismatch, match="'b'"):
+        io.pool_token_file(src, out)
+    assert not out.exists()
 
 
 # --- grouping -----------------------------------------------------------
@@ -299,8 +305,7 @@ def test_group_by_label_shapes_and_order():
 
 
 def test_group_by_label_preserves_row_order():
-    records = [io.Record(f"r{i}", "only", "L", np.array([float(i)]))
-               for i in range(5)]
-    emb = io.LabeledEmbeddings(records=records, dim=1)
+    emb = io.LabeledEmbeddings(np.arange(5.0)[:, None], [f"r{i}" for i in range(5)],
+                               ["only"] * 5, ["L"] * 5)
     groups = io.group_by_label(emb)
     assert np.array_equal(groups[("only", "L")][:, 0], np.arange(5.0))

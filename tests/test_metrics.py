@@ -241,22 +241,36 @@ def test_duplicate_rows_match_brute_force():
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
 
 
+def _bump_copy_norms(patch, rows):
+    # Adds 1e-13 to the squared norms of the given rows as the kernel's
+    # ``einsum`` returns them, so every copy pair among them expands to
+    # d2 ~ 2e-13 > 0 on any BLAS and only the equality rule can zero its
+    # weight.
+    einsum = np.einsum
+
+    def bumped(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        out[rows] += 1e-13
+        return out
+
+    patch.setattr(metrics.np, "einsum", bumped)
+
+
 def test_duplicate_rows_in_different_blocks_match_brute_force(monkeypatch):
     # Copies three blocks apart, one of them differing only by the sign of a
     # zero coordinate, which still compares equal and so must get weight 0.
-    # With this seed the distance expansion leaves roundoff above zero for
-    # both pairs, so only the equality rule can zero their weights.
     pts = np.random.default_rng(19).normal(size=(14, 4)) + 3.0
     pts[3, 0] = 0.0
     pts[12] = pts[1]
     pts[13] = pts[3]
     pts[13, 0] = -0.0
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", 4)
-    rate = metrics.entropy_rate(pts).entropy_rate
+    with monkeypatch.context() as patch:
+        _bump_copy_norms(patch, [1, 3, 12, 13])
+        rate = metrics.entropy_rate(pts).entropy_rate
+        stationary = metrics.stationary_distribution(pts)
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
-    gap = np.abs(metrics.stationary_distribution(pts)
-                 - power_iteration_stationary(pts)).max()
-    assert gap <= 1e-10
+    assert np.abs(stationary - power_iteration_stationary(pts)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("block", [1, 3, 13, 19])
@@ -265,18 +279,17 @@ def test_triangle_strips_match_brute_force(monkeypatch, block):
     # grid has a short last strip. Rows 4 and 5 are copies sitting inside
     # one strip's leading square (for blocks 3, 13 and 19); rows 1 and 13
     # are copies in different strips (for blocks 1, 3 and 13), whose
-    # weight lands in a column sum. With this seed the distance expansion
-    # leaves roundoff above zero for the copies, so only the equality rule
-    # can zero their weights.
+    # weight lands in a column sum.
     pts = np.random.default_rng(3).normal(size=(14, 3)) + 3.0
     pts[5] = pts[4]
     pts[13] = pts[1]
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
-    rate = metrics.entropy_rate(pts).entropy_rate
+    with monkeypatch.context() as patch:
+        _bump_copy_norms(patch, [1, 4, 5, 13])
+        rate = metrics.entropy_rate(pts).entropy_rate
+        stationary = metrics.stationary_distribution(pts)
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
-    gap = np.abs(metrics.stationary_distribution(pts)
-                 - power_iteration_stationary(pts)).max()
-    assert gap <= 1e-10
+    assert np.abs(stationary - power_iteration_stationary(pts)).max() <= 1e-10
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
