@@ -55,6 +55,7 @@ from .metrics import (
     entropy_rate,
     homogeneity,
     metric_report,
+    metric_reports,
     pairwise_weight,
     stationary_distribution,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "homogeneity",
     "mean_pool",
     "metric_report",
+    "metric_reports",
     "pairwise_weight",
     "pearson",
     "pool_token_file",

@@ -43,6 +43,14 @@ def _num(value) -> str:
     return format(float(value), ".17g")
 
 
+def _cap(text: str) -> int:
+    # Homogeneity needs at least 3 points, so a smaller cap cannot yield one.
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+    return value
+
+
 def _require_inputs(*paths) -> None:
     for path in paths:
         if path is not None and not Path(path).exists():
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--fractions", default=None,
                       help="comma-separated down-sampling fractions, e.g. 1.0,0.5")
     prof.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    prof.add_argument("--cap", type=int, default=None,
+    prof.add_argument("--cap", type=_cap, default=None,
                       help="subsample classes larger than this for homogeneity")
     prof.add_argument("--out", default=None,
                       help="JSON output path (default: stdout)")

@@ -106,7 +106,10 @@ def mean_pool(tokens) -> np.ndarray:
         seq_id = "<anonymous>"
     if arr.size == 0 or arr.shape[0] == 0:
         raise EmptySequence(seq_id)
-    return np.asarray(arr, dtype=np.float64).mean(axis=0)
+    # A mean that overflows is returned as inf without numpy's warning;
+    # callers that need finite vectors check for it.
+    with np.errstate(over="ignore"):
+        return np.asarray(arr, dtype=np.float64).mean(axis=0)
 
 
 def _check_record(record_id: str, vector: np.ndarray, dim: int | None) -> int:
@@ -218,6 +221,9 @@ def _read_csv(path: Path) -> LabeledEmbeddings:
             header = next(lines)
         except StopIteration:
             raise ParseError(path, "missing header row", line=1) from None
+        for name in ("label", "id", "layer"):
+            if header.count(name) > 1:
+                raise ParseError(path, f"header repeats the {name!r} column", line=1)
         named = {name: i for i, name in enumerate(header)
                  if name in ("label", "id", "layer")}
         if "label" not in named:

@@ -19,6 +19,7 @@ contract.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,6 +41,7 @@ __all__ = [
     "entropy_rate",
     "homogeneity",
     "metric_report",
+    "metric_reports",
     "pairwise_weight",
     "stationary_distribution",
 ]
@@ -194,38 +196,39 @@ def _first_copies(arr: np.ndarray) -> np.ndarray:
                      for i, row in enumerate(arr)])
 
 
-def _chain_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row strengths ``S_i`` and row transition entropies ``H_i``, in nats.
+def _chain_rows(arr: np.ndarray, members: np.ndarray,
+                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row strengths ``S_i`` and ``sum_j w_ij ln w_ij`` within row subsets.
 
-    One streaming pass over upper-triangle strips: row block ``[s, t)`` is
-    paired only with columns ``s:``, so the full ``m x m`` matrix never
-    exists in memory and each point pair is computed once. Its weight and
-    ``w ln w`` go into the sums of both its row and its column, strip by
+    ``members`` is an ``m x k`` float64 0/1 matrix whose column ``f`` marks
+    the rows of subset ``f``, and ``first`` is ``_first_copies(arr)``. Both
+    results are ``m x k``: entry ``(i, f)`` sums over the members of subset
+    ``f`` only, and means something only when row ``i`` is one of them. A
+    whole cluster is the single all-ones column.
+
+    One streaming pass over upper-triangle strips serves every subset: row
+    block ``[s, t)`` is paired only with columns ``s:``, so the full
+    ``m x m`` matrix never exists in memory and each point pair is computed
+    once, however many subsets hold it. Its weight and ``w ln w`` go into
+    the sums of both its row and its column, through
+    ``weights @ members[s:]`` and ``weights.T @ members[s:t]``, strip by
     strip in a fixed order, so ``w_ij == w_ji`` holds bitwise and reruns are
     byte-identical. Squared distances come from the inner-product expansion
-    ``|x|^2 + |y|^2 - 2 x.y`` on the centered cluster, so one BLAS product
-    covers a strip and a large common offset cannot cancel away the
-    distances. Weights are built in log space,
-    ``ln w_ij = (ln H / 2) ln d2_ij``, which also yields the entropy without
-    a second pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge
-    between rows that are equal under ``==`` (the diagonal included) or
-    whose expanded squared distance is not positive gets an exact zero
-    weight rather than expansion roundoff.
+    ``|x|^2 + |y|^2 - 2 x.y`` on the cluster centered once over all its rows,
+    so one BLAS product covers a strip and a large common offset cannot
+    cancel away the distances. Weights are built in log space,
+    ``ln w_ij = (ln H / 2) ln d2_ij``, so the row entropy needs no second
+    pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge between rows
+    that are equal under ``==`` (the diagonal included) or whose expanded
+    squared distance is not positive gets an exact zero weight rather than
+    expansion roundoff.
     """
     m = arr.shape[0]
-    first = _first_copies(arr)
-    # A row strength can only vanish when every point equals that row, i.e.
-    # the whole cluster is one repeated point. Detect that exactly instead
-    # of trusting floating-point distance sums.
-    if (first == 0).all():
-        raise DegenerateCluster(
-            f"all {m} points coincide; the distance chain has no edges"
-        )
     half_log_dim = 0.5 * math.log(arr.shape[1])
     centered = arr - arr.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", centered, centered)
-    strengths = np.zeros(m)
-    w_log_w = np.zeros(m)
+    strengths = np.zeros(members.shape)
+    w_log_w = np.zeros(members.shape)
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
         size = stop - start
@@ -243,17 +246,74 @@ def _chain_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weights = np.exp(log_w)
         np.copyto(weights, 0.0, where=zero)
         log_w *= weights
-        strengths[start:stop] += weights.sum(axis=1)
-        strengths[start:] += weights.sum(axis=0)
-        w_log_w[start:stop] += log_w.sum(axis=1)
-        w_log_w[start:] += log_w.sum(axis=0)
-    if not (strengths > 0.0).all():
-        # Only reachable when every weight of a row underflowed to zero.
-        raise DegenerateCluster(
-            "a point has zero total edge weight; distances are below the "
-            "floating-point range"
+        strengths[start:stop] += weights @ members[start:]
+        strengths[start:] += weights.T @ members[start:stop]
+        w_log_w[start:stop] += log_w @ members[start:]
+        w_log_w[start:] += log_w.T @ members[start:stop]
+    return strengths, w_log_w
+
+
+def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateCluster]:
+    """Chain summary of each row subset of a validated cluster.
+
+    Each subset is a sorted index array of at least 2 rows. All subsets
+    share one ``_chain_rows`` pass. A subset whose chain is undefined gets
+    the ``DegenerateCluster`` that says why in place of its summary.
+    """
+    first = _first_copies(arr)
+    chains: list = [None] * len(subsets)
+    live = []
+    for f, idx in enumerate(subsets):
+        # A row strength can only vanish when every point equals that row,
+        # i.e. the whole subset is one repeated point. Detect that exactly
+        # instead of trusting floating-point distance sums.
+        if (first[idx] == first[idx[0]]).all():
+            chains[f] = DegenerateCluster(
+                f"all {len(idx)} points coincide; the distance chain has no edges"
+            )
+        else:
+            live.append(f)
+    if not live:
+        return chains
+    members = np.zeros((arr.shape[0], len(live)))
+    for col, f in enumerate(live):
+        members[subsets[f], col] = 1.0
+    strengths, w_log_w = _chain_rows(arr, members, first)
+    for col, f in enumerate(live):
+        idx = subsets[f]
+        rows = strengths[idx, col]
+        if not (rows > 0.0).all():
+            # Only reachable when every weight of a row underflowed to zero.
+            chains[f] = DegenerateCluster(
+                "a point has zero total edge weight; distances are below the "
+                "floating-point range"
+            )
+            continue
+        entropies = np.log(rows) - w_log_w[idx, col] / rows
+        stationary = rows / rows.sum()
+        rate = float(stationary @ entropies)
+        chains[f] = MarkovChainSummary(
+            stationary=stationary,
+            entropy_rate=max(rate, 0.0),
+            upper_bound=math.log(len(idx) - 1),
         )
-    return strengths, np.log(strengths) - w_log_w / strengths
+    return chains
+
+
+def _whole_chain(arr: np.ndarray) -> MarkovChainSummary:
+    """Chain summary of a validated cluster of at least 2 points."""
+    (chain,) = _chains(arr, [np.arange(arr.shape[0])])
+    if isinstance(chain, DegenerateCluster):
+        raise chain
+    return chain
+
+
+def _normalized_rate(chain: MarkovChainSummary | DegenerateCluster) -> float:
+    """Homogeneity of a chain summary; raises a degenerate subset's error."""
+    if isinstance(chain, DegenerateCluster):
+        raise chain
+    # The rate provably cannot exceed the bound; roundoff in the last ulp can.
+    return min(chain.entropy_rate / chain.upper_bound, 1.0)
 
 
 def stationary_distribution(cluster) -> np.ndarray:
@@ -266,20 +326,7 @@ def stationary_distribution(cluster) -> np.ndarray:
     arr = as_cluster(cluster)
     if arr.shape[0] < 2:
         raise TooFewSamples("need at least 2 points for a transition chain")
-    strengths, _ = _chain_rows(arr)
-    return strengths / strengths.sum()
-
-
-def _chain_summary(arr: np.ndarray) -> MarkovChainSummary:
-    """Entropy rate of an already validated cluster of at least 2 points."""
-    strengths, entropies = _chain_rows(arr)
-    stationary = strengths / strengths.sum()
-    rate = float(stationary @ entropies)
-    return MarkovChainSummary(
-        stationary=stationary,
-        entropy_rate=max(rate, 0.0),
-        upper_bound=math.log(arr.shape[0] - 1),
-    )
+    return _whole_chain(arr).stationary
 
 
 def entropy_rate(cluster) -> MarkovChainSummary:
@@ -292,7 +339,7 @@ def entropy_rate(cluster) -> MarkovChainSummary:
     arr = as_cluster(cluster)
     if arr.shape[0] < 2:
         raise TooFewSamples("need at least 2 points for a transition chain")
-    return _chain_summary(arr)
+    return _whole_chain(arr)
 
 
 def homogeneity(cluster) -> float:
@@ -307,9 +354,37 @@ def homogeneity(cluster) -> float:
         raise TooFewSamples(
             f"homogeneity needs at least 3 points, got {arr.shape[0]}"
         )
-    summary = _chain_summary(arr)
-    # The rate provably cannot exceed the bound; roundoff in the last ulp can.
-    return min(summary.entropy_rate / summary.upper_bound, 1.0)
+    return _normalized_rate(_whole_chain(arr))
+
+
+def _assemble(stats: ClusterStats, std_floor: float, homogeneity_of) -> MetricReport:
+    """Report fields, notes and skip reason; ``homogeneity_of()`` runs for m >= 3.
+
+    ``homogeneity_of`` returns the homogeneity or raises ``DegenerateCluster``.
+    """
+    den = density(stats, std_floor=std_floor)
+    hom: float | None = None
+    reason: str | None = None
+    notes: tuple[str, ...] = ()
+    if stats.dim == 1:
+        notes = ("homogeneity is identically 1 in one dimension: the distance "
+                 "exponent ln(1) = 0 makes every edge weight equal",)
+    if stats.count < 3:
+        reason = f"fewer than 3 samples (m={stats.count})"
+    else:
+        try:
+            hom = homogeneity_of()
+        except DegenerateCluster as exc:
+            reason = str(exc)
+    return MetricReport(
+        diversity=diversity(stats),
+        density=den.value,
+        density_log=den.log_value,
+        homogeneity=hom,
+        degenerate_axes=den.floored_axes,
+        homogeneity_skipped_reason=reason,
+        notes=notes,
+    )
 
 
 def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport:
@@ -320,30 +395,39 @@ def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport
     """
     arr = np.asarray(cluster, dtype=np.float64)
     # axis_stats and homogeneity validate the array at their own boundaries.
-    stats = axis_stats(arr)
-    div = diversity(stats)
-    den = density(stats, std_floor=std_floor)
+    return _assemble(axis_stats(arr), std_floor, lambda: homogeneity(arr))
 
-    hom: float | None = None
-    reason: str | None = None
-    notes: tuple[str, ...] = ()
-    if arr.shape[1] == 1:
-        notes = ("homogeneity is identically 1 in one dimension: the distance "
-                 "exponent ln(1) = 0 makes every edge weight equal",)
-    if arr.shape[0] < 3:
-        reason = f"fewer than 3 samples (m={arr.shape[0]})"
-    else:
-        try:
-            hom = homogeneity(arr)
-        except DegenerateCluster as exc:
-            reason = str(exc)
 
-    return MetricReport(
-        diversity=div,
-        density=den.value,
-        density_log=den.log_value,
-        homogeneity=hom,
-        degenerate_axes=den.floored_axes,
-        homogeneity_skipped_reason=reason,
-        notes=notes,
+def _row_subset(subset, m: int) -> np.ndarray:
+    idx = np.asarray(subset)
+    if (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+            and idx.min() >= 0 and idx.max() < m):
+        idx = idx.astype(np.intp)
+        if (np.diff(idx) > 0).all():
+            return idx
+    raise ValueError(
+        "each subset must be a non-empty, strictly increasing integer array "
+        f"of row indices below {m}"
     )
+
+
+def metric_reports(cluster, subsets,
+                   std_floor: float = DEFAULT_STD_FLOOR) -> list[MetricReport]:
+    """One metric report per row subset of a cluster, from one pairwise pass.
+
+    Each subset is a strictly increasing integer array of row indices;
+    anything else raises ValueError. Report ``f`` matches
+    ``metric_report(cluster[subsets[f]])``: diversity, density and
+    degenerate axes bitwise, homogeneity up to roundoff, because the shared
+    pass centers the whole cluster and sums each subset in another order.
+    Like ``metric_report`` it never raises for a degenerate subset.
+    """
+    arr = as_cluster(cluster)
+    rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
+    chains = iter(_chains(arr, [idx for idx in rows if len(idx) >= 3]))
+    reports = []
+    for idx in rows:
+        chain = next(chains) if len(idx) >= 3 else None
+        reports.append(_assemble(axis_stats(arr[idx]), std_floor,
+                                 functools.partial(_normalized_rate, chain)))
+    return reports

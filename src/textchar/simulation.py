@@ -8,6 +8,10 @@ isotropic Gaussian blob:
 * ``outliers`` -- add points drawn uniformly from a far sphere shell.
 * ``sub_clusters`` -- split the budget into k blobs spaced along axis 0.
 
+Every down-sampling row is a subset of one base blob, so ``run_scenario``
+reports all of them from one shared pairwise pass
+(``metrics.metric_reports``); the other kinds build a new cluster per row.
+
 Reproducibility contract: all draws use numpy's PCG64 ``default_rng``. A
 generator seeded with ``s`` fills its matrix with one row-major ``normal``
 call; sweep row ``i`` derives its stream from ``SeedSequence([s, i])``. Any
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyResult
-from .metrics import MetricReport, metric_report
+from .metrics import MetricReport, metric_report, metric_reports
 
 __all__ = [
     "BlobSpec",
@@ -121,6 +125,19 @@ def gaussian_blob(spec: BlobSpec) -> np.ndarray:
     return points
 
 
+def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
+    """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m`` rows."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    keep = int(math.floor(fraction * m + 0.5))
+    if keep == 0:
+        raise EmptyResult(f"fraction {fraction} of {m} points rounds to 0")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(m, size=keep, replace=False)
+    idx.sort()
+    return idx
+
+
 def down_sample(cluster, fraction: float, seed) -> np.ndarray:
     """Uniform subset without replacement of ``round(fraction * m)`` points.
 
@@ -128,16 +145,7 @@ def down_sample(cluster, fraction: float, seed) -> np.ndarray:
     unchanged and any subset preserves the original row order.
     """
     arr = np.asarray(cluster, dtype=np.float64)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    m = arr.shape[0]
-    keep = int(math.floor(fraction * m + 0.5))
-    if keep == 0:
-        raise EmptyResult(f"fraction {fraction} of {m} points rounds to 0")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(m, size=keep, replace=False)
-    idx.sort()
-    return arr[idx]
+    return arr[_sample_rows(arr.shape[0], fraction, seed)]
 
 
 def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
@@ -217,10 +225,6 @@ def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
                       index: int, value) -> np.ndarray:
     seed = spec.base.seed
     row_seed = np.random.SeedSequence([seed, index])
-    if spec.kind == "down_sampling":
-        if value == 1.0:
-            return base_points
-        return down_sample(base_points, float(value), row_seed)
     if spec.kind == "varying_spread":
         rng = np.random.default_rng(row_seed)
         return rng.normal(0.0, float(value), size=(spec.base.count, spec.base.dim))
@@ -238,13 +242,41 @@ def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
     raise ValueError(f"unknown scenario kind {spec.kind!r}")
 
 
+def _down_sampling_rows(spec: ScenarioSpec, base_points: np.ndarray) -> list[ScenarioRow]:
+    """Every row's subset of the base blob, reported from one shared pass."""
+    m = base_points.shape[0]
+    subsets, errors = [], {}
+    for index, value in enumerate(spec.sweep):
+        try:
+            subsets.append(np.arange(m) if value == 1.0 else _sample_rows(
+                m, float(value), np.random.SeedSequence([spec.base.seed, index])))
+        except Exception as exc:  # noqa: BLE001 - row-level error capture
+            errors[index] = str(exc)
+    try:
+        reports = iter(metric_reports(base_points, subsets))
+    except Exception as exc:  # noqa: BLE001 - row-level error capture
+        errors = {index: errors.get(index, str(exc)) for index in range(len(spec.sweep))}
+    rows = []
+    for index, value in enumerate(spec.sweep):
+        if index in errors:
+            rows.append(ScenarioRow(parameter=float(value), report=None,
+                                    error=errors[index]))
+        else:
+            rows.append(ScenarioRow(parameter=float(value), report=next(reports)))
+    return rows
+
+
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Walk the sweep, computing a metric report per parameter value.
 
     The base blob is generated once and reused by the scenarios that modify
-    it. A failing row records its error and the sweep continues.
+    it; down-sampling rows share one pairwise pass over it. A failing row
+    records its error and the sweep continues.
     """
     base_points = gaussian_blob(spec.base)
+    if spec.kind == "down_sampling":
+        return ScenarioResult(spec=spec, seed=spec.base.seed,
+                              rows=tuple(_down_sampling_rows(spec, base_points)))
     rows = []
     for index, value in enumerate(spec.sweep):
         try:

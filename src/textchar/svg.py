@@ -7,8 +7,6 @@ repeated runs with the same data are byte-identical.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 __all__ = ["line_chart", "write_line_chart"]
 
 _WIDTH = 720
@@ -20,6 +18,15 @@ _MARGIN_TOP = 46
 _MARGIN_BOTTOM = 44
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data.
+
+    The same three replacements as ``xml.sax.saxutils.escape``, whose import
+    would pull ``urllib`` and ``ssl`` into every CLI start.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -71,7 +78,7 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
     for index, (name, values) in enumerate(panels):
@@ -83,7 +90,7 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
         out.append(f'<rect x="{px_lo}" y="{top}" width="{px_hi - px_lo}" '
                    f'height="{_PANEL_HEIGHT}" fill="none" stroke="#888"/>')
         out.append(f'<text x="{px_lo}" y="{top - 6}" font-family="sans-serif" '
-                   f'font-size="12" fill="{color}">{escape(name)}</text>')
+                   f'font-size="12" fill="{color}">{_escape(name)}</text>')
 
         if points:
             ys = [v for _, v in points]
@@ -98,7 +105,7 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
             for val, y in ((y_hi, top), (y_lo, bottom)):
                 out.append(f'<text x="{px_lo - 6}" y="{y + 4}" text-anchor="end" '
                            f'font-family="sans-serif" font-size="11">'
-                           f'{escape(_label(val))}</text>')
+                           f'{_escape(_label(val))}</text>')
         else:
             out.append(f'<text x="{(px_lo + px_hi) / 2:.0f}" '
                        f'y="{top + _PANEL_HEIGHT / 2:.0f}" text-anchor="middle" '
@@ -109,10 +116,10 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
     for val, anchor, x in ((x_lo, "start", px_lo), (x_hi, "end", px_hi)):
         out.append(f'<text x="{x}" y="{axis_y + 18}" text-anchor="{anchor}" '
                    f'font-family="sans-serif" font-size="11">'
-                   f'{escape(_label(val))}</text>')
+                   f'{_escape(_label(val))}</text>')
     out.append(f'<text x="{(px_lo + px_hi) / 2:.0f}" y="{axis_y + 36}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-               f'{escape(x_label)}</text>')
+               f'{_escape(x_label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -1,9 +1,12 @@
 import json
+import warnings
+from xml.etree import ElementTree
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
-from textchar import cli
+from textchar import cli, svg
 
 
 def run(argv):
@@ -66,6 +69,13 @@ def test_simulate_writes_svg_chart(tmp_path):
     assert text.count("<polyline") == 3  # one line per metric panel
     for metric in ("diversity", "density", "homogeneity"):
         assert metric in text
+
+
+def test_svg_escapes_markup_like_saxutils():
+    text = "a & b < c > d &amp; \"e\" 'f'"
+    assert svg._escape(text) == saxutils.escape(text)
+    doc = svg.line_chart(text, [0.0, 1.0], [(text, [1.0, 2.0])], title=text)
+    assert text in [el.text for el in ElementTree.fromstring(doc).iter()]
 
 
 def test_simulate_defaults_to_stdout(capsys):
@@ -145,6 +155,16 @@ def test_profile_sidecar_line_not_an_object_exits_1(tmp_path, capsys):
     assert "vectors.bin.meta.jsonl" in err[0] and "line 1" in err[0]
 
 
+@pytest.mark.parametrize("cap", ["2", "0", "-3"])
+def test_profile_cap_below_three_exits_2(tmp_path, capsys, cap):
+    src = tmp_path / "vecs.jsonl"
+    write_two_class_jsonl(src)
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--input", str(src), "--format", "jsonl", "--cap", cap])
+    assert exc.value.code == 2
+    assert "--cap: must be at least 3" in capsys.readouterr().err
+
+
 def test_profile_missing_input_exits_1(tmp_path, capsys):
     assert run(["profile", "--input", str(tmp_path / "nope.jsonl"),
                 "--format", "jsonl"]) == 1
@@ -176,6 +196,20 @@ def test_pool_names_empty_sequence(tmp_path, capsys):
                    '{"id": "hollow", "label": "x", "tokens": []}\n')
     assert run(["pool", "--input", str(src), "--out", str(tmp_path / "o.jsonl")]) == 1
     assert "hollow" in capsys.readouterr().err
+
+
+def test_pool_overflowing_mean_prints_one_line(tmp_path, capsys):
+    src = tmp_path / "tokens.jsonl"
+    src.write_text('{"id": "a", "label": "x", "tokens": [[1e308], [1e308]]}\n')
+    out = tmp_path / "o.jsonl"
+    with warnings.catch_warnings():
+        # A numpy overflow warning would otherwise reach stderr.
+        warnings.simplefilter("error")
+        assert run(["pool", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "non-finite" in err[0]
+    assert not out.exists()
 
 
 def test_pool_preserves_dimensions(tmp_path):

@@ -160,6 +160,18 @@ def test_csv_missing_label_column(tmp_path):
         io.read_vectors(path, "csv")
 
 
+@pytest.mark.parametrize("header,name", [
+    ("label,id,label,d0", "label"),
+    ("id,label,id,d0", "id"),
+    ("label,layer,d0,layer", "layer"),
+])
+def test_csv_rejects_repeated_named_column(tmp_path, header, name):
+    path = tmp_path / "repeated.csv"
+    path.write_text(header + "\n" + ",".join(["1.5"] * 4) + "\n")
+    with pytest.raises(ParseError, match=f"line 1: header repeats the '{name}' column"):
+        io.read_vectors(path, "csv")
+
+
 def test_csv_bad_cell_count_and_value(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("id,label,layer,d0\na,x,L,1.0\nb,x,L\n")

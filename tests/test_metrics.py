@@ -367,3 +367,92 @@ def test_metric_report_serializes_to_json():
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["homogeneity"] == report.homogeneity
     assert payload["notes"] == []
+
+
+# --- metric_reports: one pass for many row subsets ----------------------------
+
+def _random_subsets(rng, m, count):
+    subsets = [np.arange(m)]
+    for _ in range(count):
+        keep = int(rng.integers(1, m + 1))
+        subsets.append(np.sort(rng.choice(m, size=keep, replace=False)))
+    return subsets
+
+
+def _assert_same_report(shared, alone):
+    assert shared.diversity == alone.diversity
+    assert shared.density == alone.density
+    assert shared.density_log == alone.density_log
+    assert shared.degenerate_axes == alone.degenerate_axes
+    assert shared.notes == alone.notes
+    assert shared.homogeneity_skipped_reason == alone.homogeneity_skipped_reason
+    if alone.homogeneity is None:
+        assert shared.homogeneity is None
+    else:
+        assert abs(shared.homogeneity - alone.homogeneity) <= 1e-12
+
+
+def test_metric_reports_match_metric_report_per_subset():
+    rng = np.random.default_rng(47)
+    clusters = [random_cluster(rng, max_m=120, max_dim=10) for _ in range(6)]
+    flat = rng.normal(size=(40, 3))
+    flat[:, 1] = 2.5  # a zero-variance axis, floored in density
+    clusters.append(flat)
+    clusters.append(rng.normal(size=(30, 1)))  # the one-dimension note
+    for pts in clusters:
+        subsets = _random_subsets(rng, pts.shape[0], 9)
+        reports = metrics.metric_reports(pts, subsets)
+        assert len(reports) == len(subsets)
+        for idx, shared in zip(subsets, reports):
+            _assert_same_report(shared, metrics.metric_report(pts[idx]))
+
+
+def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
+    pts = np.random.default_rng(53).normal(size=(12, 3))
+    pts[[5, 7]] = pts[2]
+    subsets = [np.arange(12), np.array([0, 1]), np.array([4]),
+               np.array([2, 5, 7]), np.array([2, 5, 7, 9])]
+    reports = metrics.metric_reports(pts, subsets)
+    for idx, shared in zip(subsets, reports):
+        _assert_same_report(shared, metrics.metric_report(pts[idx]))
+    assert "fewer than 3 samples (m=2)" in reports[1].homogeneity_skipped_reason
+    assert reports[3].homogeneity_skipped_reason.startswith("all 3 points coincide")
+    assert reports[4].homogeneity is not None
+
+    coincident = [[2.0, 2.0]] * 5
+    for idx, shared in zip([np.arange(5), np.arange(1, 4)],
+                           metrics.metric_reports(coincident, [np.arange(5),
+                                                               np.arange(1, 4)])):
+        _assert_same_report(shared, metrics.metric_report(np.asarray(coincident)[idx]))
+
+
+@pytest.mark.parametrize("bad", [
+    [2, 1], [1, 1], [], [0.0, 1.0], [-1, 0], [0, 12], [[0, 1]],
+    [True, False, True],
+])
+def test_metric_reports_rejects_malformed_subsets(bad):
+    pts = np.random.default_rng(0).normal(size=(12, 3))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        metrics.metric_reports(pts, [np.arange(12), bad])
+
+
+@pytest.mark.parametrize("block", [1, 3, 5])
+def test_shared_pass_copy_pairs_across_strips_match_brute_force(monkeypatch, block):
+    # Rows 1 and 13 are copies, and rows 3 and 12 differ only by the sign of
+    # a zero coordinate; each pair spans strips. The subsets hold both, one
+    # or neither of each pair, so the equality rule must hold per subset.
+    pts = np.random.default_rng(19).normal(size=(14, 4)) + 3.0
+    pts[13] = pts[1]
+    pts[3, 0] = 0.0
+    pts[12] = pts[3]
+    pts[12, 0] = -0.0
+    subsets = [np.arange(14), np.array([0, 1, 2, 3, 6, 12, 13]),
+               np.array([1, 4, 5, 8, 12]), np.array([0, 2, 7, 9, 10, 11])]
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
+    with monkeypatch.context() as patch:
+        _bump_copy_norms(patch, [1, 3, 12, 13])
+        chains = metrics._chains(metrics.as_cluster(pts), subsets)
+    for idx, chain in zip(subsets, chains):
+        assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
+        stationary = power_iteration_stationary(pts[idx])
+        assert np.abs(chain.stationary - stationary).max() <= 1e-10

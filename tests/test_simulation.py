@@ -234,6 +234,22 @@ def test_down_sampling_rows_reuse_base_blob():
     assert result.rows[1].report.diversity == diversity(expected)
 
 
+def test_down_sampling_rows_match_per_row_reports():
+    # The shared pass must reproduce metric_report on each row's subset.
+    spec = sim.scenario("down_sampling", dim=5, points=400, seed=13)
+    result = sim.run_scenario(spec)
+    base = sim.gaussian_blob(spec.base)
+    for index, (value, row) in enumerate(zip(spec.sweep, result.rows)):
+        alone = metric_report(sim.down_sample(
+            base, value, np.random.SeedSequence([13, index])))
+        assert row.parameter == value
+        assert row.report.diversity == alone.diversity
+        assert row.report.density == alone.density
+        assert row.report.density_log == alone.density_log
+        assert row.report.degenerate_axes == alone.degenerate_axes
+        assert abs(row.report.homogeneity - alone.homogeneity) <= 1e-12
+
+
 def test_spread_rows_use_per_row_streams():
     spec = sim.scenario("varying_spread", dim=2, points=150, seed=9,
                         sweep=(1.0, 4.0))
