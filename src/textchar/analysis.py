@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,15 +20,11 @@ from .errors import (
     EmptyClass,
     InconsistentClassSize,
 )
-from .io import LabeledEmbeddings, group_by_label
-from .metrics import (
-    MetricReport,
-    axis_stats,
-    density,
-    diversity,
-    homogeneity,
-    metric_report,
-)
+from .metrics import MetricReport, metric_reports
+from .simulation import _sorted_draw
+
+if TYPE_CHECKING:
+    from .io import LabeledEmbeddings
 
 __all__ = [
     "AggregateMetrics",
@@ -66,6 +63,20 @@ class AggregateMetrics:
             "homogeneity": self.homogeneity,
             "homogeneity_skipped": list(self.homogeneity_skipped),
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> AggregateMetrics:
+        """Inverse of ``to_dict``. Only ``diversity`` and ``density`` are
+        required: a missing ``density_log`` reads as NaN, a missing or null
+        ``homogeneity`` as None. Raises KeyError, TypeError or ValueError
+        on a malformed ``doc``."""
+        hom = doc.get("homogeneity")
+        return cls(diversity=float(doc["diversity"]),
+                   density=float(doc["density"]),
+                   density_log=float(doc.get("density_log", math.nan)),
+                   homogeneity=None if hom is None else float(hom),
+                   homogeneity_skipped=tuple(str(key) for key in
+                                             doc.get("homogeneity_skipped", ())))
 
 
 @dataclass(eq=False)
@@ -124,28 +135,6 @@ class CorrelationReport:
     entries: list[CorrelationEntry] = field(default_factory=list)
 
 
-def _group_report(cluster: np.ndarray, cap: int | None, rng_seed) -> MetricReport:
-    """Metric report with homogeneity optionally computed on a subsample."""
-    m = cluster.shape[0]
-    if cap is None or m <= cap or m < 3:
-        return metric_report(cluster)
-    stats = axis_stats(cluster)
-    den = density(stats)
-    rng = np.random.default_rng(rng_seed)
-    idx = rng.choice(m, size=cap, replace=False)
-    idx.sort()
-    base = metric_report(cluster[idx])
-    return MetricReport(
-        diversity=diversity(stats),
-        density=den.value,
-        density_log=den.log_value,
-        homogeneity=base.homogeneity,
-        degenerate_axes=den.floored_axes,
-        homogeneity_skipped_reason=base.homogeneity_skipped_reason,
-        notes=base.notes + (f"homogeneity computed on {cap} of {m} points",),
-    )
-
-
 def average_reports(
         keyed_reports: list[tuple[str, MetricReport | AggregateMetrics]],
         weights=None) -> AggregateMetrics:
@@ -177,33 +166,37 @@ def average_reports(
                             homogeneity=hom, homogeneity_skipped=skipped)
 
 
-def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
-                    homogeneity_cap: int | None = None,
-                    seed: int = 0) -> DatasetProfile:
-    """Aggregate per-group clusters into a dataset profile.
+def _class_sizes(sizes: dict[tuple[str, str], int]) -> dict[str, int]:
+    """Points per class, from the size of each (label, layer) group.
 
     Every layer of a class must hold the same number of points, since the
     class weight in the final average is the class size.
     """
-    if not groups:
+    if not sizes:
         raise ValueError("no groups to profile")
-
     class_sizes: dict[str, int] = {}
-    for (label, layer), cluster in groups.items():
-        m = cluster.shape[0]
+    for (label, layer), m in sizes.items():
         if label in class_sizes and class_sizes[label] != m:
             raise InconsistentClassSize(
                 f"class {label!r} has {m} points in layer {layer!r} but "
                 f"{class_sizes[label]} elsewhere"
             )
         class_sizes.setdefault(label, m)
+    return class_sizes
 
-    per_group: dict[tuple[str, str], MetricReport] = {}
-    for index, ((label, layer), cluster) in enumerate(groups.items()):
-        per_group[(label, layer)] = _group_report(
-            cluster, homogeneity_cap,
-            np.random.SeedSequence([seed, index]))
 
+def _cap_rows(m: int, cap: int | None, seed: int, index: int) -> np.ndarray:
+    """Rows of an ``m``-point group on which homogeneity is computed: all of
+    them, or a draw of ``cap`` seeded by the group's position ``index``."""
+    if cap is None or m <= cap or m < 3:
+        return np.arange(m)
+    return _sorted_draw(np.random.default_rng(np.random.SeedSequence([seed, index])),
+                        m, cap)
+
+
+def _profile(per_group: dict[tuple[str, str], MetricReport],
+             class_sizes: dict[str, int], cap: int | None) -> DatasetProfile:
+    """Average layer reports per class, then classes weighted by size."""
     per_class: dict[str, AggregateMetrics] = {}
     for label in class_sizes:
         layer_reports = [(layer, rep) for (lb, layer), rep in per_group.items()
@@ -214,16 +207,64 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
     final = average_reports(list(per_class.items()),
                             [class_sizes[label] / total for label in per_class])
     return DatasetProfile(per_group=per_group, per_class=per_class, final=final,
-                          class_sizes=class_sizes, homogeneity_cap=homogeneity_cap)
+                          class_sizes=class_sizes, homogeneity_cap=cap)
 
 
-def _sample_units(units: list, fraction: float, rng, what: str) -> list:
+def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
+                    homogeneity_cap: int | None = None,
+                    seed: int = 0) -> DatasetProfile:
+    """Aggregate per-group clusters into a dataset profile.
+
+    Every layer of a class must hold the same number of points, since the
+    class weight in the final average is the class size. A group larger than
+    ``homogeneity_cap`` gets its homogeneity from ``homogeneity_cap`` rows
+    drawn with ``SeedSequence([seed, index])``, ``index`` being the group's
+    position in ``groups``.
+    """
+    class_sizes = _class_sizes({key: cluster.shape[0]
+                                for key, cluster in groups.items()})
+    per_group: dict[tuple[str, str], MetricReport] = {}
+    for index, (key, cluster) in enumerate(groups.items()):
+        m = cluster.shape[0]
+        (per_group[key],) = metric_reports(
+            cluster, [np.arange(m)],
+            homogeneity_subsets=[_cap_rows(m, homogeneity_cap, seed, index)])
+    return _profile(per_group, class_sizes, homogeneity_cap)
+
+
+def _sample_units(units: np.ndarray, fraction: float, rng, what: str) -> np.ndarray:
     keep = int(math.floor(fraction * len(units) + 0.5))
     if keep == 0:
         raise EmptyClass(f"{what} has no members left at fraction {fraction}")
-    idx = rng.choice(len(units), size=keep, replace=False)
-    idx.sort()
-    return [units[i] for i in idx]
+    return units[_sorted_draw(rng, len(units), keep)]
+
+
+def _kept_units(units_by_class: dict[str, np.ndarray], pooled: np.ndarray,
+                fraction: float, rng, stratified: bool) -> np.ndarray:
+    """Mask of the units kept at ``fraction``, drawn class by class or from
+    the ``pooled`` units (in class order)."""
+    kept = np.zeros(len(pooled), dtype=bool)
+    if fraction == 1.0:
+        kept[:] = True
+    elif stratified:
+        for label, units in units_by_class.items():
+            kept[_sample_units(units, fraction, rng, f"class {label!r}")] = True
+    else:
+        kept[_sample_units(pooled, fraction, rng, "the collection")] = True
+        for label, units in units_by_class.items():
+            if not kept[units].any():
+                raise EmptyClass(
+                    f"class {label!r} has no members left at fraction {fraction}")
+    return kept
+
+
+class _FractionPlan(NamedTuple):
+    fraction: float
+    size: int
+    class_sizes: dict[str, int]
+    # Per (label, layer) group, in order of its first kept row: the kept rows
+    # and the homogeneity rows, as positions within the whole group.
+    groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
 
 
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
@@ -235,7 +276,16 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     at several layers is kept or dropped as a whole and layer sizes stay
     consistent. Stratified mode (the default) samples within each class to
     preserve class proportions; the global mode samples the pooled units.
-    Fraction 1.0 short-circuits to the full profile.
+    Fraction 1.0 keeps every unit.
+
+    Every fraction is planned first, with the draws ``profile_dataset``
+    would make on it: units from ``SeedSequence([seed, i])`` for fraction
+    ``i``, and each capped group's homogeneity rows from
+    ``SeedSequence([seed, g])``, ``g`` being the group's position in that
+    fraction's group order. Then each (label, layer) group gets one
+    ``metric_reports`` call, so one pairwise pass serves it at every
+    fraction, and each fraction's reports are averaged as in
+    ``profile_dataset``.
     """
     fractions = [float(f) for f in fractions]
     if not fractions:
@@ -245,50 +295,61 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     if any(b >= a for a, b in zip(fractions, fractions[1:])):
         raise ValueError("fractions must be strictly decreasing")
 
-    # Distinct sampling units per class, in first-seen order; the dict keys
-    # double as the membership set for the full fraction.
-    units_by_class: dict[str, dict[str, None]] = {}
-    for label, rec_id in zip(embeddings.labels, embeddings.ids):
-        units_by_class.setdefault(label, {})[rec_id] = None
+    # Sampling units numbered in first-seen order, the units of each class,
+    # the unit of each row, and the rows of each (label, layer) group.
+    unit_numbers: dict[tuple[str, str], int] = {}
+    class_units: dict[str, list[int]] = {}
+    row_units = []
+    group_rows: dict[tuple[str, str], list[int]] = {}
+    for row, (label, rec_id, layer) in enumerate(zip(embeddings.labels, embeddings.ids,
+                                                      embeddings.layers)):
+        unit = unit_numbers.get((label, rec_id))
+        if unit is None:
+            unit = unit_numbers[label, rec_id] = len(unit_numbers)
+            class_units.setdefault(label, []).append(unit)
+        row_units.append(unit)
+        group_rows.setdefault((label, layer), []).append(row)
+    units_by_class = {label: np.array(units) for label, units in class_units.items()}
+    pooled = np.array([unit for units in class_units.values() for unit in units],
+                      dtype=np.intp)
+    row_units = np.array(row_units, dtype=np.intp)
+    group_units = {key: row_units[rows] for key, rows in group_rows.items()}
 
-    rows: list[SweepRow] = []
+    plans: list[_FractionPlan] = []
     for index, fraction in enumerate(fractions):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        if fraction == 1.0:
-            chosen = units_by_class
-        elif stratified:
-            chosen = {
-                label: set(_sample_units(list(ids), fraction, rng,
-                                         f"class {label!r}"))
-                for label, ids in units_by_class.items()
-            }
-        else:
-            pool = [(label, rec_id) for label, ids in units_by_class.items()
-                    for rec_id in ids]
-            picked = _sample_units(pool, fraction, rng, "the collection")
-            chosen = {label: set() for label in units_by_class}
-            for label, rec_id in picked:
-                chosen[label].add(rec_id)
-            for label, ids in chosen.items():
-                if not ids:
-                    raise EmptyClass(
-                        f"class {label!r} has no members left at fraction {fraction}"
-                    )
+        kept_units = _kept_units(units_by_class, pooled, fraction, rng, stratified)
+        kept = {}
+        for key, units in group_units.items():
+            idx = np.flatnonzero(kept_units[units])
+            if len(idx):
+                kept[key] = idx
+        # Groups in order of their first kept row, as grouping the kept rows
+        # in record order would list them.
+        order = sorted(kept, key=lambda key: group_rows[key][kept[key][0]])
+        class_sizes = _class_sizes({key: len(kept[key]) for key in order})
+        groups = {}
+        for g, key in enumerate(order):
+            idx = kept[key]
+            groups[key] = idx, idx[_cap_rows(len(idx), homogeneity_cap, seed, g)]
+        plans.append(_FractionPlan(fraction, int(kept_units.sum()), class_sizes, groups))
 
-        idx = [i for i, (label, rec_id) in enumerate(zip(embeddings.labels,
-                                                         embeddings.ids))
-               if rec_id in chosen[label]]
-        subset = LabeledEmbeddings(embeddings.vectors[idx],
-                                   [embeddings.ids[i] for i in idx],
-                                   [embeddings.labels[i] for i in idx],
-                                   [embeddings.layers[i] for i in idx])
-        profile = profile_dataset(group_by_label(subset),
-                                  homogeneity_cap=homogeneity_cap,
-                                  seed=seed)
-        size = sum(len(ids) for ids in chosen.values())
-        rows.append(SweepRow(fraction=fraction, size=size,
-                             final=profile.final, profile=profile))
-    return SweepTable(rows=rows, seed=seed)
+    reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
+    for key, rows in group_rows.items():
+        at = [i for i, plan in enumerate(plans) if key in plan.groups]
+        if not at:
+            continue
+        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
+        reports.update(zip([(i, key) for i in at], metric_reports(
+            embeddings.vectors[rows], subsets, homogeneity_subsets=hom_subsets)))
+
+    sweep_rows: list[SweepRow] = []
+    for i, plan in enumerate(plans):
+        profile = _profile({key: reports[i, key] for key in plan.groups},
+                           plan.class_sizes, homogeneity_cap)
+        sweep_rows.append(SweepRow(fraction=plan.fraction, size=plan.size,
+                                   final=profile.final, profile=profile))
+    return SweepTable(rows=sweep_rows, seed=seed)
 
 
 def pearson(x, y) -> float:

@@ -9,7 +9,6 @@ round-trips to the exact float.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -144,51 +143,10 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _load_sweep(path) -> analysis.SweepTable:
-    """Accept either a full `profile --fractions` document or a bare
-    row list carrying only fraction + final metric values."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    raw_rows = doc["rows"] if isinstance(doc, dict) else doc
-    rows = []
-    for raw in raw_rows:
-        final = raw["final"]
-        rows.append(analysis.SweepRow(
-            fraction=float(raw["fraction"]),
-            size=int(raw.get("size", 0)),
-            final=analysis.AggregateMetrics(
-                diversity=float(final["diversity"]),
-                density=float(final["density"]),
-                density_log=float(final.get(
-                    "density_log", float("nan"))),
-                homogeneity=(None if final.get("homogeneity") is None
-                             else float(final["homogeneity"])),
-            ),
-        ))
-    if not rows:
-        raise ValueError(f"{path}: no sweep rows")
-    return analysis.SweepTable(rows=rows)
-
-
-def _load_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "fraction" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a header with a `fraction` column")
-        names = [name for name in reader.fieldnames if name != "fraction"]
-        if not names:
-            raise ValueError(f"{path}: no score columns besides `fraction`")
-        table: dict[float, dict[str, float]] = {}
-        for record in reader:
-            fraction = float(record["fraction"])
-            table[fraction] = {name: float(record[name]) for name in names}
-    return names, table
-
-
 def cmd_correlate(args) -> int:
     _require_inputs(args.metrics, args.scores)
-    sweep = _load_sweep(args.metrics)
-    names, table = _load_scores(args.scores)
+    sweep = io.read_sweep(args.metrics)
+    names, table = io.read_scores(args.scores)
 
     sweep_fracs = set(sweep.fractions())
     unmatched = sorted(sweep_fracs.symmetric_difference(table))

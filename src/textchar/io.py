@@ -1,4 +1,5 @@
-"""Reading, writing, pooling, and grouping of labeled embedding vectors.
+"""Reading, writing, pooling, and grouping of labeled embedding vectors,
+plus the readers of the sweep and score tables that ``correlate`` joins.
 
 A collection is held as columns: one float64 ``m x H`` matrix plus the
 ``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import AggregateMetrics, SweepRow, SweepTable
 from .errors import (
     DimensionMismatch,
     EmptySequence,
@@ -46,6 +48,8 @@ __all__ = [
     "group_by_label",
     "mean_pool",
     "pool_token_file",
+    "read_scores",
+    "read_sweep",
     "read_token_sequences",
     "read_vectors",
     "write_vectors",
@@ -387,3 +391,73 @@ def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.nd
     for i, key in enumerate(zip(embeddings.labels, embeddings.layers)):
         buckets.setdefault(key, []).append(i)
     return {key: embeddings.vectors[idx] for key, idx in buckets.items()}
+
+
+# --- sweep tables and scores for correlate ----------------------------------
+
+def read_sweep(path) -> SweepTable:
+    """Load sweep rows for ``correlate``.
+
+    Accepts either a full ``profile --fractions`` document or a bare list of
+    rows, each an object with ``fraction`` and a ``final`` object that
+    ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
+    document raises ParseError naming the file and the 1-based row.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    raw_rows = doc.get("rows") if isinstance(doc, dict) else doc
+    if not isinstance(raw_rows, list):
+        raise ParseError(path, "expected a list of sweep rows or an object with 'rows'")
+    if not raw_rows:
+        raise ParseError(path, "no sweep rows")
+    rows = []
+    for number, raw in enumerate(raw_rows, start=1):
+        if not (isinstance(raw, dict) and "fraction" in raw
+                and isinstance(raw.get("final"), dict)):
+            raise ParseError(path, f"row {number}: expected an object with "
+                                   "'fraction' and a 'final' object")
+        try:
+            rows.append(SweepRow(fraction=float(raw["fraction"]),
+                                 size=int(raw.get("size", 0)),
+                                 final=AggregateMetrics.from_dict(raw["final"])))
+        except KeyError as exc:
+            raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(path, f"row {number}: {exc}") from exc
+    return SweepTable(rows=rows)
+
+
+def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
+    """Load a score table: a csv header with a ``fraction`` column and at
+    least one score column, then one numeric row per fraction.
+
+    Returns the score names in header order and each fraction's scores. A
+    malformed table raises ParseError naming the file and line.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = csv.reader(fh)
+        header = next(lines, None)
+        if header is None or "fraction" not in header:
+            raise ParseError(path, "expected a header with a 'fraction' column", line=1)
+        names = [name for name in header if name != "fraction"]
+        if not names:
+            raise ParseError(path, "no score columns besides 'fraction'", line=1)
+        table: dict[float, dict[str, float]] = {}
+        for row in lines:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(path, f"expected {len(header)} cells, got {len(row)}",
+                                 line=lines.line_num)
+            try:
+                values = {name: float(cell) for name, cell in zip(header, row)}
+            except ValueError as exc:
+                raise ParseError(path, f"non-numeric cell: {exc}",
+                                 line=lines.line_num) from exc
+            table[values.pop("fraction")] = values
+    return names, table

@@ -51,10 +51,11 @@ __all__ = [
 # infinity. Diversity reports an honest 0 instead.
 DEFAULT_STD_FLOOR = 1e-12
 
-# The pairwise pass takes rows in fixed-size blocks, each paired once with
-# itself and every later row (an upper-triangle strip, whose weights feed
-# both row and column sums), which bounds the working memory at
-# ``_BLOCK_ROWS x m`` weights.
+# The pairwise pass walks the upper triangle of the ``m x m`` weight matrix
+# in square tiles of this many rows and columns, each pair computed once (its
+# weight feeds both a row and a column sum). The tiles' buffers, about
+# 1.1 MiB, are the working memory beyond two ``m x (H + 2)`` operands,
+# whatever m is. The width is fixed so that reruns sum in the same order.
 _BLOCK_ROWS = 256
 
 
@@ -106,9 +107,10 @@ class MetricReport:
     """All three metrics for one cluster, plus degeneracy flags.
 
     ``homogeneity`` is None when it cannot be computed (fewer than 3 samples,
-    or a fully coincident cluster); ``homogeneity_skipped_reason`` then says
-    why. ``degenerate_axes`` counts axes whose standard deviation was clamped
-    to the floor inside the density computation.
+    a fully coincident cluster, or edge weights outside the floating-point
+    range); ``homogeneity_skipped_reason`` then says why.
+    ``degenerate_axes`` counts axes whose standard deviation was clamped to
+    the floor inside the density computation.
     """
 
     diversity: float
@@ -189,11 +191,17 @@ def _first_copies(arr: np.ndarray) -> np.ndarray:
 
     Rows are keyed by their bytes after ``+ 0.0``, which turns ``-0.0`` into
     ``0.0``, so two rows share an index exactly when they compare equal
-    element by element (the cluster holds no NaN).
+    element by element (the cluster holds no NaN). The bytes are taken a
+    block of rows at a time.
     """
+    width = arr.itemsize * arr.shape[1]
     first: dict[bytes, int] = {}
-    return np.array([first.setdefault((row + 0.0).tobytes(), i)
-                     for i, row in enumerate(arr)])
+    index: list[int] = []
+    for start in range(0, arr.shape[0], _BLOCK_ROWS):
+        block = (arr[start:start + _BLOCK_ROWS] + 0.0).tobytes()
+        index += [first.setdefault(block[offset:offset + width], row)
+                  for row, offset in enumerate(range(0, len(block), width), start)]
+    return np.array(index)
 
 
 def _chain_rows(arr: np.ndarray, members: np.ndarray,
@@ -206,50 +214,68 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray,
     ``f`` only, and means something only when row ``i`` is one of them. A
     whole cluster is the single all-ones column.
 
-    One streaming pass over upper-triangle strips serves every subset: row
-    block ``[s, t)`` is paired only with columns ``s:``, so the full
-    ``m x m`` matrix never exists in memory and each point pair is computed
-    once, however many subsets hold it. Its weight and ``w ln w`` go into
-    the sums of both its row and its column, through
-    ``weights @ members[s:]`` and ``weights.T @ members[s:t]``, strip by
-    strip in a fixed order, so ``w_ij == w_ji`` holds bitwise and reruns are
+    One streaming pass over upper-triangle tiles serves every subset: the
+    tile of row block ``[s, t)`` and column block ``[u, v)`` exists only for
+    ``u >= s``, so the full ``m x m`` matrix never exists in memory and each
+    point pair is computed once, however many subsets hold it. Its weight
+    and ``w ln w`` go into the sums of both its row and its column, through
+    ``weights @ members[u:v]`` and ``weights.T @ members[s:t]``, tile by tile
+    in a fixed order, so ``w_ij == w_ji`` holds bitwise and reruns are
     byte-identical. Squared distances come from the inner-product expansion
     ``|x|^2 + |y|^2 - 2 x.y`` on the cluster centered once over all its rows,
-    so one BLAS product covers a strip and a large common offset cannot
-    cancel away the distances. Weights are built in log space,
+    so a large common offset cannot cancel away the distances. The operands
+    ``[c | |c|^2 | 1]`` and ``[-2c | 1 | |c|^2]`` of the centered rows ``c``
+    are built once, so one BLAS product gives a tile's expanded squared
+    distances. Weights are built in log space,
     ``ln w_ij = (ln H / 2) ln d2_ij``, so the row entropy needs no second
     pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge between rows
     that are equal under ``==`` (the diagonal included) or whose expanded
     squared distance is not positive gets an exact zero weight rather than
-    expansion roundoff.
+    expansion roundoff. Every tile reuses the same four buffers.
     """
-    m = arr.shape[0]
-    half_log_dim = 0.5 * math.log(arr.shape[1])
-    centered = arr - arr.mean(axis=0)
-    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    m, dim = arr.shape
+    half_log_dim = 0.5 * math.log(dim)
+    left, right = np.empty((m, dim + 2)), np.empty((m, dim + 2))
+    centered = left[:, :dim]
+    np.subtract(arr, arr.mean(axis=0), out=centered)
+    left[:, dim] = right[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
+    left[:, dim + 1] = right[:, dim] = 1.0
+    np.multiply(centered, -2.0, out=right[:, :dim])
     strengths = np.zeros(members.shape)
     w_log_w = np.zeros(members.shape)
-    for start in range(0, m, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, m)
-        size = stop - start
-        log_w = sq_norms[start:stop, None] + sq_norms[None, start:]
-        log_w -= 2.0 * (centered[start:stop] @ centered[start:].T)
-        zero = log_w <= 0.0
-        zero |= first[start:stop, None] == first[None, start:]
-        # The diagonal and below of the strip's leading square: self-loops,
-        # and pairs the strip already holds above the diagonal.
-        zero[:, :size] |= np.tri(size, dtype=bool)
-        # ln 1 = 0 keeps the masked entries finite; their weight is reset below.
-        np.copyto(log_w, 1.0, where=zero)
-        np.log(log_w, out=log_w)
-        log_w *= half_log_dim
-        weights = np.exp(log_w)
-        np.copyto(weights, 0.0, where=zero)
-        log_w *= weights
-        strengths[start:stop] += weights @ members[start:]
-        strengths[start:] += weights.T @ members[start:stop]
-        w_log_w[start:stop] += log_w @ members[start:]
-        w_log_w[start:] += log_w.T @ members[start:stop]
+    tri = np.tri(_BLOCK_ROWS, dtype=bool)
+    most = min(_BLOCK_ROWS, m) ** 2
+    log_buf, weight_buf = np.empty(most), np.empty(most)
+    zero_buf, equal_buf = np.empty(most, dtype=bool), np.empty(most, dtype=bool)
+    for s in range(0, m, _BLOCK_ROWS):
+        t = min(s + _BLOCK_ROWS, m)
+        for u in range(s, m, _BLOCK_ROWS):
+            v = min(u + _BLOCK_ROWS, m)
+            shape = (t - s, v - u)
+            cells = shape[0] * shape[1]
+            log_w = log_buf[:cells].reshape(shape)
+            weights = weight_buf[:cells].reshape(shape)
+            zero = zero_buf[:cells].reshape(shape)
+            equal = equal_buf[:cells].reshape(shape)
+            np.matmul(left[s:t], right[u:v].T, out=log_w)
+            np.less_equal(log_w, 0.0, out=zero)
+            np.equal(first[s:t, None], first[None, u:v], out=equal)
+            zero |= equal
+            if u == s:
+                # The diagonal and below of a diagonal tile: self-loops, and
+                # pairs the tile already holds above the diagonal.
+                zero |= tri[:shape[0], :shape[1]]
+            # ln 1 = 0 keeps the masked entries finite; their weight is reset below.
+            np.copyto(log_w, 1.0, where=zero)
+            np.log(log_w, out=log_w)
+            log_w *= half_log_dim
+            np.exp(log_w, out=weights)
+            np.copyto(weights, 0.0, where=zero)
+            log_w *= weights
+            strengths[s:t] += weights @ members[u:v]
+            strengths[u:v] += weights.T @ members[s:t]
+            w_log_w[s:t] += log_w @ members[u:v]
+            w_log_w[u:v] += log_w.T @ members[s:t]
     return strengths, w_log_w
 
 
@@ -278,25 +304,37 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     members = np.zeros((arr.shape[0], len(live)))
     for col, f in enumerate(live):
         members[subsets[f], col] = 1.0
-    strengths, w_log_w = _chain_rows(arr, members, first)
-    for col, f in enumerate(live):
-        idx = subsets[f]
-        rows = strengths[idx, col]
-        if not (rows > 0.0).all():
-            # Only reachable when every weight of a row underflowed to zero.
-            chains[f] = DegenerateCluster(
-                "a point has zero total edge weight; distances are below the "
-                "floating-point range"
+    # An overflowing weight or sum is caught below as a non-finite sum, so
+    # numpy's overflow and inf * 0 warnings are not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        strengths, w_log_w = _chain_rows(arr, members, first)
+        for col, f in enumerate(live):
+            idx = subsets[f]
+            rows = strengths[idx, col]
+            total = rows.sum()
+            if not (np.isfinite(total) and np.isfinite(w_log_w[idx, col]).all()):
+                # An infinite weight also spoils, through inf * 0, the sums of
+                # every subset that holds either of its rows.
+                chains[f] = DegenerateCluster(
+                    "a point has infinite total edge weight; distances are "
+                    "above the floating-point range"
+                )
+                continue
+            if not (rows > 0.0).all():
+                # Only reachable when every weight of a row underflowed to zero.
+                chains[f] = DegenerateCluster(
+                    "a point has zero total edge weight; distances are below the "
+                    "floating-point range"
+                )
+                continue
+            entropies = np.log(rows) - w_log_w[idx, col] / rows
+            stationary = rows / total
+            rate = float(stationary @ entropies)
+            chains[f] = MarkovChainSummary(
+                stationary=stationary,
+                entropy_rate=max(rate, 0.0),
+                upper_bound=math.log(len(idx) - 1),
             )
-            continue
-        entropies = np.log(rows) - w_log_w[idx, col] / rows
-        stationary = rows / rows.sum()
-        rate = float(stationary @ entropies)
-        chains[f] = MarkovChainSummary(
-            stationary=stationary,
-            entropy_rate=max(rate, 0.0),
-            upper_bound=math.log(len(idx) - 1),
-        )
     return chains
 
 
@@ -332,7 +370,7 @@ def stationary_distribution(cluster) -> np.ndarray:
 def entropy_rate(cluster) -> MarkovChainSummary:
     """Entropy rate of the distance-weighted chain, in nats.
 
-    One streaming pass over upper-triangle strips yields each point's row
+    One streaming pass over upper-triangle tiles yields each point's row
     strength and transition entropy; the rate is their stationary-weighted
     mean.
     """
@@ -357,8 +395,11 @@ def homogeneity(cluster) -> float:
     return _normalized_rate(_whole_chain(arr))
 
 
-def _assemble(stats: ClusterStats, std_floor: float, homogeneity_of) -> MetricReport:
-    """Report fields, notes and skip reason; ``homogeneity_of()`` runs for m >= 3.
+def _assemble(stats: ClusterStats, std_floor: float, hom_count: int,
+              homogeneity_of) -> MetricReport:
+    """Report fields, notes and skip reason; homogeneity is computed on
+    ``hom_count`` of the ``stats.count`` points, and ``homogeneity_of()``
+    runs when that is at least 3.
 
     ``homogeneity_of`` returns the homogeneity or raises ``DegenerateCluster``.
     """
@@ -369,13 +410,15 @@ def _assemble(stats: ClusterStats, std_floor: float, homogeneity_of) -> MetricRe
     if stats.dim == 1:
         notes = ("homogeneity is identically 1 in one dimension: the distance "
                  "exponent ln(1) = 0 makes every edge weight equal",)
-    if stats.count < 3:
-        reason = f"fewer than 3 samples (m={stats.count})"
+    if hom_count < 3:
+        reason = f"fewer than 3 samples (m={hom_count})"
     else:
         try:
             hom = homogeneity_of()
         except DegenerateCluster as exc:
             reason = str(exc)
+    if hom_count < stats.count:
+        notes += (f"homogeneity computed on {hom_count} of {stats.count} points",)
     return MetricReport(
         diversity=diversity(stats),
         density=den.value,
@@ -395,7 +438,8 @@ def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport
     """
     arr = np.asarray(cluster, dtype=np.float64)
     # axis_stats and homogeneity validate the array at their own boundaries.
-    return _assemble(axis_stats(arr), std_floor, lambda: homogeneity(arr))
+    stats = axis_stats(arr)
+    return _assemble(stats, std_floor, stats.count, lambda: homogeneity(arr))
 
 
 def _row_subset(subset, m: int) -> np.ndarray:
@@ -411,23 +455,51 @@ def _row_subset(subset, m: int) -> np.ndarray:
     )
 
 
-def metric_reports(cluster, subsets,
-                   std_floor: float = DEFAULT_STD_FLOOR) -> list[MetricReport]:
+def _union_chains(arr: np.ndarray, subsets: list[np.ndarray]) -> list:
+    """``_chains`` over only the rows that some subset holds."""
+    if not subsets:
+        return []
+    union = np.unique(np.concatenate(subsets))
+    if len(union) == arr.shape[0]:
+        return _chains(arr, subsets)
+    return _chains(arr[union], [np.searchsorted(union, idx) for idx in subsets])
+
+
+def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
+                   homogeneity_subsets=None) -> list[MetricReport]:
     """One metric report per row subset of a cluster, from one pairwise pass.
 
     Each subset is a strictly increasing integer array of row indices;
     anything else raises ValueError. Report ``f`` matches
     ``metric_report(cluster[subsets[f]])``: diversity, density and
     degenerate axes bitwise, homogeneity up to roundoff, because the shared
-    pass centers the whole cluster and sums each subset in another order.
-    Like ``metric_report`` it never raises for a degenerate subset.
+    pass centers all the rows it covers at once and sums each subset in
+    another order. Like ``metric_report`` it never raises for a degenerate
+    subset.
+
+    ``homogeneity_subsets``, when given, holds one strictly increasing
+    subset of each row subset (anything else raises ValueError), and
+    homogeneity is computed on it instead: a shorter one yields the
+    homogeneity, skip reason and notes of ``metric_report`` on those rows,
+    plus the note ``homogeneity computed on {cap} of {m} points``. The pass
+    covers only the rows some homogeneity subset holds.
     """
     arr = as_cluster(cluster)
     rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
-    chains = iter(_chains(arr, [idx for idx in rows if len(idx) >= 3]))
+    if homogeneity_subsets is None:
+        hom_rows = rows
+    else:
+        hom_rows = [_row_subset(subset, arr.shape[0])
+                    for subset in homogeneity_subsets]
+        if (len(hom_rows) != len(rows)
+                or not all(np.isin(h, idx).all() for h, idx in zip(hom_rows, rows))):
+            raise ValueError(
+                "homogeneity_subsets must hold one subset of each row subset"
+            )
+    chains = iter(_union_chains(arr, [h for h in hom_rows if len(h) >= 3]))
     reports = []
-    for idx in rows:
-        chain = next(chains) if len(idx) >= 3 else None
-        reports.append(_assemble(axis_stats(arr[idx]), std_floor,
+    for idx, h in zip(rows, hom_rows):
+        chain = next(chains) if len(h) >= 3 else None
+        reports.append(_assemble(axis_stats(arr[idx]), std_floor, len(h),
                                  functools.partial(_normalized_rate, chain)))
     return reports

@@ -125,6 +125,17 @@ def gaussian_blob(spec: BlobSpec) -> np.ndarray:
     return points
 
 
+def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
+    """Sorted indices of ``keep`` of ``m`` rows drawn without replacement.
+
+    Every subsample of the package goes through this one ``rng.choice``
+    call, so the draws stay part of the reproducibility contract.
+    """
+    idx = rng.choice(m, size=keep, replace=False)
+    idx.sort()
+    return idx
+
+
 def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
     """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m`` rows."""
     if not 0.0 < fraction <= 1.0:
@@ -132,10 +143,7 @@ def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
     keep = int(math.floor(fraction * m + 0.5))
     if keep == 0:
         raise EmptyResult(f"fraction {fraction} of {m} points rounds to 0")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(m, size=keep, replace=False)
-    idx.sort()
-    return idx
+    return _sorted_draw(np.random.default_rng(seed), m, keep)
 
 
 def down_sample(cluster, fraction: float, seed) -> np.ndarray:

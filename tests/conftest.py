@@ -112,3 +112,18 @@ def random_cluster(rng: np.random.Generator, max_m: int = 64,
     scale = float(10.0 ** rng.integers(-3, 4))
     offset = rng.normal(scale=scale, size=dim)
     return rng.normal(scale=scale, size=(m, dim)) + offset
+
+
+def assert_same_report(got, want) -> None:
+    """Reports agree bitwise in every field but homogeneity, which may move
+    by roundoff (1e-12) when it is computed in another summation order."""
+    assert got.diversity == want.diversity
+    assert got.density == want.density
+    assert got.density_log == want.density_log
+    assert got.degenerate_axes == want.degenerate_axes
+    assert got.notes == want.notes
+    assert got.homogeneity_skipped_reason == want.homogeneity_skipped_reason
+    if want.homogeneity is None:
+        assert got.homogeneity is None
+    else:
+        assert abs(got.homogeneity - want.homogeneity) <= 1e-12

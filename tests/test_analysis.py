@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import SNIPS_REFERENCE, SST2_REFERENCE
+from conftest import SNIPS_REFERENCE, SST2_REFERENCE, assert_same_report
 from textchar import analysis, io
 from textchar.errors import DegenerateInput, EmptyClass, InconsistentClassSize
 from textchar.metrics import MetricReport, metric_report
@@ -28,6 +29,18 @@ def two_class_embeddings(rng, n_per_class=20, dim=3, layers=("L1",)):
 
 
 # --- aggregation arithmetic ---------------------------------------------
+
+def test_aggregate_metrics_from_dict_inverts_to_dict():
+    for agg in (analysis.AggregateMetrics(0.25, 3.5, math.log(3.5), 0.875, ("L2",)),
+                analysis.AggregateMetrics(0.25, 3.5, math.log(3.5), None)):
+        assert analysis.AggregateMetrics.from_dict(agg.to_dict()) == agg
+    bare = analysis.AggregateMetrics.from_dict({"diversity": 1, "density": 2})
+    assert math.isnan(bare.density_log) and bare.homogeneity is None
+    for bad, error in (({"density": 2.0}, KeyError), ({"diversity": [1], "density": 2.0}, TypeError),
+                       ({"diversity": "x", "density": 2.0}, ValueError)):
+        with pytest.raises(error):
+            analysis.AggregateMetrics.from_dict(bad)
+
 
 def test_average_reports_plain_mean():
     agg = analysis.average_reports([
@@ -204,6 +217,89 @@ def test_sweep_raises_when_class_empties():
     emb = two_class_embeddings(np.random.default_rng(12), n_per_class=2)
     with pytest.raises(EmptyClass):
         analysis.downsample_sweep(emb, [0.1], seed=0)
+    # The global mode draws 3 of 31 pooled units and misses the lone "b".
+    ids = [f"a{i}" for i in range(30)] + ["b0"]
+    lone = io.LabeledEmbeddings(np.random.default_rng(12).normal(size=(31, 2)), ids,
+                                ["a"] * 30 + ["b"], ["L1"] * 31)
+    with pytest.raises(EmptyClass, match="class 'b' has no members left at fraction 0.1"):
+        analysis.downsample_sweep(lone, [0.1], seed=0, stratified=False)
+
+
+def _reference_sweep(emb, fractions, seed, stratified, cap):
+    # One profile per fraction, drawn with the documented RNG calls: units
+    # from SeedSequence([seed, i]) class by class (or pooled), then each
+    # group, in order of its first kept row, reported by metric_report on
+    # its rows, with homogeneity from a draw of cap rows seeded by the
+    # group's position when the group is larger than cap.
+    units = {}
+    for label, rec_id in zip(emb.labels, emb.ids):
+        units.setdefault(label, {})[rec_id] = None
+    expected = []
+    for index, fraction in enumerate(fractions):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        if fraction == 1.0:
+            chosen = {label: set(ids) for label, ids in units.items()}
+        elif stratified:
+            chosen = {}
+            for label, ids in units.items():
+                ids = list(ids)
+                keep = int(math.floor(fraction * len(ids) + 0.5))
+                chosen[label] = {ids[i] for i in np.sort(rng.choice(len(ids), keep, replace=False))}
+        else:
+            pool = [(label, rec_id) for label, ids in units.items() for rec_id in ids]
+            keep = int(math.floor(fraction * len(pool) + 0.5))
+            chosen = {label: set() for label in units}
+            for i in np.sort(rng.choice(len(pool), keep, replace=False)):
+                chosen[pool[i][0]].add(pool[i][1])
+        groups = {}
+        for row, (label, rec_id, layer) in enumerate(zip(emb.labels, emb.ids, emb.layers)):
+            if rec_id in chosen[label]:
+                groups.setdefault((label, layer), []).append(row)
+        reports = {}
+        for g, (key, rows) in enumerate(groups.items()):
+            cluster = emb.vectors[rows]
+            report = metric_report(cluster)
+            if cap is not None and len(rows) > cap:
+                draw = np.random.default_rng(np.random.SeedSequence([seed, g]))
+                capped = metric_report(cluster[np.sort(draw.choice(len(rows), cap, replace=False))])
+                report = dataclasses.replace(
+                    report, homogeneity=capped.homogeneity,
+                    homogeneity_skipped_reason=capped.homogeneity_skipped_reason,
+                    notes=capped.notes + (f"homogeneity computed on {cap} of {len(rows)} points",))
+            reports[key] = report
+        expected.append((sum(map(len, chosen.values())), reports))
+    return expected
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+@pytest.mark.parametrize("cap", [None, 7])
+def test_sweep_matches_per_fraction_reports(stratified, cap):
+    # Three classes of 20, 13 and 9 texts at two layers, records shuffled so
+    # that the order of the groups changes between fractions, plus a row
+    # that repeats another of its group.
+    rng = np.random.default_rng(29)
+    keys = [(f"{label}{i}", label, layer) for label, n in (("a", 20), ("b", 13), ("c", 9))
+            for i in range(n) for layer in ("L1", "L2")]
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    ids, labels, layers = (list(column) for column in zip(*keys))
+    vectors = rng.normal(size=(len(keys), 4)) + 50.0
+    same = [i for i, key in enumerate(keys) if key[1:] == ("a", "L1")]
+    vectors[same[1]] = vectors[same[0]]
+    emb = io.LabeledEmbeddings(vectors, ids, labels, layers)
+    fractions = [1.0, 0.6, 0.3]
+
+    sweep = analysis.downsample_sweep(emb, fractions, seed=4, stratified=stratified,
+                                      homogeneity_cap=cap)
+    expected = _reference_sweep(emb, fractions, 4, stratified, cap)
+    orders = [list(row.profile.per_group) for row in sweep.rows]
+    assert any(order != orders[0] for order in orders)
+    for row, (size, reports) in zip(sweep.rows, expected):
+        assert row.size == size
+        assert list(row.profile.per_group) == list(reports)
+        for key, want in reports.items():
+            assert_same_report(row.profile.per_group[key], want)
+    capped = [bool(want.notes) for _, reports in expected for want in reports.values()]
+    assert any(capped) == (cap is not None) and not all(capped)
 
 
 @pytest.mark.parametrize("fractions", [[], [0.5, 0.5], [0.5, 0.9], [1.2], [0.0]])

@@ -306,3 +306,49 @@ def test_correlate_accepts_profile_sweep_output(tmp_path):
     assert run(["correlate", "--metrics", str(sweep), "--scores", str(scores),
                 "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def _correlate_fails_with_one_line(tmp_path, capsys, metrics_text, scores_text, bad):
+    sweep, scores = tmp_path / "sweep.json", tmp_path / "scores.csv"
+    sweep.write_text(metrics_text)
+    scores.write_text(scores_text)
+    out = tmp_path / "corr.csv"
+    assert run(["correlate", "--metrics", str(sweep), "--scores", str(scores),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("textchar: error: ")
+    assert str(tmp_path / bad) in err[0]
+    assert not out.exists()
+    return err[0]
+
+
+GOOD_SWEEP = json.dumps([{"fraction": 1.0, "final": {"diversity": 0.3, "density": 10.0}},
+                         {"fraction": 0.5, "final": {"diversity": 0.2, "density": 5.0}}])
+GOOD_SCORES = "fraction,accuracy\n1.0,0.95\n0.5,0.9\n"
+
+
+def test_correlate_metrics_of_wrong_type_exits_1(tmp_path, capsys):
+    _correlate_fails_with_one_line(tmp_path, capsys, "5", GOOD_SCORES, "sweep.json")
+
+
+def test_correlate_short_scores_row_names_its_line(tmp_path, capsys):
+    message = _correlate_fails_with_one_line(
+        tmp_path, capsys, GOOD_SWEEP, "fraction,accuracy\n1.0,0.95\n0.5\n", "scores.csv")
+    assert "line 3" in message and "expected 2 cells, got 1" in message
+
+
+def test_correlate_row_without_final_names_the_row(tmp_path, capsys):
+    rows = json.loads(GOOD_SWEEP)
+    del rows[1]["final"]
+    message = _correlate_fails_with_one_line(
+        tmp_path, capsys, json.dumps({"kind": "sweep", "rows": rows}), GOOD_SCORES,
+        "sweep.json")
+    assert "row 2" in message and "'final'" in message
+
+    rows[1]["final"] = 5
+    _correlate_fails_with_one_line(tmp_path, capsys, json.dumps(rows), GOOD_SCORES,
+                                   "sweep.json")
+    rows[1]["final"] = {"density": 2.0}
+    message = _correlate_fails_with_one_line(tmp_path, capsys, json.dumps(rows),
+                                             GOOD_SCORES, "sweep.json")
+    assert "row 2: 'final' has no 'diversity'" in message

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_report,
     brute_entropy_rate,
     brute_transitions,
     power_iteration_stationary,
@@ -379,19 +381,6 @@ def _random_subsets(rng, m, count):
     return subsets
 
 
-def _assert_same_report(shared, alone):
-    assert shared.diversity == alone.diversity
-    assert shared.density == alone.density
-    assert shared.density_log == alone.density_log
-    assert shared.degenerate_axes == alone.degenerate_axes
-    assert shared.notes == alone.notes
-    assert shared.homogeneity_skipped_reason == alone.homogeneity_skipped_reason
-    if alone.homogeneity is None:
-        assert shared.homogeneity is None
-    else:
-        assert abs(shared.homogeneity - alone.homogeneity) <= 1e-12
-
-
 def test_metric_reports_match_metric_report_per_subset():
     rng = np.random.default_rng(47)
     clusters = [random_cluster(rng, max_m=120, max_dim=10) for _ in range(6)]
@@ -404,7 +393,7 @@ def test_metric_reports_match_metric_report_per_subset():
         reports = metrics.metric_reports(pts, subsets)
         assert len(reports) == len(subsets)
         for idx, shared in zip(subsets, reports):
-            _assert_same_report(shared, metrics.metric_report(pts[idx]))
+            assert_same_report(shared, metrics.metric_report(pts[idx]))
 
 
 def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
@@ -414,7 +403,7 @@ def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
                np.array([2, 5, 7]), np.array([2, 5, 7, 9])]
     reports = metrics.metric_reports(pts, subsets)
     for idx, shared in zip(subsets, reports):
-        _assert_same_report(shared, metrics.metric_report(pts[idx]))
+        assert_same_report(shared, metrics.metric_report(pts[idx]))
     assert "fewer than 3 samples (m=2)" in reports[1].homogeneity_skipped_reason
     assert reports[3].homogeneity_skipped_reason.startswith("all 3 points coincide")
     assert reports[4].homogeneity is not None
@@ -423,7 +412,7 @@ def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
     for idx, shared in zip([np.arange(5), np.arange(1, 4)],
                            metrics.metric_reports(coincident, [np.arange(5),
                                                                np.arange(1, 4)])):
-        _assert_same_report(shared, metrics.metric_report(np.asarray(coincident)[idx]))
+        assert_same_report(shared, metrics.metric_report(np.asarray(coincident)[idx]))
 
 
 @pytest.mark.parametrize("bad", [
@@ -456,3 +445,122 @@ def test_shared_pass_copy_pairs_across_strips_match_brute_force(monkeypatch, blo
         assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
         stationary = power_iteration_stationary(pts[idx])
         assert np.abs(chain.stationary - stationary).max() <= 1e-10
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 13])
+def test_tiles_copy_pairs_match_brute_force(monkeypatch, block):
+    # m = 29 is a multiple of none of the tile widths but 1, so every grid
+    # has short edge tiles. Rows 6 and 7 are copies, and rows 10 and 11
+    # differ only by the sign of a zero coordinate; both pairs sit inside a
+    # diagonal tile for widths 3, 5 and 13. Rows 1 and 27 are copies, and
+    # rows 14 and 28 a signed-zero pair, in different tiles for every width.
+    # The subsets hold both, one or neither of each pair, so the equality
+    # rule must hold per subset and wherever the pair sits.
+    pts = np.random.default_rng(23).normal(size=(29, 4)) + 3.0
+    pts[7] = pts[6]
+    pts[27] = pts[1]
+    for a, b in ((10, 11), (14, 28)):
+        pts[a, 2] = 0.0
+        pts[b] = pts[a]
+        pts[b, 2] = -0.0
+    neither = np.setdiff1d(np.arange(29), [1, 6, 7, 10, 11, 14, 27, 28])
+    subsets = [np.arange(29),
+               np.array([0, 1, 6, 7, 10, 11, 14, 20, 27, 28]),
+               np.array([1, 2, 3, 6, 10, 14, 22]),
+               neither,
+               np.array([1, 6, 11, 14, 20, 21, 27])]
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
+    with monkeypatch.context() as patch:
+        _bump_copy_norms(patch, [1, 6, 7, 10, 11, 14, 27, 28])
+        chains = metrics._chains(metrics.as_cluster(pts), subsets)
+    for idx, chain in zip(subsets, chains):
+        assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
+        stationary = power_iteration_stationary(pts[idx])
+        assert np.abs(chain.stationary - stationary).max() <= 1e-10
+
+
+def _capped_reference(cluster, idx):
+    # The capped group report as it was assembled field by field before
+    # metric_reports took homogeneity subsets: axis statistics from every
+    # row, homogeneity, reason and notes from the subsample plus a note.
+    full = metrics.metric_report(cluster)
+    if len(idx) == len(cluster):
+        return full
+    base = metrics.metric_report(cluster[idx])
+    return metrics.MetricReport(
+        diversity=full.diversity, density=full.density,
+        density_log=full.density_log, homogeneity=base.homogeneity,
+        degenerate_axes=full.degenerate_axes,
+        homogeneity_skipped_reason=base.homogeneity_skipped_reason,
+        notes=base.notes + (f"homogeneity computed on {len(idx)} of {len(cluster)} points",))
+
+
+def test_homogeneity_subsets_match_capped_reports():
+    rng = np.random.default_rng(61)
+    clusters = [random_cluster(rng, max_m=80, max_dim=9, min_m=10) for _ in range(5)]
+    clusters.append(rng.normal(size=(25, 1)))  # the one-dimension note
+    coincident = rng.normal(size=(12, 3))
+    coincident[[2, 4, 9]] = coincident[0]
+    clusters.append(coincident)
+    for pts in clusters:
+        m = pts.shape[0]
+        subsets = _random_subsets(rng, m, 5)
+        caps = [np.sort(rng.choice(idx, size=min(len(idx), int(rng.integers(1, 12))),
+                                   replace=False)) for idx in subsets]
+        caps[0] = subsets[0]  # one homogeneity subset is its whole row subset
+        if m == 12:
+            caps[1] = np.array([0, 2, 4, 9])  # a coincident subsample
+            subsets[1] = np.arange(10)
+        reports = metrics.metric_reports(pts, subsets, homogeneity_subsets=caps)
+        for idx, cap, shared in zip(subsets, caps, reports):
+            assert_same_report(shared, _capped_reference(pts[idx], np.searchsorted(idx, cap)))
+    assert reports[1].homogeneity_skipped_reason.startswith("all 4 points coincide")
+    assert reports[1].notes == ("homogeneity computed on 4 of 10 points",)
+
+
+def test_homogeneity_subsets_pass_covers_only_their_rows():
+    # Row 19 is so far away that any weight to it overflows; it belongs to
+    # the row subset but to no homogeneity subset, so it must stay out of
+    # the pairwise pass.
+    pts = np.random.default_rng(67).normal(size=(20, 768))
+    pts[19, 0] = 1e47
+    full, first = metrics.metric_reports(
+        pts, [np.arange(20), np.arange(19)],
+        homogeneity_subsets=[np.arange(0, 19, 2), np.arange(1, 19, 2)])
+    assert abs(full.homogeneity - metrics.homogeneity(pts[0:19:2])) <= 1e-12
+    assert abs(first.homogeneity - metrics.homogeneity(pts[1:19:2])) <= 1e-12
+    assert full.notes == ("homogeneity computed on 10 of 20 points",)
+
+
+@pytest.mark.parametrize("hom", [
+    [np.arange(12)],                        # one subset for two row subsets
+    [np.arange(12), np.arange(6)],          # row 5 is not in [0, 2, 4, 6]
+    [np.arange(12), np.array([2, 0, 4])],   # not increasing
+    [np.arange(12), np.array([], dtype=int)],
+])
+def test_homogeneity_subsets_are_validated(hom):
+    pts = np.random.default_rng(0).normal(size=(12, 3))
+    with pytest.raises(ValueError):
+        metrics.metric_reports(pts, [np.arange(12), np.array([0, 2, 4, 6])],
+                               homogeneity_subsets=hom)
+
+
+def test_overflowing_edge_weights_give_a_reason_without_warnings():
+    # One point 1e47 away at H = 768: its weights d ** ln(768) overflow.
+    pts = np.random.default_rng(71).normal(size=(20, 768))
+    pts[19, 0] = 1e47
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = metrics.metric_report(pts)
+        shared = metrics.metric_reports(pts, [np.arange(19), np.arange(20)])
+        near = metrics.metric_reports(pts, [np.arange(19)])
+        with pytest.raises(DegenerateCluster, match="above the floating-point range"):
+            metrics.homogeneity(pts)
+    assert alone.homogeneity is None
+    assert "above the floating-point range" in alone.homogeneity_skipped_reason
+    # inf * 0 spoils the sums of the 19 near rows too, so they get the
+    # same reason rather than "zero total edge weight".
+    for report in shared:
+        assert report.homogeneity is None
+        assert report.homogeneity_skipped_reason == alone.homogeneity_skipped_reason
+    assert_same_report(near[0], metrics.metric_report(pts[:19]))
