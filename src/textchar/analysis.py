@@ -18,10 +18,11 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     EmptyClass,
+    EmptyResult,
     InconsistentClassSize,
 )
 from .metrics import MetricReport, metric_reports
-from .simulation import _sorted_draw
+from .simulation import _sample_rows, _sorted_draw
 
 if TYPE_CHECKING:
     from .io import LabeledEmbeddings
@@ -233,10 +234,10 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
 
 
 def _sample_units(units: np.ndarray, fraction: float, rng, what: str) -> np.ndarray:
-    keep = int(math.floor(fraction * len(units) + 0.5))
-    if keep == 0:
-        raise EmptyClass(f"{what} has no members left at fraction {fraction}")
-    return units[_sorted_draw(rng, len(units), keep)]
+    try:
+        return units[_sample_rows(len(units), fraction, rng)]
+    except EmptyResult:
+        raise EmptyClass(f"{what} has no members left at fraction {fraction}") from None
 
 
 def _kept_units(units_by_class: dict[str, np.ndarray], pooled: np.ndarray,
@@ -244,9 +245,7 @@ def _kept_units(units_by_class: dict[str, np.ndarray], pooled: np.ndarray,
     """Mask of the units kept at ``fraction``, drawn class by class or from
     the ``pooled`` units (in class order)."""
     kept = np.zeros(len(pooled), dtype=bool)
-    if fraction == 1.0:
-        kept[:] = True
-    elif stratified:
+    if stratified:
         for label, units in units_by_class.items():
             kept[_sample_units(units, fraction, rng, f"class {label!r}")] = True
     else:
@@ -362,6 +361,12 @@ def pearson(x, y) -> float:
         )
     if xa.shape[0] < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {xa.shape[0]}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DegenerateInput("an input sequence holds a non-finite value")
+    # Exact power-of-two scaling (r is scale-free) keeps every sum in range;
+    # short of subnormals, it changes no bit of r.
+    xa = np.ldexp(xa, -np.frexp(np.abs(xa).max())[1])
+    ya = np.ldexp(ya, -np.frexp(np.abs(ya).max())[1])
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = float(xc @ xc)

@@ -191,7 +191,7 @@ def _read_jsonl(path: Path) -> LabeledEmbeddings:
         rec_id = str(obj.get("id", f"row-{ordinal}"))
         try:
             vector = np.asarray(obj["vector"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"'vector' is not numeric: {exc}",
                              line=lineno) from exc
         if vector.ndim != 1:
@@ -343,7 +343,7 @@ def read_token_sequences(path) -> list[TokenSequence]:
         try:
             matrix = (np.asarray(tokens, dtype=np.float64)
                       if tokens else np.empty((0, 0)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"'tokens' is not a numeric matrix: {exc}",
                              line=lineno) from exc
         if tokens and matrix.ndim != 2:
@@ -426,7 +426,7 @@ def read_sweep(path) -> SweepTable:
                                  final=AggregateMetrics.from_dict(raw["final"])))
         except KeyError as exc:
             raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"row {number}: {exc}") from exc
     return SweepTable(rows=rows)
 

@@ -19,7 +19,6 @@ contract.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -134,10 +133,22 @@ class MetricReport:
 
 
 def axis_stats(cluster) -> ClusterStats:
-    """Mean and population standard deviation (divisor ``m``) along each axis."""
+    """Mean and population standard deviation (divisor ``m``) along each axis.
+
+    An axis whose mean or standard deviation overflows is recomputed on its
+    values over their largest magnitude and scaled back, so it stays finite
+    near the float64 maximum; the other axes keep the bits of ``np.std``.
+    """
     arr = as_cluster(cluster)
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = arr.mean(axis=0)
+        stds = arr.std(axis=0)
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        scale = np.abs(arr[:, bad]).max(axis=0)
+        scaled = arr[:, bad] / scale
+        means[bad] = scaled.mean(axis=0) * scale
+        stds[bad] = scaled.std(axis=0) * scale
     return ClusterStats(means=means, stds=stds, count=arr.shape[0])
 
 
@@ -159,14 +170,17 @@ def density(stats: ClusterStats, std_floor: float = DEFAULT_STD_FLOOR) -> Densit
     ``density = m / (prod sigma_j') ** (1 / sqrt(H))`` with
     ``sigma_j' = max(sigma_j, std_floor)``. Evaluated in log space so that
     768-dimensional products neither overflow nor underflow. ``floored_axes``
-    reports how many axes hit the floor.
+    reports how many axes hit the floor. Beyond the float64 range, as when
+    every axis of a wide cluster is floored, ``value`` is inf.
     """
     stds = np.asarray(stats.stds, dtype=np.float64)
     floored = int(np.count_nonzero(stds < std_floor))
     clamped = np.maximum(stds, std_floor)
     dim = stds.shape[0]
     log_value = math.log(stats.count) - np.sum(np.log(clamped)) / math.sqrt(dim)
-    return DensityResult(float(np.exp(log_value)), float(log_value), floored)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
+    return DensityResult(value, float(log_value), floored)
 
 
 def pairwise_weight(e_i, e_j) -> float:
@@ -283,9 +297,17 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     """Chain summary of each row subset of a validated cluster.
 
     Each subset is a sorted index array of at least 2 rows. All subsets
-    share one ``_chain_rows`` pass. A subset whose chain is undefined gets
-    the ``DegenerateCluster`` that says why in place of its summary.
+    share one ``_chain_rows`` pass over the rows that some subset holds, so
+    rows no subset holds cost nothing and cannot spoil a sum. A subset
+    whose chain is undefined gets the ``DegenerateCluster`` that says why in
+    place of its summary.
     """
+    covered = np.zeros(arr.shape[0], dtype=bool)
+    for idx in subsets:
+        covered[idx] = True
+    if not covered.all():
+        position = np.cumsum(covered) - 1
+        arr, subsets = arr[covered], [position[idx] for idx in subsets]
     first = _first_copies(arr)
     chains: list = [None] * len(subsets)
     live = []
@@ -338,18 +360,20 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     return chains
 
 
-def _whole_chain(arr: np.ndarray) -> MarkovChainSummary:
-    """Chain summary of a validated cluster of at least 2 points."""
-    (chain,) = _chains(arr, [np.arange(arr.shape[0])])
+def _whole_chain(cluster, least: int, too_few: str) -> MarkovChainSummary:
+    """Chain summary of a whole cluster; raises ``TooFewSamples(too_few)``
+    (``{m}`` is the point count) below ``least`` points."""
+    arr = as_cluster(cluster)
+    m = arr.shape[0]
+    if m < least:
+        raise TooFewSamples(too_few.format(m=m))
+    (chain,) = _chains(arr, [np.arange(m)])
     if isinstance(chain, DegenerateCluster):
         raise chain
     return chain
 
 
-def _normalized_rate(chain: MarkovChainSummary | DegenerateCluster) -> float:
-    """Homogeneity of a chain summary; raises a degenerate subset's error."""
-    if isinstance(chain, DegenerateCluster):
-        raise chain
+def _normalized_rate(chain: MarkovChainSummary) -> float:
     # The rate provably cannot exceed the bound; roundoff in the last ulp can.
     return min(chain.entropy_rate / chain.upper_bound, 1.0)
 
@@ -361,10 +385,7 @@ def stationary_distribution(cluster) -> np.ndarray:
     stationary probability of a point is its row strength over the total
     strength; no eigensolve is needed.
     """
-    arr = as_cluster(cluster)
-    if arr.shape[0] < 2:
-        raise TooFewSamples("need at least 2 points for a transition chain")
-    return _whole_chain(arr).stationary
+    return entropy_rate(cluster).stationary
 
 
 def entropy_rate(cluster) -> MarkovChainSummary:
@@ -374,10 +395,7 @@ def entropy_rate(cluster) -> MarkovChainSummary:
     strength and transition entropy; the rate is their stationary-weighted
     mean.
     """
-    arr = as_cluster(cluster)
-    if arr.shape[0] < 2:
-        raise TooFewSamples("need at least 2 points for a transition chain")
-    return _whole_chain(arr)
+    return _whole_chain(cluster, 2, "need at least 2 points for a transition chain")
 
 
 def homogeneity(cluster) -> float:
@@ -387,59 +405,54 @@ def homogeneity(cluster) -> float:
     equal. Requires at least 3 points, otherwise the bound is zero and the
     ratio is meaningless.
     """
-    arr = as_cluster(cluster)
-    if arr.shape[0] < 3:
-        raise TooFewSamples(
-            f"homogeneity needs at least 3 points, got {arr.shape[0]}"
-        )
-    return _normalized_rate(_whole_chain(arr))
+    return _normalized_rate(
+        _whole_chain(cluster, 3, "homogeneity needs at least 3 points, got {m}"))
 
 
-def _assemble(stats: ClusterStats, std_floor: float, hom_count: int,
-              homogeneity_of) -> MetricReport:
-    """Report fields, notes and skip reason; homogeneity is computed on
-    ``hom_count`` of the ``stats.count`` points, and ``homogeneity_of()``
-    runs when that is at least 3.
-
-    ``homogeneity_of`` returns the homogeneity or raises ``DegenerateCluster``.
-    """
-    den = density(stats, std_floor=std_floor)
-    hom: float | None = None
-    reason: str | None = None
-    notes: tuple[str, ...] = ()
-    if stats.dim == 1:
-        notes = ("homogeneity is identically 1 in one dimension: the distance "
-                 "exponent ln(1) = 0 makes every edge weight equal",)
-    if hom_count < 3:
-        reason = f"fewer than 3 samples (m={hom_count})"
-    else:
-        try:
-            hom = homogeneity_of()
-        except DegenerateCluster as exc:
-            reason = str(exc)
-    if hom_count < stats.count:
-        notes += (f"homogeneity computed on {hom_count} of {stats.count} points",)
-    return MetricReport(
-        diversity=diversity(stats),
-        density=den.value,
-        density_log=den.log_value,
-        homogeneity=hom,
-        degenerate_axes=den.floored_axes,
-        homogeneity_skipped_reason=reason,
-        notes=notes,
-    )
+def _reports(arr: np.ndarray, rows: list[np.ndarray], hom_rows: list[np.ndarray],
+             std_floor: float) -> list[MetricReport]:
+    """Report of each validated row subset ``rows[f]`` of a validated
+    cluster, homogeneity computed on its subset ``hom_rows[f]``. Every
+    ``MetricReport`` is built here; all homogeneity subsets share one pass."""
+    chains = iter(_chains(arr, [h for h in hom_rows if len(h) >= 3]))
+    reports = []
+    for idx, h in zip(rows, hom_rows):
+        # The whole cluster goes in as the array itself: numpy's axis-0 sums
+        # depend on memory layout, so a C-order copy could change their bits.
+        stats = axis_stats(arr if len(idx) == arr.shape[0] else arr[idx])
+        den = density(stats, std_floor=std_floor)
+        chain = (next(chains) if len(h) >= 3
+                 else TooFewSamples(f"fewer than 3 samples (m={len(h)})"))
+        defined = isinstance(chain, MarkovChainSummary)
+        notes: tuple[str, ...] = ()
+        if stats.dim == 1:
+            notes = ("homogeneity is identically 1 in one dimension: the distance "
+                     "exponent ln(1) = 0 makes every edge weight equal",)
+        if len(h) < len(idx):
+            notes += (f"homogeneity computed on {len(h)} of {len(idx)} points",)
+        reports.append(MetricReport(
+            diversity=diversity(stats),
+            density=den.value,
+            density_log=den.log_value,
+            homogeneity=_normalized_rate(chain) if defined else None,
+            degenerate_axes=den.floored_axes,
+            homogeneity_skipped_reason=None if defined else str(chain),
+            notes=notes,
+        ))
+    return reports
 
 
 def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport:
     """Bundle diversity, density, and homogeneity for one cluster.
 
-    Never raises for degenerate inputs: when homogeneity cannot be computed
-    the report carries the reason instead.
+    The whole-cluster case of ``metric_reports``: it equals
+    ``metric_reports(cluster, [np.arange(m)])[0]`` bitwise, whatever the
+    memory layout. Never raises for degenerate inputs: when homogeneity
+    cannot be computed the report carries the reason instead.
     """
-    arr = np.asarray(cluster, dtype=np.float64)
-    # axis_stats and homogeneity validate the array at their own boundaries.
-    stats = axis_stats(arr)
-    return _assemble(stats, std_floor, stats.count, lambda: homogeneity(arr))
+    arr = as_cluster(cluster)
+    whole = [np.arange(arr.shape[0])]
+    return _reports(arr, whole, whole, std_floor)[0]
 
 
 def _row_subset(subset, m: int) -> np.ndarray:
@@ -455,16 +468,6 @@ def _row_subset(subset, m: int) -> np.ndarray:
     )
 
 
-def _union_chains(arr: np.ndarray, subsets: list[np.ndarray]) -> list:
-    """``_chains`` over only the rows that some subset holds."""
-    if not subsets:
-        return []
-    union = np.unique(np.concatenate(subsets))
-    if len(union) == arr.shape[0]:
-        return _chains(arr, subsets)
-    return _chains(arr[union], [np.searchsorted(union, idx) for idx in subsets])
-
-
 def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
                    homogeneity_subsets=None) -> list[MetricReport]:
     """One metric report per row subset of a cluster, from one pairwise pass.
@@ -474,8 +477,8 @@ def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
     ``metric_report(cluster[subsets[f]])``: diversity, density and
     degenerate axes bitwise, homogeneity up to roundoff, because the shared
     pass centers all the rows it covers at once and sums each subset in
-    another order. Like ``metric_report`` it never raises for a degenerate
-    subset.
+    another order; a subset of every row gives ``metric_report(cluster)``
+    bitwise. Like ``metric_report`` it never raises for a degenerate subset.
 
     ``homogeneity_subsets``, when given, holds one strictly increasing
     subset of each row subset (anything else raises ValueError), and
@@ -487,19 +490,9 @@ def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
     arr = as_cluster(cluster)
     rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
     if homogeneity_subsets is None:
-        hom_rows = rows
-    else:
-        hom_rows = [_row_subset(subset, arr.shape[0])
-                    for subset in homogeneity_subsets]
-        if (len(hom_rows) != len(rows)
-                or not all(np.isin(h, idx).all() for h, idx in zip(hom_rows, rows))):
-            raise ValueError(
-                "homogeneity_subsets must hold one subset of each row subset"
-            )
-    chains = iter(_union_chains(arr, [h for h in hom_rows if len(h) >= 3]))
-    reports = []
-    for idx, h in zip(rows, hom_rows):
-        chain = next(chains) if len(h) >= 3 else None
-        reports.append(_assemble(axis_stats(arr[idx]), std_floor, len(h),
-                                 functools.partial(_normalized_rate, chain)))
-    return reports
+        return _reports(arr, rows, rows, std_floor)
+    hom_rows = [_row_subset(subset, arr.shape[0]) for subset in homogeneity_subsets]
+    if (len(hom_rows) != len(rows)
+            or not all(np.isin(h, idx).all() for h, idx in zip(hom_rows, rows))):
+        raise ValueError("homogeneity_subsets must hold one subset of each row subset")
+    return _reports(arr, rows, hom_rows, std_floor)

@@ -137,7 +137,8 @@ def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
 
 
 def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
-    """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m`` rows."""
+    """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m``
+    rows; ``seed`` may also be a Generator, which is drawn from as it is."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     keep = int(math.floor(fraction * m + 0.5))
@@ -256,7 +257,7 @@ def _down_sampling_rows(spec: ScenarioSpec, base_points: np.ndarray) -> list[Sce
     subsets, errors = [], {}
     for index, value in enumerate(spec.sweep):
         try:
-            subsets.append(np.arange(m) if value == 1.0 else _sample_rows(
+            subsets.append(_sample_rows(
                 m, float(value), np.random.SeedSequence([spec.base.seed, index])))
         except Exception as exc:  # noqa: BLE001 - row-level error capture
             errors[index] = str(exc)

@@ -345,6 +345,21 @@ def test_pearson_degenerate_inputs():
         analysis.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateInput):
         analysis.pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DegenerateInput, match="non-finite"):
+            analysis.pearson([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [1020, 600, -600, -1000])
+def test_pearson_ignores_power_of_two_scale(exponent):
+    # Near 1e308 the plain sums overflow; near 1e-300 the squares underflow.
+    # Power-of-two scaling is exact, so r must keep its bits.
+    rng = np.random.default_rng(97)
+    x, y = rng.uniform(0.5, 1.0, size=8), rng.normal(size=8)
+    base = analysis.pearson(x, y)
+    assert analysis.pearson(np.ldexp(x, exponent), y) == base
+    assert analysis.pearson(x, np.ldexp(y, exponent)) == base
 
 
 def test_pearson_is_clamped():

@@ -212,6 +212,27 @@ def test_pool_overflowing_mean_prints_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE_INT = "1" + "0" * 399  # 400 digits: beyond the float64 range
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("profile", "vector", f"[1.0, {HUGE_INT}]"),
+    ("pool", "tokens", f"[[1.0, {HUGE_INT}]]"),
+], ids=["profile", "pool"])
+def test_integer_beyond_float64_names_its_line(tmp_path, capsys, command, key, value):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(f'{{"label": "a", "{key}": {value.replace(HUGE_INT, "2.0")}}}\n'
+                   f'{{"label": "a", "{key}": {value}}}\n')
+    argv = [command, "--input", str(src), "--out", str(out)]
+    if command == "profile":
+        argv += ["--format", "jsonl"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"textchar: error: {src}, line 2: '{key}' is not")
+    assert not out.exists()
+
+
 def test_pool_preserves_dimensions(tmp_path):
     rng = np.random.default_rng(21)
     src = tmp_path / "tokens.jsonl"
@@ -352,3 +373,15 @@ def test_correlate_row_without_final_names_the_row(tmp_path, capsys):
     message = _correlate_fails_with_one_line(tmp_path, capsys, json.dumps(rows),
                                              GOOD_SCORES, "sweep.json")
     assert "row 2: 'final' has no 'diversity'" in message
+
+
+@pytest.mark.parametrize("field, row", [("final", 2), ("size", 1)])
+def test_correlate_number_beyond_float64_names_the_row(tmp_path, capsys, field, row):
+    if field == "final":  # a 400-digit diversity
+        text = GOOD_SWEEP.replace('"diversity": 0.2', f'"diversity": {HUGE_INT}')
+    else:  # a size of 1e400, read as infinity
+        text = GOOD_SWEEP.replace('{"fraction": 1.0,', '{"fraction": 1.0, "size": 1e400,')
+    assert text != GOOD_SWEEP
+    message = _correlate_fails_with_one_line(tmp_path, capsys, text, GOOD_SCORES,
+                                             "sweep.json")
+    assert f"row {row}: " in message

@@ -49,6 +49,34 @@ def test_axis_stats_hand_values():
     assert np.array_equal(stats.stds, [1.0, 2.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["square overflows", "sum overflows"])
+def test_axis_stats_near_float64_max_match_a_scaled_reference(case):
+    # One coordinate of 1e160 overflows the squares in np.std; a column near
+    # 1e308 throughout overflows even the sum behind the mean. Scaling a
+    # column by a power of two is exact, so the statistics of the scaled
+    # copy, scaled back, are the reference.
+    rng = np.random.default_rng(79)
+    pts = rng.normal(size=(10, 3))
+    if case == "square overflows":
+        pts[3, 1], exponent = 1e160, 500
+    else:
+        pts[:, 1], exponent = 1e308 * rng.uniform(0.5, 1.0, size=10), 1000
+    scaled = pts.copy()
+    scaled[:, 1] *= 2.0 ** -exponent
+    reference = metrics.axis_stats(scaled)
+    stats = metrics.axis_stats(pts)
+    for got, want in ((stats.means, reference.means), (stats.stds, reference.stds)):
+        assert np.isfinite(got).all()
+        assert got[1] == pytest.approx(want[1] * 2.0 ** exponent, rel=1e-12)
+        assert got[[0, 2]].tolist() == want[[0, 2]].tolist()  # bits kept
+    report = metrics.metric_report(pts)
+    log_diversity = np.log(reference.stds).mean() + exponent * math.log(2.0) / 3
+    assert report.diversity == pytest.approx(math.exp(log_diversity), rel=1e-12)
+    assert report.density_log == pytest.approx(
+        math.log(10) - 3 * log_diversity / math.sqrt(3), rel=1e-12)
+
+
 # --- diversity ------------------------------------------------------------
 
 def test_diversity_two_point_hand_value():
@@ -113,6 +141,18 @@ def test_density_survives_768_dims_without_underflow():
     result = metrics.density(metrics.axis_stats(pts))
     assert math.isfinite(result.log_value)
     assert result.value > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_beyond_float64_is_inf_with_a_finite_log():
+    # Five equal 768-d rows floor every axis: ln density = ln 5 + 768 ln(1e12)
+    # / sqrt(768), about 767, is beyond the float64 range of exp.
+    pts = np.tile(np.random.default_rng(83).normal(size=768), (5, 1))
+    report = metrics.metric_report(pts)
+    assert report.density == math.inf
+    assert report.density_log == pytest.approx(
+        math.log(5) - math.sqrt(768) * math.log(1e-12), rel=1e-12)
+    assert report.degenerate_axes == 768
 
 
 # --- pairwise weights ---------------------------------------------------
@@ -372,6 +412,27 @@ def test_metric_report_serializes_to_json():
 
 
 # --- metric_reports: one pass for many row subsets ----------------------------
+
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
+def test_whole_cluster_subset_is_metric_report_bitwise(layout):
+    # numpy's axis-0 sums depend on memory layout, so a C-order copy of the
+    # rows would change the bits of the axis statistics. The strided case is
+    # a view into a column-major buffer, contiguous in neither order.
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        pts = random_cluster(rng, max_m=60, max_dim=12, min_m=1)
+        if layout == "Fortran":
+            pts = np.asfortranarray(pts)
+        elif layout == "strided":
+            wide = np.zeros((2 * pts.shape[0], 3 * pts.shape[1]), order="F")
+            wide[::2, ::3] = pts
+            pts = wide[::2, ::3]
+        (shared,) = metrics.metric_reports(pts, [np.arange(pts.shape[0])])
+        assert shared == metrics.metric_report(pts)
+        stats = metrics.axis_stats(pts)  # the array as it is, uncopied
+        assert shared.diversity == metrics.diversity(stats)
+        assert shared.density == metrics.density(stats).value
+
 
 def _random_subsets(rng, m, count):
     subsets = [np.arange(m)]
