@@ -36,11 +36,9 @@ from .errors import (
 )
 from .io import (
     LabeledEmbeddings,
-    TokenSequence,
     group_by_label,
     mean_pool,
     pool_token_file,
-    read_token_sequences,
     read_vectors,
     write_vectors,
 )
@@ -56,7 +54,6 @@ from .metrics import (
     homogeneity,
     metric_report,
     metric_reports,
-    pairwise_weight,
     stationary_distribution,
 )
 from .simulation import (
@@ -101,7 +98,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "TextcharError",
-    "TokenSequence",
     "TooFewSamples",
     "add_outliers",
     "axis_stats",
@@ -117,11 +113,9 @@ __all__ = [
     "mean_pool",
     "metric_report",
     "metric_reports",
-    "pairwise_weight",
     "pearson",
     "pool_token_file",
     "profile_dataset",
-    "read_token_sequences",
     "read_vectors",
     "run_scenario",
     "scenario",

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,13 +45,11 @@ from .errors import (
 __all__ = [
     "FORMATS",
     "LabeledEmbeddings",
-    "TokenSequence",
     "group_by_label",
     "mean_pool",
     "pool_token_file",
     "read_scores",
     "read_sweep",
-    "read_token_sequences",
     "read_vectors",
     "write_vectors",
 ]
@@ -86,43 +85,41 @@ class LabeledEmbeddings:
         return len(self.ids)
 
 
-@dataclass(frozen=True, eq=False)
-class TokenSequence:
-    """Token-level embeddings of one text, an ``l x H`` matrix."""
-
-    id: str
-    label: str
-    layer: str
-    token_vectors: np.ndarray
-
-
 def mean_pool(tokens) -> np.ndarray:
     """Arithmetic mean of the token vectors of one sequence.
 
     Sequence-start/separator/end marker vectors must already be excluded by
     whatever produced the tokens; everything passed in is averaged.
     """
-    if isinstance(tokens, TokenSequence):
-        arr = tokens.token_vectors
-        seq_id = tokens.id
-    else:
-        arr = np.asarray(tokens, dtype=np.float64)
-        seq_id = "<anonymous>"
+    arr = np.asarray(tokens, dtype=np.float64)
     if arr.size == 0 or arr.shape[0] == 0:
-        raise EmptySequence(seq_id)
+        raise EmptySequence("<anonymous>")
     # A mean that overflows is returned as inf without numpy's warning;
     # callers that need finite vectors check for it.
     with np.errstate(over="ignore"):
-        return np.asarray(arr, dtype=np.float64).mean(axis=0)
+        return arr.mean(axis=0)
 
 
-def _check_record(record_id: str, vector: np.ndarray, dim: int | None) -> int:
-    if dim is not None and vector.shape[0] != dim:
-        raise DimensionMismatch(record_id, dim, vector.shape[0])
-    finite = np.isfinite(vector)
-    if not finite.all():
-        raise NonFiniteValue(record_id, int(np.argmin(finite)))
-    return vector.shape[0]
+def _columns(records: Iterable[tuple[str, str, str, np.ndarray]]) -> LabeledEmbeddings:
+    """Collect ``(id, label, layer, vector)`` records into columns.
+
+    The first record fixes the dimensionality. Records are checked in the
+    order they arrive, so the first one of another width (DimensionMismatch)
+    or with a non-finite value (NonFiniteValue) is the one named.
+    """
+    ids, labels, layers, rows = [], [], [], []
+    for rec_id, label, layer, vector in records:
+        if rows and vector.shape[0] != rows[0].shape[0]:
+            raise DimensionMismatch(rec_id, rows[0].shape[0], vector.shape[0])
+        finite = np.isfinite(vector)
+        if not finite.all():
+            raise NonFiniteValue(rec_id, int(np.argmin(finite)))
+        ids.append(rec_id)
+        labels.append(label)
+        layers.append(layer)
+        rows.append(vector)
+    return LabeledEmbeddings(np.stack(rows) if rows else np.empty((0, 0)),
+                             ids, labels, layers)
 
 
 def _check_unique(path, embeddings: LabeledEmbeddings) -> None:
@@ -133,11 +130,6 @@ def _check_unique(path, embeddings: LabeledEmbeddings) -> None:
             raise ParseError(path, f"duplicate id {rec_id!r} for label "
                                    f"{label!r}, layer {layer!r}")
         seen.add(key)
-
-
-def _matrix(rows: list[np.ndarray]) -> np.ndarray:
-    """Stack equal-length rows once; ``(0, 0)`` when there are none."""
-    return np.stack(rows) if rows else np.empty((0, 0))
 
 
 def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
@@ -153,6 +145,8 @@ def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, 
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except ValueError as exc:  # an integer longer than int() accepts
+                raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
             if not isinstance(obj, dict) or any(key not in obj for key in required):
                 raise ParseError(path, expected, line=lineno)
             yield lineno, obj
@@ -167,8 +161,11 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    reader = {"jsonl": _read_jsonl, "csv": _read_csv, "binary": _read_binary}[format]
-    embeddings = reader(Path(path))
+    if format == "binary":
+        embeddings = _read_binary(Path(path))
+    else:
+        records = {"jsonl": _jsonl_records, "csv": _csv_records}[format]
+        embeddings = _columns(records(Path(path)))
     _check_unique(path, embeddings)
     return embeddings
 
@@ -183,9 +180,7 @@ def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
 
 # --- jsonl ------------------------------------------------------------------
 
-def _read_jsonl(path: Path) -> LabeledEmbeddings:
-    ids, labels, layers, rows = [], [], [], []
-    dim: int | None = None
+def _jsonl_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
     for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "vector")),
                                             start=1):
         rec_id = str(obj.get("id", f"row-{ordinal}"))
@@ -197,12 +192,7 @@ def _read_jsonl(path: Path) -> LabeledEmbeddings:
         if vector.ndim != 1:
             raise ParseError(path, "'vector' must be a flat list of numbers",
                              line=lineno)
-        dim = _check_record(rec_id, vector, dim)
-        ids.append(rec_id)
-        labels.append(str(obj["label"]))
-        layers.append(str(obj.get("layer", DEFAULT_LAYER)))
-        rows.append(vector)
-    return LabeledEmbeddings(_matrix(rows), ids, labels, layers)
+        yield rec_id, str(obj["label"]), str(obj.get("layer", DEFAULT_LAYER)), vector
 
 
 def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -216,43 +206,49 @@ def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
 
 # --- csv --------------------------------------------------------------------
 
-def _read_csv(path: Path) -> LabeledEmbeddings:
-    ids, labels, layers, rows = [], [], [], []
-    dim: int | None = None
+def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield the header row as line 1, if there is one, then each non-blank
+    row with the physical line it ends on (a quoted cell may span lines).
+    Every row after the header must have as many cells as the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         lines = csv.reader(fh)
-        try:
-            header = next(lines)
-        except StopIteration:
-            raise ParseError(path, "missing header row", line=1) from None
-        for name in ("label", "id", "layer"):
-            if header.count(name) > 1:
-                raise ParseError(path, f"header repeats the {name!r} column", line=1)
-        named = {name: i for i, name in enumerate(header)
-                 if name in ("label", "id", "layer")}
-        if "label" not in named:
-            raise ParseError(path, "header has no 'label' column", line=1)
-        axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
-        ordinal = 0
-        for lineno, row in enumerate(lines, start=2):
+        header = next(lines, None)
+        if header is None:
+            return
+        yield 1, header
+        for row in lines:
             if not row:
                 continue
-            ordinal += 1
             if len(row) != len(header):
                 raise ParseError(path, f"expected {len(header)} cells, got {len(row)}",
-                                 line=lineno)
-            rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
-            try:
-                vector = np.array([float(row[i]) for i in axis_cols], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(path, f"non-numeric axis value: {exc}",
-                                 line=lineno) from exc
-            dim = _check_record(rec_id, vector, dim)
-            ids.append(rec_id)
-            labels.append(row[named["label"]])
-            layers.append(row[named["layer"]] if "layer" in named else DEFAULT_LAYER)
-            rows.append(vector)
-    return LabeledEmbeddings(_matrix(rows), ids, labels, layers)
+                                 line=lines.line_num)
+            yield lines.line_num, row
+
+
+def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None:
+    for name in names:
+        if header.count(name) > 1:
+            raise ParseError(path, f"header repeats the {name!r} column", line=1)
+
+
+def _csv_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError(path, "missing header row", line=1)
+    _reject_repeats(path, header, ("label", "id", "layer"))
+    named = {name: i for i, name in enumerate(header) if name in ("label", "id", "layer")}
+    if "label" not in named:
+        raise ParseError(path, "header has no 'label' column", line=1)
+    axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
+    for ordinal, (lineno, row) in enumerate(rows, start=1):
+        rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
+        try:
+            vector = np.array([float(row[i]) for i in axis_cols], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(path, f"non-numeric axis value: {exc}", line=lineno) from exc
+        yield (rec_id, row[named["label"]],
+               row[named["layer"]] if "layer" in named else DEFAULT_LAYER, vector)
 
 
 def _write_csv(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -273,25 +269,28 @@ def _sidecar(path: Path) -> Path:
 
 
 def _read_binary(path: Path) -> LabeledEmbeddings:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ParseError(path, f"file too short for a {_HEADER.size}-byte header",
-                         offset=len(raw))
-    magic, version, width, m, dim = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ParseError(path, f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
-    if version != 1:
-        raise ParseError(path, f"unsupported version {version}", offset=4)
-    if width not in _DTYPES:
-        raise ParseError(path, f"unsupported float width {width}", offset=5)
-    expected = _HEADER.size + m * dim * width
-    if len(raw) != expected:
-        raise ParseError(path, f"expected {expected} bytes for {m} x {dim} "
-                               f"x {width}-byte floats, got {len(raw)}",
-                         offset=min(len(raw), expected))
-    vectors = (np.frombuffer(raw, dtype=_DTYPES[width], count=m * dim,
-                             offset=_HEADER.size)
-               .reshape(m, dim).astype(np.float64))
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError(path, f"file too short for a {_HEADER.size}-byte header",
+                             offset=len(head))
+        magic, version, width, m, dim = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ParseError(path, f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
+        if version != 1:
+            raise ParseError(path, f"unsupported version {version}", offset=4)
+        if width not in _DTYPES:
+            raise ParseError(path, f"unsupported float width {width}", offset=5)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + m * dim * width
+        if size != expected:
+            raise ParseError(path, f"expected {expected} bytes for {m} x {dim} "
+                                   f"x {width}-byte floats, got {size}",
+                             offset=min(size, expected))
+        # Read the payload straight into its matrix: float64 costs no copy,
+        # float32 one converted copy.
+        vectors = (np.fromfile(fh, dtype=_DTYPES[width], count=m * dim)
+                   .reshape(m, dim).astype(np.float64, copy=False))
 
     sidecar = _sidecar(path)
     if not sidecar.exists():
@@ -324,16 +323,11 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
             fh.write("\n")
 
 
-# --- token sequences and grouping -------------------------------------------
+# --- pooling and grouping ---------------------------------------------------
 
-def read_token_sequences(path) -> list[TokenSequence]:
-    """Load the token-level JSONL variant (``tokens`` instead of ``vector``).
-
-    An empty ``tokens`` list is preserved as a ``(0, 0)`` matrix; pooling is
-    where it becomes an error, so the offending id can be named there.
-    """
-    path = Path(path)
-    sequences: list[TokenSequence] = []
+def _pooled_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
+    """Mean-pool each sequence of a token-level file (``tokens`` instead of
+    ``vector``) as it is read."""
     for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "tokens")),
                                             start=1):
         rec_id = str(obj.get("id", f"row-{ordinal}"))
@@ -341,44 +335,36 @@ def read_token_sequences(path) -> list[TokenSequence]:
         if not isinstance(tokens, list):
             raise ParseError(path, "'tokens' must be a list of vectors", line=lineno)
         try:
-            matrix = (np.asarray(tokens, dtype=np.float64)
-                      if tokens else np.empty((0, 0)))
+            matrix = np.asarray(tokens, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"'tokens' is not a numeric matrix: {exc}",
                              line=lineno) from exc
         if tokens and matrix.ndim != 2:
             raise ParseError(path, "'tokens' rows must all have the same length",
                              line=lineno)
-        if tokens and not np.isfinite(matrix).all():
-            bad = np.argwhere(~np.isfinite(matrix))[0]
-            raise NonFiniteValue(rec_id, int(bad[1]))
-        sequences.append(TokenSequence(id=rec_id, label=str(obj["label"]),
-                                       layer=str(obj.get("layer", DEFAULT_LAYER)),
-                                       token_vectors=matrix))
-    return sequences
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            raise NonFiniteValue(rec_id, int(np.argwhere(~finite)[0][1]))
+        if matrix.size == 0:
+            raise EmptySequence(rec_id)
+        yield (rec_id, str(obj["label"]), str(obj.get("layer", DEFAULT_LAYER)),
+               mean_pool(matrix))
 
 
 def pool_token_file(in_path, out_path) -> int:
     """Mean-pool every sequence of a token-level file into a vector file.
 
     Ids, labels, and layers are preserved. Returns the number of sequences
-    written. Nothing is written if a sequence has no tokens (EmptySequence)
-    or a token width other than the first sequence's (DimensionMismatch);
-    the first such sequence is named.
+    written. Sequences are pooled one at a time as they are read, and the
+    first faulty one in file order is named: unparsable tokens (ParseError),
+    no tokens (EmptySequence), a non-finite token value or mean
+    (NonFiniteValue), or a width other than the first sequence's
+    (DimensionMismatch). Nothing is written then.
     """
-    sequences = read_token_sequences(in_path)
-    rows = []
-    dim: int | None = None
-    for seq in sequences:
-        pooled = mean_pool(seq)
-        dim = _check_record(seq.id, pooled, dim)
-        rows.append(pooled)
-    out = LabeledEmbeddings(_matrix(rows), [seq.id for seq in sequences],
-                            [seq.label for seq in sequences],
-                            [seq.layer for seq in sequences])
-    _check_unique(in_path, out)
-    write_vectors(out, out_path, "jsonl")
-    return len(out)
+    pooled = _columns(_pooled_records(Path(in_path)))
+    _check_unique(in_path, pooled)
+    write_vectors(pooled, out_path, "jsonl")
+    return len(pooled)
 
 
 def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.ndarray]:
@@ -404,11 +390,13 @@ def read_sweep(path) -> SweepTable:
     document raises ParseError naming the file and the 1-based row.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    text = path.read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError as exc:  # an integer longer than int() accepts
+        raise ParseError(path, f"unreadable integer: {exc}") from exc
     raw_rows = doc.get("rows") if isinstance(doc, dict) else doc
     if not isinstance(raw_rows, list):
         raise ParseError(path, "expected a list of sweep rows or an object with 'rows'")
@@ -439,25 +427,19 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     malformed table raises ParseError naming the file and line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = csv.reader(fh)
-        header = next(lines, None)
-        if header is None or "fraction" not in header:
-            raise ParseError(path, "expected a header with a 'fraction' column", line=1)
-        names = [name for name in header if name != "fraction"]
-        if not names:
-            raise ParseError(path, "no score columns besides 'fraction'", line=1)
-        table: dict[float, dict[str, float]] = {}
-        for row in lines:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, f"expected {len(header)} cells, got {len(row)}",
-                                 line=lines.line_num)
-            try:
-                values = {name: float(cell) for name, cell in zip(header, row)}
-            except ValueError as exc:
-                raise ParseError(path, f"non-numeric cell: {exc}",
-                                 line=lines.line_num) from exc
-            table[values.pop("fraction")] = values
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None or "fraction" not in header:
+        raise ParseError(path, "expected a header with a 'fraction' column", line=1)
+    _reject_repeats(path, header, header)
+    names = [name for name in header if name != "fraction"]
+    if not names:
+        raise ParseError(path, "no score columns besides 'fraction'", line=1)
+    table: dict[float, dict[str, float]] = {}
+    for lineno, row in rows:
+        try:
+            values = {name: float(cell) for name, cell in zip(header, row)}
+        except ValueError as exc:
+            raise ParseError(path, f"non-numeric cell: {exc}", line=lineno) from exc
+        table[values.pop("fraction")] = values
     return names, table

@@ -41,7 +41,6 @@ __all__ = [
     "homogeneity",
     "metric_report",
     "metric_reports",
-    "pairwise_weight",
     "stationary_distribution",
 ]
 
@@ -181,23 +180,6 @@ def density(stats: ClusterStats, std_floor: float = DEFAULT_STD_FLOOR) -> Densit
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
     return DensityResult(value, float(log_value), floored)
-
-
-def pairwise_weight(e_i, e_j) -> float:
-    """Edge weight between two vectors: Euclidean distance to the power ``ln H``.
-
-    The exponent tempers the distance concentration of high-dimensional
-    spaces. A zero distance always yields weight 0, even for ``H = 1`` where
-    the exponent vanishes.
-    """
-    a = np.asarray(e_i, dtype=np.float64)
-    b = np.asarray(e_j, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"expected two equal-length vectors, got {a.shape} and {b.shape}")
-    dist = float(np.linalg.norm(a - b))
-    if dist == 0.0:
-        return 0.0
-    return dist ** math.log(a.shape[0])
 
 
 def _first_copies(arr: np.ndarray) -> np.ndarray:

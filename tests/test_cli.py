@@ -233,6 +233,33 @@ def test_integer_beyond_float64_names_its_line(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+LONG_INT = "1" * 4301  # one digit past the limit of int() on a decimal string
+
+
+@pytest.mark.parametrize("kind", ["vector", "tokens", "sidecar"])
+def test_integer_past_digit_limit_names_its_line(tmp_path, capsys, kind):
+    out = tmp_path / "out.jsonl"
+    if kind == "sidecar":
+        src = tmp_path / "vectors.bin"
+        src.write_bytes(b"CMET\x01\x08\x00\x00" + (1).to_bytes(4, "little")
+                        + (1).to_bytes(4, "little") + np.float64(1.0).tobytes())
+        bad = tmp_path / "vectors.bin.meta.jsonl"
+        bad.write_text(f'{{"id": {LONG_INT}, "label": "a"}}\n')
+        argv, line = ["profile", "--format", "binary"], 1
+    else:
+        src = bad = tmp_path / "in.jsonl"
+        value = f"[1.0, {LONG_INT}]" if kind == "vector" else f"[[1.0, {LONG_INT}]]"
+        src.write_text(f'{{"label": "a", "{kind}": {value.replace(LONG_INT, "2.0")}}}\n'
+                       f'{{"label": "a", "{kind}": {value}}}\n')
+        argv = ["profile", "--format", "jsonl"] if kind == "vector" else ["pool"]
+        line = 2
+    assert run(argv + ["--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"textchar: error: {bad}, line {line}: unreadable integer: ")
+    assert not out.exists()
+
+
 def test_pool_preserves_dimensions(tmp_path):
     rng = np.random.default_rng(21)
     src = tmp_path / "tokens.jsonl"
@@ -385,3 +412,19 @@ def test_correlate_number_beyond_float64_names_the_row(tmp_path, capsys, field, 
     message = _correlate_fails_with_one_line(tmp_path, capsys, text, GOOD_SCORES,
                                              "sweep.json")
     assert f"row {row}: " in message
+
+
+def test_correlate_integer_past_digit_limit_names_the_file(tmp_path, capsys):
+    text = GOOD_SWEEP.replace('"diversity": 0.2', f'"diversity": {LONG_INT}')
+    message = _correlate_fails_with_one_line(tmp_path, capsys, text, GOOD_SCORES,
+                                             "sweep.json")
+    assert f"{tmp_path / 'sweep.json'}: unreadable integer: " in message
+
+
+@pytest.mark.parametrize("header, name", [("fraction,acc,acc", "acc"),
+                                          ("fraction,acc,fraction", "fraction")])
+def test_correlate_rejects_repeated_score_column(tmp_path, capsys, header, name):
+    message = _correlate_fails_with_one_line(
+        tmp_path, capsys, GOOD_SWEEP, header + "\n1.0,0.9,0.9\n0.5,0.8,0.5\n",
+        "scores.csv")
+    assert f"line 1: header repeats the '{name}' column" in message

@@ -33,17 +33,10 @@ def test_mean_pool_single_token_is_identity():
     assert np.array_equal(pooled, [7.0, -1.0, 0.5])
 
 
-def test_mean_pool_accepts_token_sequences():
-    seq = io.TokenSequence(id="a", label="x", layer="L",
-                           token_vectors=np.array([[0.0, 2.0], [4.0, 6.0]]))
-    assert np.array_equal(io.mean_pool(seq), [2.0, 4.0])
-
-
 def test_mean_pool_names_empty_sequence():
-    seq = io.TokenSequence(id="utt-3", label="x", layer="L",
-                           token_vectors=np.empty((0, 0)))
-    with pytest.raises(EmptySequence, match="utt-3"):
-        io.mean_pool(seq)
+    for empty in ([], [[]], np.empty((0, 3))):
+        with pytest.raises(EmptySequence, match="<anonymous>"):
+            io.mean_pool(empty)
 
 
 # --- round-trips --------------------------------------------------------
@@ -184,6 +177,19 @@ def test_csv_bad_cell_count_and_value(tmp_path):
         io.read_vectors(alpha, "csv")
 
 
+def test_csv_line_numbers_count_physical_lines(tmp_path):
+    # The quoted label spans lines 2-3, so the bad cell sits on line 5.
+    path = tmp_path / "multiline.csv"
+    path.write_text('label,d0\n"two\nlines",1.0\nx,2.0\ny,abc\n')
+    with pytest.raises(ParseError, match="line 5: non-numeric axis value"):
+        io.read_vectors(path, "csv")
+
+    short = tmp_path / "short.csv"
+    short.write_text('label,d0\n"two\nlines",1.0\n\ny\n')
+    with pytest.raises(ParseError, match="line 5: expected 2 cells, got 1"):
+        io.read_vectors(short, "csv")
+
+
 def test_binary_header_validation(tmp_path):
     good = tmp_path / "good.bin"
     original = make_collection(np.random.default_rng(1), n=3, dim=2)
@@ -249,29 +255,48 @@ def test_columns_must_have_one_entry_per_row():
         io.LabeledEmbeddings(np.zeros((2, 3)), ["a"], ["x"], ["L"])
 
 
-# --- token sequences ----------------------------------------------------
+# --- pooling -----------------------------------------------------------
 
-def test_read_token_sequences(tmp_path):
-    path = tmp_path / "tokens.jsonl"
-    path.write_text(
-        '{"id": "a", "label": "x", "layer": "L1", "tokens": [[1.0, 2.0], [3.0, 4.0]]}\n'
-        '{"id": "b", "label": "y", "tokens": []}\n')
-    seqs = io.read_token_sequences(path)
-    assert np.array_equal(seqs[0].token_vectors, [[1.0, 2.0], [3.0, 4.0]])
-    assert seqs[1].token_vectors.shape == (0, 0)
-    assert seqs[1].layer == "default"
+def test_pool_token_file_defaults_id_and_layer(tmp_path):
+    src = tmp_path / "tokens.jsonl"
+    src.write_text('{"label": "x", "tokens": [[1.0, 2.0], [3.0, 4.0]]}\n'
+                   '\n'
+                   '{"label": "y", "layer": "L1", "tokens": [[5.0, 6.0]]}\n')
+    dst = tmp_path / "pooled.jsonl"
+    assert io.pool_token_file(src, dst) == 2
+    loaded = io.read_vectors(dst, "jsonl")
+    assert loaded.ids == ["row-1", "row-2"]
+    assert loaded.layers == ["default", "L1"]
+    assert np.array_equal(loaded.vectors, [[2.0, 3.0], [5.0, 6.0]])
 
 
-def test_read_token_sequences_rejects_ragged(tmp_path):
+def test_pool_token_file_rejects_ragged(tmp_path):
     ragged = tmp_path / "ragged.jsonl"
     ragged.write_text('{"id": "a", "label": "x", "tokens": [[1.0, 2.0], [3.0]]}\n')
     with pytest.raises(ParseError, match="line 1"):
-        io.read_token_sequences(ragged)
+        io.pool_token_file(ragged, tmp_path / "out.jsonl")
 
     flat = tmp_path / "flat.jsonl"
     flat.write_text('{"id": "a", "label": "x", "tokens": [1.0, 2.0]}\n')
     with pytest.raises(ParseError, match="same length"):
-        io.read_token_sequences(flat)
+        io.pool_token_file(flat, tmp_path / "out.jsonl")
+
+
+@pytest.mark.parametrize("lines, error, match", [
+    (['{"id": "e", "label": "x", "tokens": []}'], EmptySequence, "'e'"),
+    (['{"id": "n", "label": "x", "tokens": [[1.0, NaN]]}'], NonFiniteValue, "'n'"),
+    (['{"id": "a", "label": "x", "tokens": [[1.0]]}',
+      '{"id": "b", "label": "x", "tokens": [[1.0, 2.0]]}'], DimensionMismatch, "'b'"),
+], ids=["empty", "non-finite", "width"])
+def test_pool_token_file_names_first_fault_in_file_order(tmp_path, lines, error, match):
+    # Each sequence is pooled as it is read, so the first faulty sequence is
+    # named although an unparsable line follows it.
+    src = tmp_path / "tokens.jsonl"
+    src.write_text("\n".join(lines + ["{oops"]) + "\n")
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(error, match=match):
+        io.pool_token_file(src, out)
+    assert not out.exists()
 
 
 def test_pool_token_file(tmp_path):

@@ -155,28 +155,6 @@ def test_density_beyond_float64_is_inf_with_a_finite_log():
     assert report.degenerate_axes == 768
 
 
-# --- pairwise weights ---------------------------------------------------
-
-def test_pairwise_weight_hand_value():
-    assert metrics.pairwise_weight([0.0, 0.0], [3.0, 4.0]) == 3.0513293596658086
-
-
-def test_pairwise_weight_one_dimension_is_flat():
-    # ln(1) = 0, so any positive distance has weight exactly 1.
-    assert metrics.pairwise_weight([0.0], [2.0]) == 1.0
-    assert metrics.pairwise_weight([0.0], [123.456]) == 1.0
-
-
-def test_pairwise_weight_zero_distance_is_zero():
-    v = [1.0, 2.0, 3.0]
-    assert metrics.pairwise_weight(v, v) == 0.0
-
-
-def test_pairwise_weight_rejects_mismatched_vectors():
-    with pytest.raises(ValueError):
-        metrics.pairwise_weight([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 # --- stationary distribution ---------------------------------------------
 
 THREE_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
