@@ -10,7 +10,7 @@ values to externally supplied model scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -57,13 +57,7 @@ class AggregateMetrics:
     homogeneity_skipped: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "diversity": self.diversity,
-            "density": self.density,
-            "density_log": self.density_log,
-            "homogeneity": self.homogeneity,
-            "homogeneity_skipped": list(self.homogeneity_skipped),
-        }
+        return {**asdict(self), "homogeneity_skipped": list(self.homogeneity_skipped)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> AggregateMetrics:

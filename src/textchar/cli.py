@@ -97,11 +97,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_embeddings(args) -> io.LabeledEmbeddings:
-    _require_inputs(args.input)
-    return io.read_vectors(args.input, args.format)
-
-
 def _parse_fractions(raw: str) -> list[float]:
     try:
         return [float(part) for part in raw.split(",") if part.strip()]
@@ -110,7 +105,8 @@ def _parse_fractions(raw: str) -> list[float]:
 
 
 def cmd_profile(args) -> int:
-    embeddings = _read_embeddings(args)
+    _require_inputs(args.input)
+    embeddings = io.read_vectors(args.input, args.format)
     if args.fractions is None:
         profile = analysis.profile_dataset(
             io.group_by_label(embeddings),

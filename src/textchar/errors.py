@@ -6,6 +6,10 @@ from __future__ import annotations
 class TextcharError(Exception):
     """Base class for all textchar errors."""
 
+    def __reduce__(self):
+        # Rebuild from the formatted message, not through a subclass's __init__.
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class DegenerateCluster(TextcharError):
     """All points of a cluster coincide, so the distance chain has no edges."""

@@ -132,24 +132,37 @@ def _check_unique(path, embeddings: LabeledEmbeddings) -> None:
         seen.add(key)
 
 
+def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a
+    ParseError naming its line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead of the lines it hands out; find the line.
+            with open(path, "rb") as raw:
+                line = next((n for n, text in enumerate(raw, start=1)
+                             if text.decode("utf-8", "ignore").encode() != text), None)
+            raise ParseError(path, f"not UTF-8 text: {exc.reason}", line=line) from exc
+
+
 def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
     file; every line must be a JSON object holding the ``required`` keys."""
     keys = " and ".join(repr(key) for key in required)
     expected = f"expected an object with {keys}" if required else "expected a JSON object"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
-            except ValueError as exc:  # an integer longer than int() accepts
-                raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
-            if not isinstance(obj, dict) or any(key not in obj for key in required):
-                raise ParseError(path, expected, line=lineno)
-            yield lineno, obj
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
+        except ValueError as exc:  # an integer longer than int() accepts
+            raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
+        if not isinstance(obj, dict) or any(key not in obj for key in required):
+            raise ParseError(path, expected, line=lineno)
+        yield lineno, obj
 
 
 def read_vectors(path, format: str) -> LabeledEmbeddings:
@@ -210,8 +223,8 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Yield the header row as line 1, if there is one, then each non-blank
     row with the physical line it ends on (a quoted cell may span lines).
     Every row after the header must have as many cells as the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = csv.reader(fh)
+    lines = csv.reader(_text_lines(path, newline=""))
+    try:
         header = next(lines, None)
         if header is None:
             return
@@ -223,6 +236,8 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
                 raise ParseError(path, f"expected {len(header)} cells, got {len(row)}",
                                  line=lines.line_num)
             yield lines.line_num, row
+    except csv.Error as exc:  # a cell past csv.field_size_limit(), for one
+        raise ParseError(path, f"unreadable csv: {exc}", line=lines.line_num) from exc
 
 
 def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None:
@@ -390,7 +405,7 @@ def read_sweep(path) -> SweepTable:
     document raises ParseError naming the file and the 1-based row.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = "".join(_text_lines(path))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,7 +20,7 @@ contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -104,9 +104,11 @@ class MarkovChainSummary:
 class MetricReport:
     """All three metrics for one cluster, plus degeneracy flags.
 
-    ``homogeneity`` is None when it cannot be computed (fewer than 3 samples,
-    a fully coincident cluster, or edge weights outside the floating-point
-    range); ``homogeneity_skipped_reason`` then says why.
+    ``homogeneity`` is None, and ``homogeneity_skipped_reason`` says why,
+    when it cannot be computed: fewer than 3 samples, a fully coincident
+    cluster, or a point whose edge weights all underflow. Copies of a point
+    are merged before the pairwise pass, and the points are scaled into the
+    float64 range, so nothing else skips it.
     ``degenerate_axes`` counts axes whose standard deviation was clamped to
     the floor inside the density computation.
     """
@@ -120,15 +122,7 @@ class MetricReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "diversity": self.diversity,
-            "density": self.density,
-            "density_log": self.density_log,
-            "homogeneity": self.homogeneity,
-            "degenerate_axes": self.degenerate_axes,
-            "homogeneity_skipped_reason": self.homogeneity_skipped_reason,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def axis_stats(cluster) -> ClusterStats:
@@ -182,33 +176,33 @@ def density(stats: ClusterStats, std_floor: float = DEFAULT_STD_FLOOR) -> Densit
     return DensityResult(value, float(log_value), floored)
 
 
-def _first_copies(arr: np.ndarray) -> np.ndarray:
-    """Index of the first row equal to each row under ``==``.
+def _distinct_rows(arr: np.ndarray) -> np.ndarray:
+    """Number of the distinct row that each row equals under ``==``, the
+    distinct rows numbered in order of first appearance.
 
     Rows are keyed by their bytes after ``+ 0.0``, which turns ``-0.0`` into
-    ``0.0``, so two rows share an index exactly when they compare equal
+    ``0.0``, so two rows share a number exactly when they compare equal
     element by element (the cluster holds no NaN). The bytes are taken a
     block of rows at a time.
     """
     width = arr.itemsize * arr.shape[1]
-    first: dict[bytes, int] = {}
+    numbers: dict[bytes, int] = {}
     index: list[int] = []
     for start in range(0, arr.shape[0], _BLOCK_ROWS):
         block = (arr[start:start + _BLOCK_ROWS] + 0.0).tobytes()
-        index += [first.setdefault(block[offset:offset + width], row)
-                  for row, offset in enumerate(range(0, len(block), width), start)]
+        index += [numbers.setdefault(block[offset:offset + width], len(numbers))
+                  for offset in range(0, len(block), width)]
     return np.array(index)
 
 
-def _chain_rows(arr: np.ndarray, members: np.ndarray,
-                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row strengths ``S_i`` and ``sum_j w_ij ln w_ij`` within row subsets.
 
-    ``members`` is an ``m x k`` float64 0/1 matrix whose column ``f`` marks
-    the rows of subset ``f``, and ``first`` is ``_first_copies(arr)``. Both
-    results are ``m x k``: entry ``(i, f)`` sums over the members of subset
-    ``f`` only, and means something only when row ``i`` is one of them. A
-    whole cluster is the single all-ones column.
+    ``members`` is an ``m x k`` float64 matrix whose entry ``(j, f)``
+    counts the copies of row ``j`` in subset ``f``. Both results are
+    ``m x k``: entry ``(i, f)`` sums over the members of subset ``f`` only,
+    and means something only when row ``i`` is one of them. A whole cluster
+    of distinct rows is the single all-ones column.
 
     One streaming pass over upper-triangle tiles serves every subset: the
     tile of row block ``[s, t)`` and column block ``[u, v)`` exists only for
@@ -224,10 +218,10 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray,
     are built once, so one BLAS product gives a tile's expanded squared
     distances. Weights are built in log space,
     ``ln w_ij = (ln H / 2) ln d2_ij``, so the row entropy needs no second
-    pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. An edge between rows
-    that are equal under ``==`` (the diagonal included) or whose expanded
-    squared distance is not positive gets an exact zero weight rather than
-    expansion roundoff. Every tile reuses the same four buffers.
+    pass: ``H_i = ln S_i - (sum_j w_ij ln w_ij) / S_i``. The rows are
+    distinct, so only the diagonal and an edge whose expanded squared
+    distance is not positive get an exact zero weight, not roundoff.
+    Every tile reuses the same three buffers.
     """
     m, dim = arr.shape
     half_log_dim = 0.5 * math.log(dim)
@@ -241,8 +235,7 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray,
     w_log_w = np.zeros(members.shape)
     tri = np.tri(_BLOCK_ROWS, dtype=bool)
     most = min(_BLOCK_ROWS, m) ** 2
-    log_buf, weight_buf = np.empty(most), np.empty(most)
-    zero_buf, equal_buf = np.empty(most, dtype=bool), np.empty(most, dtype=bool)
+    log_buf, weight_buf, zero_buf = np.empty(most), np.empty(most), np.empty(most, dtype=bool)
     for s in range(0, m, _BLOCK_ROWS):
         t = min(s + _BLOCK_ROWS, m)
         for u in range(s, m, _BLOCK_ROWS):
@@ -252,11 +245,8 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray,
             log_w = log_buf[:cells].reshape(shape)
             weights = weight_buf[:cells].reshape(shape)
             zero = zero_buf[:cells].reshape(shape)
-            equal = equal_buf[:cells].reshape(shape)
             np.matmul(left[s:t], right[u:v].T, out=log_w)
             np.less_equal(log_w, 0.0, out=zero)
-            np.equal(first[s:t, None], first[None, u:v], out=equal)
-            zero |= equal
             if u == s:
                 # The diagonal and below of a diagonal tile: self-loops, and
                 # pairs the tile already holds above the diagonal.
@@ -280,9 +270,10 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
 
     Each subset is a sorted index array of at least 2 rows. All subsets
     share one ``_chain_rows`` pass over the rows that some subset holds, so
-    rows no subset holds cost nothing and cannot spoil a sum. A subset
-    whose chain is undefined gets the ``DegenerateCluster`` that says why in
-    place of its summary.
+    rows no subset holds cost nothing and cannot spoil a sum. Rows equal
+    under ``==`` go into it once, each subset counting its copies, so a
+    copy pair never gets a weight. A subset whose chain is undefined gets
+    the ``DegenerateCluster`` that says why in place of its summary.
     """
     covered = np.zeros(arr.shape[0], dtype=bool)
     for idx in subsets:
@@ -290,14 +281,14 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     if not covered.all():
         position = np.cumsum(covered) - 1
         arr, subsets = arr[covered], [position[idx] for idx in subsets]
-    first = _first_copies(arr)
+    slot = _distinct_rows(arr)  # each row's row in the pass
     chains: list = [None] * len(subsets)
     live = []
     for f, idx in enumerate(subsets):
         # A row strength can only vanish when every point equals that row,
         # i.e. the whole subset is one repeated point. Detect that exactly
         # instead of trusting floating-point distance sums.
-        if (first[idx] == first[idx[0]]).all():
+        if (slot[idx] == slot[idx[0]]).all():
             chains[f] = DegenerateCluster(
                 f"all {len(idx)} points coincide; the distance chain has no edges"
             )
@@ -305,40 +296,42 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
             live.append(f)
     if not live:
         return chains
-    members = np.zeros((arr.shape[0], len(live)))
+    count = slot.max() + 1
+    members = np.zeros((count, len(live)))
     for col, f in enumerate(live):
-        members[subsets[f], col] = 1.0
-    # An overflowing weight or sum is caught below as a non-finite sum, so
-    # numpy's overflow and inf * 0 warnings are not wanted.
-    with np.errstate(over="ignore", invalid="ignore"):
-        strengths, w_log_w = _chain_rows(arr, members, first)
-        for col, f in enumerate(live):
-            idx = subsets[f]
-            rows = strengths[idx, col]
-            total = rows.sum()
-            if not (np.isfinite(total) and np.isfinite(w_log_w[idx, col]).all()):
-                # An infinite weight also spoils, through inf * 0, the sums of
-                # every subset that holds either of its rows.
-                chains[f] = DegenerateCluster(
-                    "a point has infinite total edge weight; distances are "
-                    "above the floating-point range"
-                )
-                continue
-            if not (rows > 0.0).all():
-                # Only reachable when every weight of a row underflowed to zero.
-                chains[f] = DegenerateCluster(
-                    "a point has zero total edge weight; distances are below the "
-                    "floating-point range"
-                )
-                continue
-            entropies = np.log(rows) - w_log_w[idx, col] / rows
-            stationary = rows / total
-            rate = float(stationary @ entropies)
-            chains[f] = MarkovChainSummary(
-                stationary=stationary,
-                entropy_rate=max(rate, 0.0),
-                upper_bound=math.log(len(idx) - 1),
+        members[:, col] = np.bincount(slot[subsets[f]], minlength=count)
+    rows = arr if count == len(arr) else arr[np.unique(slot, return_index=True)[1]]
+    # Homogeneity is scale invariant and a power-of-two scaling is exact.
+    # With |x| < 2**e, squared distances and the partial sums of their
+    # expansion stay below 16 H 4**e, and weights below that to the power
+    # ln H / 2. At e <= top, m**2 weights, or their w ln w, sum below 2**1024.
+    # Rows above top, or so small that squared distances or weights at 4**e
+    # would be subnormal, are scaled to e = top; the rest keep every bit.
+    _, e = math.frexp(max(rows.max(), -rows.min()))
+    dim = rows.shape[1]
+    power = max(1.0, 0.5 * math.log(dim))
+    top = math.floor(((1000 - 2 * math.log2(len(arr))) / power - math.log2(16 * dim)) / 2)
+    if e > top or 2 * e * power < -1022:
+        rows = np.ldexp(rows, top - e)
+    strengths, w_log_w = _chain_rows(rows, members)
+    for col, f in enumerate(live):
+        idx = slot[subsets[f]]
+        sums = strengths[idx, col]
+        if not (sums > 0.0).all():
+            # Only reachable when every weight of a row underflowed to zero.
+            chains[f] = DegenerateCluster(
+                "a point has zero total edge weight; distances are below the "
+                "floating-point range"
             )
+            continue
+        entropies = np.log(sums) - w_log_w[idx, col] / sums
+        stationary = sums / sums.sum()
+        rate = float(stationary @ entropies)
+        chains[f] = MarkovChainSummary(
+            stationary=stationary,
+            entropy_rate=max(rate, 0.0),
+            upper_bound=math.log(len(idx) - 1),
+        )
     return chains
 
 
@@ -458,9 +451,9 @@ def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
     anything else raises ValueError. Report ``f`` matches
     ``metric_report(cluster[subsets[f]])``: diversity, density and
     degenerate axes bitwise, homogeneity up to roundoff, because the shared
-    pass centers all the rows it covers at once and sums each subset in
-    another order; a subset of every row gives ``metric_report(cluster)``
-    bitwise. Like ``metric_report`` it never raises for a degenerate subset.
+    pass centers (and may scale) all the rows it covers at once and sums
+    each subset in another order; a subset of every row gives
+    ``metric_report(cluster)`` bitwise. Like ``metric_report`` it never raises for a degenerate subset.
 
     ``homogeneity_subsets``, when given, holds one strictly increasing
     subset of each row subset (anything else raises ValueError), and

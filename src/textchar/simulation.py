@@ -232,20 +232,16 @@ def scenario(kind: str, dim: int, points: int = 10_000, std: float = 1.0,
 
 def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
                       index: int, value) -> np.ndarray:
-    seed = spec.base.seed
-    row_seed = np.random.SeedSequence([seed, index])
+    row_seed = np.random.SeedSequence([spec.base.seed, index])
     if spec.kind == "varying_spread":
         rng = np.random.default_rng(row_seed)
         return rng.normal(0.0, float(value), size=(spec.base.count, spec.base.dim))
+    default = DEFAULT_SCALE_FACTOR * spec.base.std
     if spec.kind == "outliers":
-        radius = spec.outlier_radius
-        if radius is None:
-            radius = DEFAULT_SCALE_FACTOR * spec.base.std
+        radius = default if spec.outlier_radius is None else spec.outlier_radius
         return add_outliers(base_points, int(value), radius, row_seed)
     if spec.kind == "sub_clusters":
-        spacing = spec.spacing
-        if spacing is None:
-            spacing = DEFAULT_SCALE_FACTOR * spec.base.std
+        spacing = default if spec.spacing is None else spec.spacing
         return sub_clusters(int(value), spec.base.count, spec.base.dim,
                             spec.base.std, spacing, row_seed)
     raise ValueError(f"unknown scenario kind {spec.kind!r}")

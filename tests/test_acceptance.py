@@ -365,7 +365,7 @@ def test_criterion_6_exact_value_suite(monkeypatch):
     for _ in range(5):
         pts = metrics.as_cluster(random_cluster(rng, max_m=40, max_dim=10))
         ones = np.ones((pts.shape[0], 1))
-        strengths = metrics._chain_rows(pts, ones, metrics._first_copies(pts))[0][:, 0]
+        strengths = metrics._chain_rows(pts, ones)[0][:, 0]
         row_sums = (brute_weights(pts) / strengths[:, None]).sum(axis=1)
         row_worst = max(row_worst, np.abs(row_sums - 1.0).max())
 

@@ -428,3 +428,59 @@ def test_correlate_rejects_repeated_score_column(tmp_path, capsys, header, name)
         tmp_path, capsys, GOOD_SWEEP, header + "\n1.0,0.9,0.9\n0.5,0.8,0.5\n",
         "scores.csv")
     assert f"line 1: header repeats the '{name}' column" in message
+
+
+LATIN1 = "café".encode("latin-1")  # a byte that is not UTF-8
+
+
+def _fails_with_one_line(capsys, argv, out, message):
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"textchar: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "csv", "tokens", "sidecar", "sweep", "scores"])
+def test_text_that_is_not_utf8_names_file_and_line(tmp_path, capsys, kind):
+    sweep, scores = tmp_path / "sweep.json", tmp_path / "scores.csv"
+    sweep.write_text(GOOD_SWEEP)
+    scores.write_text(GOOD_SCORES)
+    if kind == "sidecar":
+        src = tmp_path / "vectors.bin"
+        src.write_bytes(b"CMET\x01\x08\x00\x00" + (2).to_bytes(4, "little")
+                        + (1).to_bytes(4, "little") + np.float64(1.0).tobytes() * 2)
+        bad = tmp_path / "vectors.bin.meta.jsonl"
+        bad.write_bytes(b'{"label": "a"}\n{"label": "' + LATIN1 + b'"}\n')
+        argv = ["profile", "--format", "binary", "--input", str(src)]
+    elif kind in ("sweep", "scores"):
+        bad = sweep if kind == "sweep" else scores
+        bad.write_bytes({"sweep": b'[\n{"fraction": "' + LATIN1 + b'"}]\n',
+                         "scores": b"fraction,accuracy\n1.0," + LATIN1 + b"\n"}[kind])
+        argv = ["correlate", "--metrics", str(sweep), "--scores", str(scores)]
+    else:
+        bad = tmp_path / f"in.{kind}"
+        bad.write_bytes({
+            "jsonl": b'{"label": "a", "vector": [1.0]}\n{"label": "' + LATIN1 + b'", "vector": [2.0]}\n',
+            "csv": b"label,d0\na,1.0\n" + LATIN1 + b",2.0\n",
+            "tokens": b'{"label": "a", "tokens": [[1.0]]}\n{"label": "' + LATIN1 + b'", "tokens": [[2.0]]}\n',
+        }[kind])
+        argv = (["pool"] if kind == "tokens" else ["profile", "--format", kind]) + ["--input", str(bad)]
+    line = 3 if kind == "csv" else 2
+    _fails_with_one_line(capsys, argv, tmp_path / "out", f"{bad}, line {line}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("kind", ["vectors", "scores"])
+def test_csv_cell_past_the_field_limit_names_its_line(tmp_path, capsys, kind):
+    huge = '"' + "1" * 200_000 + '"'  # past csv.field_size_limit()
+    if kind == "vectors":
+        bad = tmp_path / "in.csv"
+        bad.write_text(f"label,d0\na,1.0\nb,2.0\n{huge},3.0\n")
+        argv = ["profile", "--format", "csv", "--input", str(bad)]
+    else:
+        sweep, bad = tmp_path / "sweep.json", tmp_path / "scores.csv"
+        sweep.write_text(GOOD_SWEEP)
+        bad.write_text(f"fraction,accuracy\n1.0,0.95\n0.5,0.9\n0.25,{huge}\n")
+        argv = ["correlate", "--metrics", str(sweep), "--scores", str(bad)]
+    _fails_with_one_line(capsys, argv, tmp_path / "out",
+                         f"{bad}, line 4: unreadable csv: field larger than field limit")

@@ -261,19 +261,42 @@ def test_duplicate_rows_match_brute_force():
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
 
 
-def _bump_copy_norms(patch, rows):
-    # Adds 1e-13 to the squared norms of the given rows as the kernel's
-    # ``einsum`` returns them, so every copy pair among them expands to
-    # d2 ~ 2e-13 > 0 on any BLAS and only the equality rule can zero its
-    # weight.
+def _bump_copy_norms(patch):
+    # Adds 1e-13 to every squared norm as the kernel's ``einsum`` returns
+    # them, so a copy pair that reached the pass would expand to
+    # d2 ~ 2e-13 > 0 on any BLAS and get a weight the oracle does not have.
+    # Only merging copies before the pass keeps their weight zero.
     einsum = np.einsum
 
     def bumped(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        out[rows] += 1e-13
-        return out
+        return einsum(*args, **kwargs) + 1e-13
 
     patch.setattr(metrics.np, "einsum", bumped)
+
+
+def test_chain_rows_never_receives_a_copy_pair(monkeypatch):
+    # Copies, and a pair that differs only by the sign of a zero, across
+    # whole-cluster, subset and capped calls.
+    pts = np.random.default_rng(29).normal(size=(30, 4))
+    pts[[7, 21]] = pts[3]
+    pts[11, 1] = 0.0
+    pts[25] = pts[11]
+    pts[25, 1] = -0.0
+    chain_rows, calls = metrics._chain_rows, []
+
+    def checked(arr, members):
+        equal = (arr[:, None, :] == arr[None, :, :]).all(axis=2)
+        assert np.array_equal(equal, np.eye(len(arr), dtype=bool))
+        calls.append(len(arr))
+        return chain_rows(arr, members)
+
+    monkeypatch.setattr(metrics, "_chain_rows", checked)
+    metrics.metric_report(pts)
+    metrics.homogeneity(pts[:26])
+    metrics.metric_reports(pts, [np.arange(30), np.array([3, 7, 11, 25]), np.arange(20)],
+                           homogeneity_subsets=[np.arange(0, 30, 2), np.array([3, 7, 11, 25]),
+                                                np.arange(20)])
+    assert calls == [27, 23, 24]
 
 
 def test_duplicate_rows_in_different_blocks_match_brute_force(monkeypatch):
@@ -286,7 +309,7 @@ def test_duplicate_rows_in_different_blocks_match_brute_force(monkeypatch):
     pts[13, 0] = -0.0
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", 4)
     with monkeypatch.context() as patch:
-        _bump_copy_norms(patch, [1, 3, 12, 13])
+        _bump_copy_norms(patch)
         rate = metrics.entropy_rate(pts).entropy_rate
         stationary = metrics.stationary_distribution(pts)
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
@@ -305,7 +328,7 @@ def test_triangle_strips_match_brute_force(monkeypatch, block):
     pts[13] = pts[1]
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
-        _bump_copy_norms(patch, [1, 4, 5, 13])
+        _bump_copy_norms(patch)
         rate = metrics.entropy_rate(pts).entropy_rate
         stationary = metrics.stationary_distribution(pts)
     assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
@@ -468,7 +491,7 @@ def test_metric_reports_rejects_malformed_subsets(bad):
 def test_shared_pass_copy_pairs_across_strips_match_brute_force(monkeypatch, block):
     # Rows 1 and 13 are copies, and rows 3 and 12 differ only by the sign of
     # a zero coordinate; each pair spans strips. The subsets hold both, one
-    # or neither of each pair, so the equality rule must hold per subset.
+    # or neither of each pair, so each must count its own copies.
     pts = np.random.default_rng(19).normal(size=(14, 4)) + 3.0
     pts[13] = pts[1]
     pts[3, 0] = 0.0
@@ -478,7 +501,7 @@ def test_shared_pass_copy_pairs_across_strips_match_brute_force(monkeypatch, blo
                np.array([1, 4, 5, 8, 12]), np.array([0, 2, 7, 9, 10, 11])]
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
-        _bump_copy_norms(patch, [1, 3, 12, 13])
+        _bump_copy_norms(patch)
         chains = metrics._chains(metrics.as_cluster(pts), subsets)
     for idx, chain in zip(subsets, chains):
         assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
@@ -493,8 +516,8 @@ def test_tiles_copy_pairs_match_brute_force(monkeypatch, block):
     # differ only by the sign of a zero coordinate; both pairs sit inside a
     # diagonal tile for widths 3, 5 and 13. Rows 1 and 27 are copies, and
     # rows 14 and 28 a signed-zero pair, in different tiles for every width.
-    # The subsets hold both, one or neither of each pair, so the equality
-    # rule must hold per subset and wherever the pair sits.
+    # The subsets hold both, one or neither of each pair, so each must
+    # count its own copies, wherever the pair sits.
     pts = np.random.default_rng(23).normal(size=(29, 4)) + 3.0
     pts[7] = pts[6]
     pts[27] = pts[1]
@@ -510,7 +533,7 @@ def test_tiles_copy_pairs_match_brute_force(monkeypatch, block):
                np.array([1, 6, 11, 14, 20, 21, 27])]
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
-        _bump_copy_norms(patch, [1, 6, 7, 10, 11, 14, 27, 28])
+        _bump_copy_norms(patch)
         chains = metrics._chains(metrics.as_cluster(pts), subsets)
     for idx, chain in zip(subsets, chains):
         assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
@@ -558,9 +581,9 @@ def test_homogeneity_subsets_match_capped_reports():
 
 
 def test_homogeneity_subsets_pass_covers_only_their_rows():
-    # Row 19 is so far away that any weight to it overflows; it belongs to
-    # the row subset but to no homogeneity subset, so it must stay out of
-    # the pairwise pass.
+    # Row 19 is so far away that a pass holding it would lose the other
+    # rows' distances to roundoff; it belongs to the row subset but to no
+    # homogeneity subset, so it must stay out of the pairwise pass.
     pts = np.random.default_rng(67).normal(size=(20, 768))
     pts[19, 0] = 1e47
     full, first = metrics.metric_reports(
@@ -584,22 +607,31 @@ def test_homogeneity_subsets_are_validated(hom):
                                homogeneity_subsets=hom)
 
 
-def test_overflowing_edge_weights_give_a_reason_without_warnings():
-    # One point 1e47 away at H = 768: its weights d ** ln(768) overflow.
-    pts = np.random.default_rng(71).normal(size=(20, 768))
-    pts[19, 0] = 1e47
+def _far_row(dim, value):
+    pts = np.random.default_rng(71).normal(size=(20, dim))
+    pts[19, 0] = value
+    return pts
+
+
+@pytest.mark.parametrize("pts, exponent", [
+    (_far_row(768, 1e47), 157),  # weights d ** ln(768) pass the float64 range
+    (_far_row(3, 1e160), 532),   # squared distances pass it
+    (np.ldexp(np.random.default_rng(73).normal(size=(20, 8)), -1000), -1000),
+    (np.ldexp(np.random.default_rng(73).normal(size=(20, 8)), 900), 900),
+], ids=["1e47-outlier-768d", "1e160-coordinate-3d", "times-2^-1000", "times-2^900"])
+def test_homogeneity_is_scale_free_across_the_float64_range(pts, exponent):
+    # The same points at normal size, scaled back by an exact power of two.
+    normal = np.ldexp(pts, -exponent)
+    # Every subset holds row 19: a shared pass centered near a far row loses
+    # the distances of a subset without it, at any scale.
+    subsets = [np.arange(20), np.arange(1, 20, 2), np.arange(10, 20)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alone = metrics.metric_report(pts)
-        shared = metrics.metric_reports(pts, [np.arange(19), np.arange(20)])
-        near = metrics.metric_reports(pts, [np.arange(19)])
-        with pytest.raises(DegenerateCluster, match="above the floating-point range"):
-            metrics.homogeneity(pts)
-    assert alone.homogeneity is None
-    assert "above the floating-point range" in alone.homogeneity_skipped_reason
-    # inf * 0 spoils the sums of the 19 near rows too, so they get the
-    # same reason rather than "zero total edge weight".
-    for report in shared:
-        assert report.homogeneity is None
-        assert report.homogeneity_skipped_reason == alone.homogeneity_skipped_reason
-    assert_same_report(near[0], metrics.metric_report(pts[:19]))
+        h = metrics.homogeneity(pts)
+        report = metrics.metric_report(pts)
+        shared = metrics.metric_reports(pts, subsets)
+        assert abs(h - metrics.homogeneity(normal)) <= 1e-12
+        assert report.homogeneity == h
+        for idx, got in zip(subsets, shared):
+            assert_same_report(got, metrics.metric_report(pts[idx]))
+            assert abs(got.homogeneity - metrics.homogeneity(normal[idx])) <= 1e-12
