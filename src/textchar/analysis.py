@@ -161,48 +161,70 @@ def average_reports(
                             homogeneity=hom, homogeneity_skipped=skipped)
 
 
-def _class_sizes(sizes: dict[tuple[str, str], int]) -> dict[str, int]:
-    """Points per class, from the size of each (label, layer) group.
-
-    Every layer of a class must hold the same number of points, since the
-    class weight in the final average is the class size.
-    """
-    if not sizes:
-        raise ValueError("no groups to profile")
-    class_sizes: dict[str, int] = {}
-    for (label, layer), m in sizes.items():
-        if label in class_sizes and class_sizes[label] != m:
-            raise InconsistentClassSize(
-                f"class {label!r} has {m} points in layer {layer!r} but "
-                f"{class_sizes[label]} elsewhere"
-            )
-        class_sizes.setdefault(label, m)
-    return class_sizes
-
-
-def _cap_rows(m: int, cap: int | None, seed: int, index: int) -> np.ndarray:
-    """Rows of an ``m``-point group on which homogeneity is computed: all of
-    them, or a draw of ``cap`` seeded by the group's position ``index``."""
-    if cap is None or m <= cap or m < 3:
-        return np.arange(m)
-    return _sorted_draw(np.random.default_rng(np.random.SeedSequence([seed, index])),
-                        m, cap)
-
-
 def _profile(per_group: dict[tuple[str, str], MetricReport],
              class_sizes: dict[str, int], cap: int | None) -> DatasetProfile:
     """Average layer reports per class, then classes weighted by size."""
-    per_class: dict[str, AggregateMetrics] = {}
-    for label in class_sizes:
-        layer_reports = [(layer, rep) for (lb, layer), rep in per_group.items()
-                         if lb == label]
-        per_class[label] = average_reports(layer_reports)
+    layer_reports: dict[str, list[tuple[str, MetricReport]]] = {
+        label: [] for label in class_sizes}
+    for (label, layer), rep in per_group.items():
+        layer_reports[label].append((layer, rep))
+    per_class = {label: average_reports(reports)
+                 for label, reports in layer_reports.items()}
 
     total = sum(class_sizes.values())
     final = average_reports(list(per_class.items()),
                             [class_sizes[label] / total for label in per_class])
     return DatasetProfile(per_group=per_group, per_class=per_class, final=final,
                           class_sizes=class_sizes, homogeneity_cap=cap)
+
+
+class _Plan(NamedTuple):
+    class_sizes: dict[str, int]
+    # Per (label, layer) group, in profile order: its rows and its
+    # homogeneity rows, as positions within the whole group.
+    groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+
+def _plan(kept: dict[tuple[str, str], np.ndarray], cap: int | None,
+          seed: int) -> _Plan:
+    """Plan the profile of the ``kept`` rows of each (label, layer) group,
+    listed in profile order. Every layer of a class must keep as many rows,
+    and a group of more than ``cap`` rows (and at least 3) gets its
+    homogeneity rows from ``SeedSequence([seed, g])``, ``g`` being its
+    position in ``kept``; both checks and draws precede every report."""
+    if not kept:
+        raise ValueError("no groups to profile")
+    class_sizes: dict[str, int] = {}
+    for (label, layer), rows in kept.items():
+        if class_sizes.setdefault(label, len(rows)) != len(rows):
+            raise InconsistentClassSize(
+                f"class {label!r} has {len(rows)} points in layer {layer!r} but "
+                f"{class_sizes[label]} elsewhere")
+    groups = {}
+    for g, (key, rows) in enumerate(kept.items()):
+        if cap is not None and len(rows) > max(cap, 2):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, g]))
+            groups[key] = rows, rows[_sorted_draw(rng, len(rows), cap)]
+        else:
+            groups[key] = rows, rows
+    return _Plan(class_sizes, groups)
+
+
+def _profiles(plans: list[_Plan], cluster, cap: int | None) -> list[DatasetProfile]:
+    """The profile of each plan, with one ``metric_reports`` call per group.
+
+    ``cluster(key)`` gives a group's whole matrix; it is asked for once, so
+    one pairwise pass serves the group in every plan that holds it, and only
+    that group's rows are held while its reports are made.
+    """
+    reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
+    for key in dict.fromkeys(key for plan in plans for key in plan.groups):
+        at = [i for i, plan in enumerate(plans) if key in plan.groups]
+        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
+        reports.update(zip([(i, key) for i in at], metric_reports(
+            cluster(key), subsets, homogeneity_subsets=hom_subsets)))
+    return [_profile({key: reports[i, key] for key in plan.groups},
+                     plan.class_sizes, cap) for i, plan in enumerate(plans)]
 
 
 def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
@@ -216,15 +238,9 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
     drawn with ``SeedSequence([seed, index])``, ``index`` being the group's
     position in ``groups``.
     """
-    class_sizes = _class_sizes({key: cluster.shape[0]
-                                for key, cluster in groups.items()})
-    per_group: dict[tuple[str, str], MetricReport] = {}
-    for index, (key, cluster) in enumerate(groups.items()):
-        m = cluster.shape[0]
-        (per_group[key],) = metric_reports(
-            cluster, [np.arange(m)],
-            homogeneity_subsets=[_cap_rows(m, homogeneity_cap, seed, index)])
-    return _profile(per_group, class_sizes, homogeneity_cap)
+    plan = _plan({key: np.arange(cluster.shape[0]) for key, cluster in groups.items()},
+                 homogeneity_cap, seed)
+    return _profiles([plan], groups.__getitem__, homogeneity_cap)[0]
 
 
 def _sample_units(units: np.ndarray, fraction: float, rng, what: str) -> np.ndarray:
@@ -251,15 +267,6 @@ def _kept_units(units_by_class: dict[str, np.ndarray], pooled: np.ndarray,
     return kept
 
 
-class _FractionPlan(NamedTuple):
-    fraction: float
-    size: int
-    class_sizes: dict[str, int]
-    # Per (label, layer) group, in order of its first kept row: the kept rows
-    # and the homogeneity rows, as positions within the whole group.
-    groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
-
-
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
                      stratified: bool = True,
                      homogeneity_cap: int | None = None) -> SweepTable:
@@ -269,16 +276,18 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     at several layers is kept or dropped as a whole and layer sizes stay
     consistent. Stratified mode (the default) samples within each class to
     preserve class proportions; the global mode samples the pooled units.
-    Fraction 1.0 keeps every unit.
 
-    Every fraction is planned first, with the draws ``profile_dataset``
-    would make on it: units from ``SeedSequence([seed, i])`` for fraction
-    ``i``, and each capped group's homogeneity rows from
+    Every fraction is planned first. Fraction 1.0 keeps every unit without
+    a draw; any other fraction ``i`` draws its units from
+    ``SeedSequence([seed, i])``, class by class or from the pooled units in
+    class order. Its kept (label, layer) groups are listed in order of
+    their first kept row, and a group of more than ``homogeneity_cap`` rows
+    gets its homogeneity from ``homogeneity_cap`` of them, drawn with
     ``SeedSequence([seed, g])``, ``g`` being the group's position in that
-    fraction's group order. Then each (label, layer) group gets one
-    ``metric_reports`` call, so one pairwise pass serves it at every
-    fraction, and each fraction's reports are averaged as in
-    ``profile_dataset``.
+    list. Then each group gets one ``metric_reports`` call, so one pairwise
+    pass serves it at every fraction, and only that group's rows are copied
+    while it is reported on. Each fraction's reports are averaged over the
+    layers of each class, then over classes weighted by class size.
     """
     fractions = [float(f) for f in fractions]
     if not fractions:
@@ -308,41 +317,29 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     row_units = np.array(row_units, dtype=np.intp)
     group_units = {key: row_units[rows] for key, rows in group_rows.items()}
 
-    plans: list[_FractionPlan] = []
+    plans: list[_Plan] = []
+    sizes = []
     for index, fraction in enumerate(fractions):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        kept_units = _kept_units(units_by_class, pooled, fraction, rng, stratified)
-        kept = {}
-        for key, units in group_units.items():
-            idx = np.flatnonzero(kept_units[units])
-            if len(idx):
-                kept[key] = idx
+        if fraction == 1.0:
+            kept_units = np.ones(len(pooled), dtype=bool)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            kept_units = _kept_units(units_by_class, pooled, fraction, rng, stratified)
+        kept = {key: np.flatnonzero(kept_units[units])
+                for key, units in group_units.items()}
         # Groups in order of their first kept row, as grouping the kept rows
         # in record order would list them.
-        order = sorted(kept, key=lambda key: group_rows[key][kept[key][0]])
-        class_sizes = _class_sizes({key: len(kept[key]) for key in order})
-        groups = {}
-        for g, key in enumerate(order):
-            idx = kept[key]
-            groups[key] = idx, idx[_cap_rows(len(idx), homogeneity_cap, seed, g)]
-        plans.append(_FractionPlan(fraction, int(kept_units.sum()), class_sizes, groups))
+        order = sorted((key for key, idx in kept.items() if len(idx)),
+                       key=lambda key: group_rows[key][kept[key][0]])
+        plans.append(_plan({key: kept[key] for key in order}, homogeneity_cap, seed))
+        sizes.append(int(kept_units.sum()))
 
-    reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
-    for key, rows in group_rows.items():
-        at = [i for i, plan in enumerate(plans) if key in plan.groups]
-        if not at:
-            continue
-        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
-        reports.update(zip([(i, key) for i in at], metric_reports(
-            embeddings.vectors[rows], subsets, homogeneity_subsets=hom_subsets)))
-
-    sweep_rows: list[SweepRow] = []
-    for i, plan in enumerate(plans):
-        profile = _profile({key: reports[i, key] for key in plan.groups},
-                           plan.class_sizes, homogeneity_cap)
-        sweep_rows.append(SweepRow(fraction=plan.fraction, size=plan.size,
-                                   final=profile.final, profile=profile))
-    return SweepTable(rows=sweep_rows, seed=seed)
+    profiles = _profiles(plans, lambda key: embeddings.vectors[group_rows[key]],
+                         homogeneity_cap)
+    return SweepTable(rows=[SweepRow(fraction=fraction, size=size, final=profile.final,
+                                     profile=profile)
+                            for fraction, size, profile in zip(fractions, sizes, profiles)],
+                      seed=seed)
 
 
 def pearson(x, y) -> float:

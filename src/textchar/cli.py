@@ -105,17 +105,15 @@ def _parse_fractions(raw: str) -> list[float]:
 
 
 def cmd_profile(args) -> int:
+    # Without --fractions, the profile is the sweep's one row at fraction 1.0.
     _require_inputs(args.input)
     embeddings = io.read_vectors(args.input, args.format)
+    fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
+    sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
+                                      homogeneity_cap=args.cap)
     if args.fractions is None:
-        profile = analysis.profile_dataset(
-            io.group_by_label(embeddings),
-            homogeneity_cap=args.cap, seed=args.seed)
-        doc = {"kind": "profile", **profile.to_dict()}
+        doc = {"kind": "profile", **sweep.rows[0].profile.to_dict()}
     else:
-        sweep = analysis.downsample_sweep(
-            embeddings, _parse_fractions(args.fractions), seed=args.seed,
-            homogeneity_cap=args.cap)
         doc = {
             "kind": "sweep",
             "seed": sweep.seed,

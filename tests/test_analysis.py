@@ -1,8 +1,13 @@
 import dataclasses
+import gc
+import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SNIPS_REFERENCE, SST2_REFERENCE, assert_same_report
 from textchar import analysis, io
@@ -157,14 +162,48 @@ def test_profile_requires_groups():
         analysis.profile_dataset({})
 
 
+def test_profile_aggregation_grows_linearly_in_the_class_count():
+    # Eight times the one-group classes must cost about eight times as much,
+    # not 64 (a scan of every group per class). A ratio rather than a time,
+    # best of three runs with the garbage collector off, so that neither
+    # the speed of the machine nor a collection decides it.
+    def seconds(n):
+        per_group = {(f"c{i}", "L1"): fake_report() for i in range(n)}
+        class_sizes = {f"c{i}": 1 for i in range(n)}
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            analysis._profile(per_group, class_sizes, None)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    gc.disable()
+    try:
+        assert seconds(16000) < 24 * seconds(2000)
+    finally:
+        gc.enable()
+
+
 # --- downsample_sweep -----------------------------------------------------
 
-def test_sweep_full_fraction_matches_direct_profile():
-    emb = two_class_embeddings(np.random.default_rng(6))
-    sweep = analysis.downsample_sweep(emb, [1.0], seed=3)
-    direct = analysis.profile_dataset(io.group_by_label(emb), seed=3)
-    assert sweep.rows[0].final.to_dict() == direct.final.to_dict()
-    assert sweep.rows[0].size == 40
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       layers=st.integers(1, 2), cap=st.sampled_from([None, 3, 7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
+    # Fraction 1.0 of a sweep is the profile of the grouped collection: the
+    # same groups in the same order, the same cap draws, the same document.
+    rng = np.random.default_rng(seed)
+    keys = [(f"t{c}-{i}", f"class{c}", f"L{layer}") for c, n in enumerate(sizes)
+            for i in range(n) for layer in range(layers)]
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    ids, labels, layer_tags = (list(column) for column in zip(*keys))
+    emb = io.LabeledEmbeddings(rng.normal(size=(len(keys), 3)), ids, labels, layer_tags)
+    sweep = analysis.downsample_sweep(emb, [1.0], seed=seed, homogeneity_cap=cap)
+    direct = analysis.profile_dataset(io.group_by_label(emb), homogeneity_cap=cap,
+                                      seed=seed)
+    assert json.dumps(sweep.rows[0].profile.to_dict()) == json.dumps(direct.to_dict())
+    assert sweep.rows[0].size == sum(sizes)
 
 
 def test_sweep_sizes_track_fractions():

@@ -135,6 +135,21 @@ def test_profile_fraction_sweep(tmp_path):
     assert [row["size"] for row in doc["rows"]] == [20, 10]
 
 
+@pytest.mark.parametrize("cap", [None, "3"])
+def test_profile_is_the_one_fraction_sweep(tmp_path, cap):
+    src = tmp_path / "vecs.jsonl"
+    write_two_class_jsonl(src)
+    profile, sweep = tmp_path / "profile.json", tmp_path / "sweep.json"
+    common = ["profile", "--input", str(src), "--format", "jsonl", "--seed", "5"]
+    common += [] if cap is None else ["--cap", cap]
+    assert run(common + ["--out", str(profile)]) == 0
+    assert run(common + ["--fractions", "1.0", "--out", str(sweep)]) == 0
+    row = json.loads(sweep.read_text())["rows"][0]
+    assert profile.read_text() == json.dumps({"kind": "profile", **row["profile"]},
+                                             indent=2) + "\n"
+    assert row["profile"]["homogeneity_cap"] == (None if cap is None else int(cap))
+
+
 def test_profile_parse_error_names_line(tmp_path, capsys):
     src = tmp_path / "broken.jsonl"
     src.write_text('{"label": "a", "vector": [1.0]}\n'

@@ -8,7 +8,9 @@ csv rows with a cell missing or one too many, and repeated header names.
 ``--spacing``. Whatever the input, ``cli.main`` must exit 0, 1 or 2; exit 1
 prints exactly one ``textchar: error:`` line on stderr; no exception or
 warning escapes (pytest turns warnings into errors); and a failed run leaves
-no output file behind.
+no output file behind. ``profile`` without ``--fractions`` must also fail
+with the line, or succeed with the document, that the grouped profile
+``profile_dataset(group_by_label(...))`` gives on the same file.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textchar import cli
+from textchar import analysis, cli
 from textchar import io as textchar_io
+from textchar.errors import TextcharError
 
 HUGE_INT = "1" + "0" * 399  # 400 digits: beyond the float64 range
 
@@ -105,7 +108,7 @@ def _mutate(data, text: str, structured) -> str:
     return _mutate_lines(data, text)
 
 
-def _run(argv: list[str], outputs: list[Path]) -> None:
+def _run(argv: list[str], outputs: list[Path]) -> tuple[int, list[str]]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -120,17 +123,21 @@ def _run(argv: list[str], outputs: list[Path]) -> None:
         assert len(err) == 1 and err[0].startswith("textchar: error: "), err
     if code != 0:
         assert not any(path.exists() for path in outputs), argv
+    return code, err
 
 
-def _collection(scale: float) -> textchar_io.LabeledEmbeddings:
-    """Two classes of 3 ids at two layers in 3 dimensions, axis 1 scaled."""
+def _collection(scale: float, records: str) -> textchar_io.LabeledEmbeddings:
+    """Two classes of 3 ids at two layers in 3 dimensions, axis 1 scaled.
+    ``records`` is "all", "none" (an empty collection) or "short" (class
+    "pos" lacks the record of one id at layer "l1")."""
     rng = np.random.default_rng(101)
     keys = [(label, f"{label}{i}", layer) for label in ("pos", "neg")
             for i in range(3) for layer in ("l0", "l1")]
-    labels, ids, layers = (list(column) for column in zip(*keys))
     vectors = rng.normal(size=(len(keys), 3))
     vectors[:, 1] *= scale
-    return textchar_io.LabeledEmbeddings(vectors, ids, labels, layers)
+    rows = [i for i in range(len(keys)) if records == "all" or records == "short" and i != 1]
+    labels, ids, layers = ([keys[i][k] for i in rows] for k in range(3))
+    return textchar_io.LabeledEmbeddings(vectors[rows], ids, labels, layers)
 
 
 @MUTATION
@@ -154,17 +161,24 @@ def test_simulate_on_odd_flags(scenario, dims, points, seed, radius, spacing, ch
 
 @MUTATION
 @given(data=st.data(), fmt=st.sampled_from(["jsonl", "csv", "binary"]),
-       scale=st.sampled_from([1.0, 1e160, 1e300, 1e-300, 0.0]), mutate=st.booleans(),
+       scale=st.sampled_from([1.0, 1e160, 1e300, 1e-300, 0.0]),
+       records=st.sampled_from(["all", "none", "short"]), mutate=st.booleans(),
        fractions=st.sampled_from([None, "1.0,0.5", "0.5", "1.0,0.5,0.25", "0.5,1.0",
                                   "nan", "1e400", "0", ",", "x"]),
        cap=st.sampled_from([None, "3", "4", "5", "2", "x"]),
        seed=st.sampled_from(["0", "7", "11", "-1"]))
-def test_profile_on_mutated_files(data, fmt, scale, mutate, fractions, cap, seed):
+@example(data=None, fmt="jsonl", scale=1.0, records="none", mutate=False,
+         fractions=None, cap=None, seed="0")
+@example(data=None, fmt="csv", scale=1.0, records="short", mutate=False,
+         fractions=None, cap="3", seed="7")
+def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, cap,
+                                  seed):
     # Unmutated files too: valid collections with one axis near the ends of
     # the float64 range, or constant, must profile without a warning.
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
-        textchar_io.write_vectors(_collection(scale), src, fmt)
+        textchar_io.write_vectors(_collection(scale, records), src, fmt)
+        mutate = mutate and records != "none"  # no line to break
         if mutate and fmt == "binary":
             sidecar = Path(str(src) + ".meta.jsonl")
             if data.draw(st.booleans()):
@@ -181,7 +195,18 @@ def test_profile_on_mutated_files(data, fmt, scale, mutate, fractions, cap, seed
             argv.append(f"--fractions={fractions}")
         if cap is not None:
             argv.append(f"--cap={cap}")
-        _run(argv, [out])
+        code, err = _run(argv, [out])
+        if fractions is not None or code == 2:
+            return
+        try:
+            profile = analysis.profile_dataset(
+                textchar_io.group_by_label(textchar_io.read_vectors(src, fmt)),
+                homogeneity_cap=None if cap is None else int(cap), seed=int(seed))
+        except (TextcharError, OSError, ValueError, RuntimeError, KeyError) as exc:
+            assert err == [f"textchar: error: {str(exc) or type(exc).__name__}"]
+        else:
+            assert out.read_text() == json.dumps({"kind": "profile", **profile.to_dict()},
+                                                 indent=2) + "\n"
 
 
 @MUTATION
