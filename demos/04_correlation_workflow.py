@@ -39,18 +39,19 @@ def main():
     fractions = (1.0, 0.8, 0.6, 0.4, 0.2)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=9)
 
-    # Synthetic scores: one genuinely tied to the sample size, one pure
-    # noise, so the contrast shows up in r.
+    # Synthetic scores per fraction: one genuinely tied to the sample size,
+    # one pure noise, so the contrast shows up in r.
     rng = np.random.default_rng(77)
-    for row in sweep.rows:
-        row.scores = {
-            "accuracy": 0.7 + 0.25 * row.fraction + rng.normal(0.0, 0.005),
+    scores = {}
+    for fraction in fractions:
+        scores[fraction] = {
+            "accuracy": 0.7 + 0.25 * fraction + rng.normal(0.0, 0.005),
             "noise": float(rng.uniform()),
         }
 
-    report = analysis.correlation_report(sweep, ("accuracy", "noise"))
+    entries = analysis.correlation_report(sweep, ("accuracy", "noise"), scores)
     print(f"{'metric':>12} {'score':>9} {'r':>8}  n  note")
-    for entry in report.entries:
+    for entry in entries:
         r = "" if entry.r is None else f"{entry.r:+.3f}"
         print(f"{entry.metric:>12} {entry.score:>9} {r:>8} {entry.n:>2}  "
               f"{entry.error or ''}")
@@ -65,7 +66,7 @@ def main():
                  for row in sweep.rows]}))
     scores_path = OUT_DIR / "scores.csv"
     scores_path.write_text("fraction,accuracy\n" + "".join(
-        f"{row.fraction},{row.scores['accuracy']}\n" for row in sweep.rows))
+        f"{fraction},{scores[fraction]['accuracy']}\n" for fraction in fractions))
     corr_path = OUT_DIR / "correlations.csv"
     subprocess.run(
         [sys.executable, "-m", "textchar.cli", "correlate",

@@ -12,7 +12,6 @@ correlation, and a small CLI.
 from .analysis import (
     AggregateMetrics,
     CorrelationEntry,
-    CorrelationReport,
     DatasetProfile,
     SweepRow,
     SweepTable,
@@ -77,7 +76,6 @@ __all__ = [
     "BlobSpec",
     "ClusterStats",
     "CorrelationEntry",
-    "CorrelationReport",
     "DatasetProfile",
     "DegenerateCluster",
     "DegenerateInput",

@@ -10,7 +10,7 @@ values to externally supplied model scores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AggregateMetrics",
     "CorrelationEntry",
-    "CorrelationReport",
     "DatasetProfile",
     "METRIC_NAMES",
     "SweepRow",
@@ -104,16 +103,12 @@ class SweepRow:
     size: int
     final: AggregateMetrics
     profile: DatasetProfile | None = None
-    scores: dict[str, float] | None = None
 
 
 @dataclass(eq=False)
 class SweepTable:
     rows: list[SweepRow]
     seed: int | None = None
-
-    def fractions(self) -> list[float]:
-        return [row.fraction for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,6 @@ class CorrelationEntry:
     r: float | None
     n: int
     error: str | None = None
-
-
-@dataclass(eq=False)
-class CorrelationReport:
-    entries: list[CorrelationEntry] = field(default_factory=list)
 
 
 def average_reports(
@@ -243,46 +233,34 @@ def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
     return _profiles([plan], groups.__getitem__, homogeneity_cap)[0]
 
 
-def _sample_units(units: np.ndarray, fraction: float, rng, what: str) -> np.ndarray:
-    try:
-        return units[_sample_rows(len(units), fraction, rng)]
-    except EmptyResult:
-        raise EmptyClass(f"{what} has no members left at fraction {fraction}") from None
-
-
-def _kept_units(units_by_class: dict[str, np.ndarray], pooled: np.ndarray,
-                fraction: float, rng, stratified: bool) -> np.ndarray:
-    """Mask of the units kept at ``fraction``, drawn class by class or from
-    the ``pooled`` units (in class order)."""
-    kept = np.zeros(len(pooled), dtype=bool)
-    if stratified:
-        for label, units in units_by_class.items():
-            kept[_sample_units(units, fraction, rng, f"class {label!r}")] = True
-    else:
-        kept[_sample_units(pooled, fraction, rng, "the collection")] = True
-        for label, units in units_by_class.items():
-            if not kept[units].any():
-                raise EmptyClass(
-                    f"class {label!r} has no members left at fraction {fraction}")
+def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
+                fraction: float, rng) -> np.ndarray:
+    """Mask of the ``count`` units kept at ``fraction``, drawn class by class."""
+    kept = np.zeros(count, dtype=bool)
+    for label, units in units_by_class.items():
+        try:
+            kept[units[_sample_rows(len(units), fraction, rng)]] = True
+        except EmptyResult:
+            raise EmptyClass(
+                f"class {label!r} has no members left at fraction {fraction}") from None
     return kept
 
 
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
-                     stratified: bool = True,
                      homogeneity_cap: int | None = None) -> SweepTable:
     """Profile the collection at each fraction of its sampling units.
 
     The sampling unit is the distinct (label, id) pair, so a text embedded
     at several layers is kept or dropped as a whole and layer sizes stay
-    consistent. Stratified mode (the default) samples within each class to
-    preserve class proportions; the global mode samples the pooled units.
+    consistent. Units are sampled within each class, which preserves the
+    class proportions.
 
     Every fraction is planned first. Fraction 1.0 keeps every unit without
     a draw; any other fraction ``i`` draws its units from
-    ``SeedSequence([seed, i])``, class by class or from the pooled units in
-    class order. Its kept (label, layer) groups are listed in order of
-    their first kept row, and a group of more than ``homogeneity_cap`` rows
-    gets its homogeneity from ``homogeneity_cap`` of them, drawn with
+    ``SeedSequence([seed, i])``, class by class. Its kept (label, layer)
+    groups are listed in order of their first kept row, and a group of more
+    than ``homogeneity_cap`` rows gets its homogeneity from
+    ``homogeneity_cap`` of them, drawn with
     ``SeedSequence([seed, g])``, ``g`` being the group's position in that
     list. Then each group gets one ``metric_reports`` call, so one pairwise
     pass serves it at every fraction, and only that group's rows are copied
@@ -312,8 +290,6 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         row_units.append(unit)
         group_rows.setdefault((label, layer), []).append(row)
     units_by_class = {label: np.array(units) for label, units in class_units.items()}
-    pooled = np.array([unit for units in class_units.values() for unit in units],
-                      dtype=np.intp)
     row_units = np.array(row_units, dtype=np.intp)
     group_units = {key: row_units[rows] for key, rows in group_rows.items()}
 
@@ -321,10 +297,10 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     sizes = []
     for index, fraction in enumerate(fractions):
         if fraction == 1.0:
-            kept_units = np.ones(len(pooled), dtype=bool)
+            kept_units = np.ones(len(unit_numbers), dtype=bool)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            kept_units = _kept_units(units_by_class, pooled, fraction, rng, stratified)
+            kept_units = _kept_units(units_by_class, len(unit_numbers), fraction, rng)
         kept = {key: np.flatnonzero(kept_units[units])
                 for key, units in group_units.items()}
         # Groups in order of their first kept row, as grouping the kept rows
@@ -368,34 +344,35 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlation_report(sweep: SweepTable, score_names) -> CorrelationReport:
+def correlation_report(sweep: SweepTable, score_names,
+                       scores: dict[float, dict[str, float]]) -> list[CorrelationEntry]:
     """Correlate each final metric with each named score across sweep rows.
 
-    Rows must carry all named scores. A degenerate pair (constant column,
+    ``scores`` maps each fraction to its scores by name, as ``io.read_scores``
+    returns them. Its fractions must be exactly the sweep's, or ValueError
+    names those that do not join. A degenerate pair (constant column,
     missing homogeneity) is recorded on its entry without aborting the rest.
     """
-    for row in sweep.rows:
-        missing = [name for name in score_names
-                   if row.scores is None or name not in row.scores]
-        if missing:
-            raise DegenerateInput(
-                f"sweep row at fraction {row.fraction} is missing scores: {missing}"
-            )
+    unmatched = sorted({row.fraction for row in sweep.rows}.symmetric_difference(scores))
+    if unmatched:
+        raise ValueError(
+            "fractions do not join: " + ", ".join(format(f, "g") for f in unmatched)
+        )
 
-    report = CorrelationReport()
+    entries = []
     for metric in METRIC_NAMES:
         values = [getattr(row.final, metric) for row in sweep.rows]
         for score in score_names:
-            scores = [row.scores[score] for row in sweep.rows]
+            column = [scores[row.fraction][score] for row in sweep.rows]
             if any(v is None for v in values):
                 entry = CorrelationEntry(metric, score, None, len(values),
                                          error=f"{metric} missing in some rows")
             else:
                 try:
                     entry = CorrelationEntry(metric, score,
-                                             pearson(values, scores), len(values))
+                                             pearson(values, column), len(values))
                 except DegenerateInput as exc:
                     entry = CorrelationEntry(metric, score, None, len(values),
                                              error=f"degenerate: {exc}")
-            report.entries.append(entry)
-    return report
+            entries.append(entry)
+    return entries

@@ -42,11 +42,27 @@ def _num(value) -> str:
     return format(float(value), ".17g")
 
 
+def _int(text: str) -> int:
+    # argparse names a failing type by its function, so spell it as ``int``.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _cap(text: str) -> int:
     # Homogeneity needs at least 3 points, so a smaller cap cannot yield one.
-    value = int(text)
+    value = _int(text)
     if value < 3:
         raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    # numpy's SeedSequence takes only non-negative integers.
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -141,19 +157,8 @@ def cmd_correlate(args) -> int:
     _require_inputs(args.metrics, args.scores)
     sweep = io.read_sweep(args.metrics)
     names, table = io.read_scores(args.scores)
-
-    sweep_fracs = set(sweep.fractions())
-    unmatched = sorted(sweep_fracs.symmetric_difference(table))
-    if unmatched:
-        raise ValueError(
-            "fractions do not join: " + ", ".join(format(f, "g") for f in unmatched)
-        )
-    for row in sweep.rows:
-        row.scores = table[row.fraction]
-
-    report = analysis.correlation_report(sweep, names)
     lines = ["metric,score,pearson_r,n,note"]
-    for entry in report.entries:
+    for entry in analysis.correlation_report(sweep, names, table):
         lines.append(",".join([
             entry.metric, entry.score, _num(entry.r), str(entry.n),
             entry.error or "",
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which synthetic sweep to run")
     sim.add_argument("--dims", required=True, type=int,
                      help="dimensionality of the synthetic points")
-    sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sim.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     sim.add_argument("--points", type=int, default=10_000,
                      help="points in the base cluster (default 10000)")
     sim.add_argument("--out", default=None,
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="input file format")
     prof.add_argument("--fractions", default=None,
                       help="comma-separated down-sampling fractions, e.g. 1.0,0.5")
-    prof.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    prof.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     prof.add_argument("--cap", type=_cap, default=None,
                       help="subsample classes larger than this for homogeneity")
     prof.add_argument("--out", default=None,

@@ -157,18 +157,18 @@ def diversity(stats: ClusterStats) -> float:
     return float(np.exp(np.mean(np.log(stds))))
 
 
-def density(stats: ClusterStats, std_floor: float = DEFAULT_STD_FLOOR) -> DensityResult:
+def density(stats: ClusterStats) -> DensityResult:
     """Sample count over the dimension-normalized volume.
 
     ``density = m / (prod sigma_j') ** (1 / sqrt(H))`` with
-    ``sigma_j' = max(sigma_j, std_floor)``. Evaluated in log space so that
-    768-dimensional products neither overflow nor underflow. ``floored_axes``
-    reports how many axes hit the floor. Beyond the float64 range, as when
-    every axis of a wide cluster is floored, ``value`` is inf.
+    ``sigma_j' = max(sigma_j, DEFAULT_STD_FLOOR)``. Evaluated in log space so
+    that 768-dimensional products neither overflow nor underflow.
+    ``floored_axes`` reports how many axes hit the floor. Beyond the float64
+    range, as when every axis of a wide cluster is floored, ``value`` is inf.
     """
     stds = np.asarray(stats.stds, dtype=np.float64)
-    floored = int(np.count_nonzero(stds < std_floor))
-    clamped = np.maximum(stds, std_floor)
+    floored = int(np.count_nonzero(stds < DEFAULT_STD_FLOOR))
+    clamped = np.maximum(stds, DEFAULT_STD_FLOOR)
     dim = stds.shape[0]
     log_value = math.log(stats.count) - np.sum(np.log(clamped)) / math.sqrt(dim)
     with np.errstate(over="ignore"):
@@ -384,18 +384,24 @@ def homogeneity(cluster) -> float:
         _whole_chain(cluster, 3, "homogeneity needs at least 3 points, got {m}"))
 
 
-def _reports(arr: np.ndarray, rows: list[np.ndarray], hom_rows: list[np.ndarray],
-             std_floor: float) -> list[MetricReport]:
+def _reports(arr: np.ndarray, rows: list[np.ndarray],
+             hom_rows: list[np.ndarray]) -> list[MetricReport]:
     """Report of each validated row subset ``rows[f]`` of a validated
     cluster, homogeneity computed on its subset ``hom_rows[f]``. Every
-    ``MetricReport`` is built here; all homogeneity subsets share one pass."""
+    ``MetricReport`` is built here; all homogeneity subsets share one pass.
+
+    Every subset's axis statistics are computed before that pass, so their
+    numpy work does not run while BLAS worker threads still spin after the
+    pass's last products; the bits are the same in either order.
+    """
+    # The whole cluster goes in as the array itself: numpy's axis-0 sums
+    # depend on memory layout, so a C-order copy could change their bits.
+    all_stats = [axis_stats(arr if len(idx) == arr.shape[0] else arr[idx])
+                 for idx in rows]
     chains = iter(_chains(arr, [h for h in hom_rows if len(h) >= 3]))
     reports = []
-    for idx, h in zip(rows, hom_rows):
-        # The whole cluster goes in as the array itself: numpy's axis-0 sums
-        # depend on memory layout, so a C-order copy could change their bits.
-        stats = axis_stats(arr if len(idx) == arr.shape[0] else arr[idx])
-        den = density(stats, std_floor=std_floor)
+    for idx, h, stats in zip(rows, hom_rows, all_stats):
+        den = density(stats)
         chain = (next(chains) if len(h) >= 3
                  else TooFewSamples(f"fewer than 3 samples (m={len(h)})"))
         defined = isinstance(chain, MarkovChainSummary)
@@ -417,7 +423,7 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray], hom_rows: list[np.ndarray]
     return reports
 
 
-def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport:
+def metric_report(cluster) -> MetricReport:
     """Bundle diversity, density, and homogeneity for one cluster.
 
     The whole-cluster case of ``metric_reports``: it equals
@@ -427,7 +433,7 @@ def metric_report(cluster, std_floor: float = DEFAULT_STD_FLOOR) -> MetricReport
     """
     arr = as_cluster(cluster)
     whole = [np.arange(arr.shape[0])]
-    return _reports(arr, whole, whole, std_floor)[0]
+    return _reports(arr, whole, whole)[0]
 
 
 def _row_subset(subset, m: int) -> np.ndarray:
@@ -443,17 +449,26 @@ def _row_subset(subset, m: int) -> np.ndarray:
     )
 
 
-def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
-                   homogeneity_subsets=None) -> list[MetricReport]:
+def metric_reports(cluster, subsets, homogeneity_subsets=None) -> list[MetricReport]:
     """One metric report per row subset of a cluster, from one pairwise pass.
 
     Each subset is a strictly increasing integer array of row indices;
     anything else raises ValueError. Report ``f`` matches
     ``metric_report(cluster[subsets[f]])``: diversity, density and
-    degenerate axes bitwise, homogeneity up to roundoff, because the shared
-    pass centers (and may scale) all the rows it covers at once and sums
-    each subset in another order; a subset of every row gives
-    ``metric_report(cluster)`` bitwise. Like ``metric_report`` it never raises for a degenerate subset.
+    degenerate axes bitwise; a subset of every row gives
+    ``metric_report(cluster)`` bitwise. Like ``metric_report`` it never
+    raises for a degenerate subset.
+
+    Homogeneity agrees only as far as the shared pass allows. That pass
+    centers (and may scale) all the rows it covers at once and sums each
+    subset in another order, which usually moves only the last digits. But
+    a row far from a subset, held only by another subset, shifts the common
+    center, and the subset's own distances are then lost to cancellation in
+    the squared-distance expansion. With 20 x 768 points from
+    ``default_rng(0).normal`` and row 19's first coordinate set to 1e12, the
+    subset of rows 0-18 gets homogeneity 0.6423 here against 0.9967 from
+    ``metric_report``. Exact distances for such entries are an open item
+    (ROADMAP item 3).
 
     ``homogeneity_subsets``, when given, holds one strictly increasing
     subset of each row subset (anything else raises ValueError), and
@@ -465,9 +480,9 @@ def metric_reports(cluster, subsets, std_floor: float = DEFAULT_STD_FLOOR,
     arr = as_cluster(cluster)
     rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
     if homogeneity_subsets is None:
-        return _reports(arr, rows, rows, std_floor)
+        return _reports(arr, rows, rows)
     hom_rows = [_row_subset(subset, arr.shape[0]) for subset in homogeneity_subsets]
     if (len(hom_rows) != len(rows)
             or not all(np.isin(h, idx).all() for h, idx in zip(hom_rows, rows))):
         raise ValueError("homogeneity_subsets must hold one subset of each row subset")
-    return _reports(arr, rows, hom_rows, std_floor)
+    return _reports(arr, rows, hom_rows)

@@ -21,7 +21,7 @@ change to this mapping is a breaking change of the artifact version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class BlobSpec:
     count: int
     dim: int
     std: float = 1.0
-    center: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -112,17 +111,13 @@ class ScenarioRow:
 @dataclass(frozen=True)
 class ScenarioResult:
     spec: ScenarioSpec
-    seed: int
-    rows: tuple[ScenarioRow, ...] = field(default_factory=tuple)
+    rows: tuple[ScenarioRow, ...]
 
 
 def gaussian_blob(spec: BlobSpec) -> np.ndarray:
     """Sample the blob described by ``spec``; bitwise deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    points = rng.normal(0.0, spec.std, size=(spec.count, spec.dim))
-    if spec.center:
-        points += spec.center
-    return points
+    return rng.normal(0.0, spec.std, size=(spec.count, spec.dim))
 
 
 def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
@@ -280,8 +275,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """
     base_points = gaussian_blob(spec.base)
     if spec.kind == "down_sampling":
-        return ScenarioResult(spec=spec, seed=spec.base.seed,
-                              rows=tuple(_down_sampling_rows(spec, base_points)))
+        return ScenarioResult(spec, tuple(_down_sampling_rows(spec, base_points)))
     rows = []
     for index, value in enumerate(spec.sweep):
         try:
@@ -291,4 +285,4 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         except Exception as exc:  # noqa: BLE001 - row-level error capture
             rows.append(ScenarioRow(parameter=float(value), report=None,
                                     error=str(exc)))
-    return ScenarioResult(spec=spec, seed=spec.base.seed, rows=tuple(rows))
+    return ScenarioResult(spec, tuple(rows))

@@ -243,30 +243,15 @@ def test_sweep_is_deterministic_per_seed():
     assert a.rows[0].final.to_dict() != c.rows[0].final.to_dict()
 
 
-def test_sweep_global_mode_skips_stratification():
-    emb = two_class_embeddings(np.random.default_rng(11), n_per_class=30)
-    stratified = analysis.downsample_sweep(emb, [0.5], seed=7)
-    pooled = analysis.downsample_sweep(emb, [0.5], seed=7, stratified=False)
-    assert stratified.rows[0].profile.class_sizes == {"pos": 15, "neg": 15}
-    sizes = pooled.rows[0].profile.class_sizes
-    assert sum(sizes.values()) == 30  # total is exact, split may wobble
-
-
 def test_sweep_raises_when_class_empties():
     emb = two_class_embeddings(np.random.default_rng(12), n_per_class=2)
     with pytest.raises(EmptyClass):
         analysis.downsample_sweep(emb, [0.1], seed=0)
-    # The global mode draws 3 of 31 pooled units and misses the lone "b".
-    ids = [f"a{i}" for i in range(30)] + ["b0"]
-    lone = io.LabeledEmbeddings(np.random.default_rng(12).normal(size=(31, 2)), ids,
-                                ["a"] * 30 + ["b"], ["L1"] * 31)
-    with pytest.raises(EmptyClass, match="class 'b' has no members left at fraction 0.1"):
-        analysis.downsample_sweep(lone, [0.1], seed=0, stratified=False)
 
 
-def _reference_sweep(emb, fractions, seed, stratified, cap):
+def _reference_sweep(emb, fractions, seed, cap):
     # One profile per fraction, drawn with the documented RNG calls: units
-    # from SeedSequence([seed, i]) class by class (or pooled), then each
+    # from SeedSequence([seed, i]) class by class, then each
     # group, in order of its first kept row, reported by metric_report on
     # its rows, with homogeneity from a draw of cap rows seeded by the
     # group's position when the group is larger than cap.
@@ -278,18 +263,12 @@ def _reference_sweep(emb, fractions, seed, stratified, cap):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         if fraction == 1.0:
             chosen = {label: set(ids) for label, ids in units.items()}
-        elif stratified:
+        else:
             chosen = {}
             for label, ids in units.items():
                 ids = list(ids)
                 keep = int(math.floor(fraction * len(ids) + 0.5))
                 chosen[label] = {ids[i] for i in np.sort(rng.choice(len(ids), keep, replace=False))}
-        else:
-            pool = [(label, rec_id) for label, ids in units.items() for rec_id in ids]
-            keep = int(math.floor(fraction * len(pool) + 0.5))
-            chosen = {label: set() for label in units}
-            for i in np.sort(rng.choice(len(pool), keep, replace=False)):
-                chosen[pool[i][0]].add(pool[i][1])
         groups = {}
         for row, (label, rec_id, layer) in enumerate(zip(emb.labels, emb.ids, emb.layers)):
             if rec_id in chosen[label]:
@@ -310,9 +289,8 @@ def _reference_sweep(emb, fractions, seed, stratified, cap):
     return expected
 
 
-@pytest.mark.parametrize("stratified", [True, False])
 @pytest.mark.parametrize("cap", [None, 7])
-def test_sweep_matches_per_fraction_reports(stratified, cap):
+def test_sweep_matches_per_fraction_reports(cap):
     # Three classes of 20, 13 and 9 texts at two layers, records shuffled so
     # that the order of the groups changes between fractions, plus a row
     # that repeats another of its group.
@@ -327,9 +305,8 @@ def test_sweep_matches_per_fraction_reports(stratified, cap):
     emb = io.LabeledEmbeddings(vectors, ids, labels, layers)
     fractions = [1.0, 0.6, 0.3]
 
-    sweep = analysis.downsample_sweep(emb, fractions, seed=4, stratified=stratified,
-                                      homogeneity_cap=cap)
-    expected = _reference_sweep(emb, fractions, 4, stratified, cap)
+    sweep = analysis.downsample_sweep(emb, fractions, seed=4, homogeneity_cap=cap)
+    expected = _reference_sweep(emb, fractions, 4, cap)
     orders = [list(row.profile.per_group) for row in sweep.rows]
     assert any(order != orders[0] for order in orders)
     for row, (size, reports) in zip(sweep.rows, expected):
@@ -409,37 +386,37 @@ def test_pearson_is_clamped():
 
 # --- correlation_report ---------------------------------------------------
 
-def sweep_from_rows(metric_rows):
-    rows = []
-    for fraction, div, den, hom, scores in metric_rows:
+def sweep_and_scores(metric_rows):
+    rows, scores = [], {}
+    for fraction, div, den, hom, row_scores in metric_rows:
         rows.append(analysis.SweepRow(
             fraction=fraction, size=0,
-            final=analysis.AggregateMetrics(div, den, math.log(den), hom),
-            scores=scores))
-    return analysis.SweepTable(rows=rows)
+            final=analysis.AggregateMetrics(div, den, math.log(den), hom)))
+        scores[fraction] = row_scores
+    return analysis.SweepTable(rows=rows), scores
 
 
 def test_correlation_report_cross_product():
-    table = sweep_from_rows([
+    table, scores = sweep_and_scores([
         (1.0, 0.3, 10.0, 0.9, {"acc": 0.95, "f1": 0.91}),
         (0.5, 0.2, 5.0, 0.8, {"acc": 0.90, "f1": 0.88}),
         (0.1, 0.1, 1.0, 0.7, {"acc": 0.85, "f1": 0.80}),
     ])
-    report = analysis.correlation_report(table, ["acc", "f1"])
-    assert len(report.entries) == 6
-    assert {(e.metric, e.score) for e in report.entries} == {
+    entries = analysis.correlation_report(table, ["acc", "f1"], scores)
+    assert len(entries) == 6
+    assert {(e.metric, e.score) for e in entries} == {
         (m, s) for m in ("diversity", "density", "homogeneity")
         for s in ("acc", "f1")}
-    assert all(e.error is None and -1.0 <= e.r <= 1.0 for e in report.entries)
+    assert all(e.error is None and -1.0 <= e.r <= 1.0 for e in entries)
 
 
 def test_correlation_report_flags_degenerate_entries():
-    table = sweep_from_rows([
+    table, scores = sweep_and_scores([
         (1.0, 0.3, 10.0, 0.9, {"acc": 0.95}),
         (0.5, 0.3, 5.0, 0.8, {"acc": 0.90}),  # diversity column constant
     ])
-    report = analysis.correlation_report(table, ["acc"])
-    by_metric = {e.metric: e for e in report.entries}
+    entries = analysis.correlation_report(table, ["acc"], scores)
+    by_metric = {e.metric: e for e in entries}
     assert by_metric["diversity"].r is None
     assert "degenerate" in by_metric["diversity"].error
     assert by_metric["density"].r == pytest.approx(1.0)
@@ -447,19 +424,27 @@ def test_correlation_report_flags_degenerate_entries():
 
 
 def test_correlation_report_handles_missing_homogeneity():
-    table = sweep_from_rows([
+    table, scores = sweep_and_scores([
         (1.0, 0.3, 10.0, None, {"acc": 0.95}),
         (0.5, 0.2, 5.0, 0.8, {"acc": 0.90}),
     ])
-    report = analysis.correlation_report(table, ["acc"])
-    hom = next(e for e in report.entries if e.metric == "homogeneity")
+    entries = analysis.correlation_report(table, ["acc"], scores)
+    hom = next(e for e in entries if e.metric == "homogeneity")
     assert hom.r is None and "missing" in hom.error
 
 
 def test_correlation_report_requires_all_scores():
-    table = sweep_from_rows([
+    # Scores join the sweep by fraction, in sweep row order; a fraction on
+    # one side only, sweep or scores, is named in the error.
+    table, scores = sweep_and_scores([
         (1.0, 0.3, 10.0, 0.9, {"acc": 0.95}),
-        (0.5, 0.2, 5.0, 0.8, None),
+        (0.5, 0.2, 5.0, 0.8, {"acc": 0.90}),
+        (0.25, 0.1, 2.0, 0.7, {"acc": 0.80}),
     ])
-    with pytest.raises(DegenerateInput, match="0.5"):
-        analysis.correlation_report(table, ["acc"])
+    shuffled = {f: scores[f] for f in (0.25, 1.0, 0.5)}
+    assert ([e.r for e in analysis.correlation_report(table, ["acc"], shuffled)]
+            == [e.r for e in analysis.correlation_report(table, ["acc"], scores)])
+    del scores[0.5]
+    scores[0.75] = {"acc": 0.93}
+    with pytest.raises(ValueError, match=r"^fractions do not join: 0\.5, 0\.75$"):
+        analysis.correlation_report(table, ["acc"], scores)

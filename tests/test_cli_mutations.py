@@ -8,9 +8,11 @@ csv rows with a cell missing or one too many, and repeated header names.
 ``--spacing``. Whatever the input, ``cli.main`` must exit 0, 1 or 2; exit 1
 prints exactly one ``textchar: error:`` line on stderr; no exception or
 warning escapes (pytest turns warnings into errors); and a failed run leaves
-no output file behind. ``profile`` without ``--fractions`` must also fail
-with the line, or succeed with the document, that the grouped profile
-``profile_dataset(group_by_label(...))`` gives on the same file.
+no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
+must exit 2 with argparse's line naming the flag. ``profile`` without
+``--fractions`` must also fail with the line, or succeed with the document,
+that the grouped profile ``profile_dataset(group_by_label(...))`` gives on
+the same file.
 """
 
 from __future__ import annotations
@@ -156,7 +158,10 @@ def test_simulate_on_odd_flags(scenario, dims, points, seed, radius, spacing, ch
             argv.append(f"--spacing={spacing}")
         if chart:
             argv += ["--svg", str(chart_path)]
-        _run(argv, [out, chart_path])
+        code, err = _run(argv, [out, chart_path])
+        if seed < 0:
+            assert code == 2 and err[-1].endswith(
+                f"argument --seed: must be >= 0, got {seed}"), err
 
 
 @MUTATION
@@ -196,6 +201,12 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         if cap is not None:
             argv.append(f"--cap={cap}")
         code, err = _run(argv, [out])
+        if seed == "-1":
+            assert code == 2 and err[-1].endswith(
+                "argument --seed: must be >= 0, got -1"), err
+        elif cap == "x":
+            assert code == 2 and err[-1].endswith(
+                "argument --cap: invalid int value: 'x'"), err
         if fractions is not None or code == 2:
             return
         try:

@@ -458,6 +458,25 @@ def test_metric_reports_match_metric_report_per_subset():
             assert_same_report(shared, metrics.metric_report(pts[idx]))
 
 
+def test_metric_reports_compute_every_axis_stats_before_the_pass(monkeypatch):
+    # All numpy work on the subsets precedes the pairwise pass, whose BLAS
+    # threads spin on after its last products.
+    calls = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "axis_stats", record("axis_stats", metrics.axis_stats))
+    monkeypatch.setattr(metrics, "_chains", record("_chains", metrics._chains))
+    pts = np.random.default_rng(59).normal(size=(30, 4))
+    subsets = [np.arange(30), np.arange(0, 30, 2), np.arange(2), np.arange(5, 20)]
+    metrics.metric_reports(pts, subsets)
+    assert calls == ["axis_stats"] * len(subsets) + ["_chains"]
+
+
 def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
     pts = np.random.default_rng(53).normal(size=(12, 3))
     pts[[5, 7]] = pts[2]

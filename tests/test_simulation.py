@@ -21,12 +21,6 @@ def test_blob_sample_statistics():
     assert np.abs(stats.means).max() <= 0.05
 
 
-def test_blob_center_offset():
-    pts = sim.gaussian_blob(sim.BlobSpec(count=5_000, dim=3, std=0.5,
-                                         center=7.0, seed=1))
-    assert np.abs(pts.mean(axis=0) - 7.0).max() <= 0.05
-
-
 def test_blob_diversity_in_768_dims():
     pts = sim.gaussian_blob(sim.BlobSpec(count=10_000, dim=768, std=1.0, seed=42))
     assert diversity(axis_stats(pts)) == pytest.approx(1.0, rel=0.03)
@@ -203,7 +197,6 @@ def test_run_scenario_row_per_sweep_value():
     result = sim.run_scenario(spec)
     assert [row.parameter for row in result.rows] == list(spec.sweep)
     assert all(row.report is not None for row in result.rows)
-    assert result.seed == 7
 
 
 def test_run_scenario_is_deterministic():
