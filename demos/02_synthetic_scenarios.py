@@ -21,9 +21,9 @@ DIM = 2
 SEED = 11
 
 
-def print_rows(result):
+def print_rows(rows):
     print(f"{'parameter':>10} {'diversity':>11} {'density':>11} {'homogeneity':>12}")
-    for row in result.rows:
+    for row in rows:
         if row.report is None:
             print(f"{row.parameter:>10g}  error: {row.error}")
             continue
@@ -32,12 +32,12 @@ def print_rows(result):
               f"{row.report.density:>11.4f} {hom:>12}")
 
 
-def chart(result, x_label, path):
-    xs = [row.parameter for row in result.rows]
+def chart(rows, x_label, path):
+    xs = [row.parameter for row in rows]
     panels = []
     for name in ("diversity", "density", "homogeneity"):
         ys = [getattr(row.report, name) if row.report else None
-              for row in result.rows]
+              for row in rows]
         panels.append((name, ys))
     write_line_chart(path, x_label, xs, panels)
 
@@ -47,17 +47,17 @@ def main():
 
     print("== down-sampling: keep a fraction of the blob " + "=" * 20)
     spec = simulation.scenario("down_sampling", dim=DIM, points=POINTS, seed=SEED)
-    result = simulation.run_scenario(spec)
-    print_rows(result)
-    chart(result, "fraction kept", OUT_DIR / "down_sampling.svg")
+    rows = simulation.run_scenario(spec)
+    print_rows(rows)
+    chart(rows, "fraction kept", OUT_DIR / "down_sampling.svg")
     print("-> diversity and homogeneity barely move; density tracks the")
     print("   sample count almost exactly.\n")
 
     print("== varying spread: same blob shape, bigger radius " + "=" * 16)
     spec = simulation.scenario("varying_spread", dim=DIM, points=POINTS, seed=SEED)
-    result = simulation.run_scenario(spec)
-    print_rows(result)
-    chart(result, "per-axis std", OUT_DIR / "varying_spread.svg")
+    rows = simulation.run_scenario(spec)
+    print_rows(rows)
+    chart(rows, "per-axis std", OUT_DIR / "varying_spread.svg")
     print("-> diversity grows linearly with the spread, density shrinks,")
     print("   homogeneity stays put (it is scale-invariant).\n")
 
@@ -66,17 +66,17 @@ def main():
     # to show at this m; with the 10-x-std default the curve only decays.
     spec = simulation.scenario("outliers", dim=DIM, points=POINTS, seed=SEED,
                                outlier_radius=200.0)
-    result = simulation.run_scenario(spec)
-    print_rows(result)
-    chart(result, "outliers added", OUT_DIR / "outliers.svg")
+    rows = simulation.run_scenario(spec)
+    print_rows(rows)
+    chart(rows, "outliers added", OUT_DIR / "outliers.svg")
     print("-> the first outliers drag homogeneity down; once the shell")
     print("   itself is populous the walk evens out again.\n")
 
     print("== sub-clusters: split the mass into k islands " + "=" * 20)
     spec = simulation.scenario("sub_clusters", dim=768, points=POINTS, seed=SEED)
-    result = simulation.run_scenario(spec)
-    print_rows(result)
-    chart(result, "sub-cluster count", OUT_DIR / "sub_clusters.svg")
+    rows = simulation.run_scenario(spec)
+    print_rows(rows)
+    chart(rows, "sub-cluster count", OUT_DIR / "sub_clusters.svg")
     print("-> in high dimension homogeneity falls steadily as the mass")
     print("   fragments. (In 2-D the same sweep is not monotone: after a")
     print("   dip at k=2 the many nearby islands blend back together.)\n")

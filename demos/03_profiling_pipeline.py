@@ -74,7 +74,7 @@ def main():
     sweep = analysis.downsample_sweep(
         embeddings, fractions=(1.0, 0.75, 0.5, 0.25), seed=0)
     print("down-sampling sweep (stratified by class):")
-    for row in sweep.rows:
+    for row in sweep:
         print(f"  fraction {row.fraction:>4}: {row.size:>3} texts", end="")
         show(row.final, indent="   ->  ")
 

@@ -63,7 +63,7 @@ def main():
     sweep_path.write_text(json.dumps({
         "kind": "sweep",
         "rows": [{"fraction": row.fraction, "final": row.final.to_dict()}
-                 for row in sweep.rows]}))
+                 for row in sweep]}))
     scores_path = OUT_DIR / "scores.csv"
     scores_path.write_text("fraction,accuracy\n" + "".join(
         f"{fraction},{scores[fraction]['accuracy']}\n" for fraction in fractions))

@@ -14,7 +14,6 @@ from .analysis import (
     CorrelationEntry,
     DatasetProfile,
     SweepRow,
-    SweepTable,
     correlation_report,
     downsample_sweep,
     pearson,
@@ -57,7 +56,6 @@ from .metrics import (
 )
 from .simulation import (
     BlobSpec,
-    ScenarioResult,
     ScenarioRow,
     ScenarioSpec,
     add_outliers,
@@ -90,11 +88,9 @@ __all__ = [
     "MetricReport",
     "NonFiniteValue",
     "ParseError",
-    "ScenarioResult",
     "ScenarioRow",
     "ScenarioSpec",
     "SweepRow",
-    "SweepTable",
     "TextcharError",
     "TooFewSamples",
     "add_outliers",

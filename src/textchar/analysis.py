@@ -33,7 +33,6 @@ __all__ = [
     "DatasetProfile",
     "METRIC_NAMES",
     "SweepRow",
-    "SweepTable",
     "average_reports",
     "correlation_report",
     "downsample_sweep",
@@ -42,6 +41,14 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("diversity", "density", "homogeneity")
+
+
+def _reject_booleans(doc: dict, keys) -> None:
+    """TypeError for the first of ``keys`` whose value in ``doc`` is a JSON
+    boolean, which ``float`` and ``int`` would read as 1 or 0."""
+    for key in keys:
+        if isinstance(doc.get(key), bool):
+            raise TypeError(f"{key!r} is a boolean, not a number")
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,9 @@ class AggregateMetrics:
     def from_dict(cls, doc: dict) -> AggregateMetrics:
         """Inverse of ``to_dict``. Only ``diversity`` and ``density`` are
         required: a missing ``density_log`` reads as NaN, a missing or null
-        ``homogeneity`` as None. Raises KeyError, TypeError or ValueError
-        on a malformed ``doc``."""
+        ``homogeneity`` as None. Raises KeyError, TypeError (for a boolean
+        value too) or ValueError on a malformed ``doc``."""
+        _reject_booleans(doc, ("diversity", "density", "density_log", "homogeneity"))
         hom = doc.get("homogeneity")
         return cls(diversity=float(doc["diversity"]),
                    density=float(doc["density"]),
@@ -103,12 +111,6 @@ class SweepRow:
     size: int
     final: AggregateMetrics
     profile: DatasetProfile | None = None
-
-
-@dataclass(eq=False)
-class SweepTable:
-    rows: list[SweepRow]
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,9 @@ def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
 
 
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
-                     homogeneity_cap: int | None = None) -> SweepTable:
-    """Profile the collection at each fraction of its sampling units.
+                     homogeneity_cap: int | None = None) -> list[SweepRow]:
+    """Profile the collection at each fraction of its sampling units, one
+    row per fraction in the order given.
 
     The sampling unit is the distinct (label, id) pair, so a text embedded
     at several layers is kept or dropped as a whole and layer sizes stay
@@ -312,10 +315,8 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
 
     profiles = _profiles(plans, lambda key: embeddings.vectors[group_rows[key]],
                          homogeneity_cap)
-    return SweepTable(rows=[SweepRow(fraction=fraction, size=size, final=profile.final,
-                                     profile=profile)
-                            for fraction, size, profile in zip(fractions, sizes, profiles)],
-                      seed=seed)
+    return [SweepRow(fraction=fraction, size=size, final=profile.final, profile=profile)
+            for fraction, size, profile in zip(fractions, sizes, profiles)]
 
 
 def pearson(x, y) -> float:
@@ -344,7 +345,7 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlation_report(sweep: SweepTable, score_names,
+def correlation_report(sweep: list[SweepRow], score_names,
                        scores: dict[float, dict[str, float]]) -> list[CorrelationEntry]:
     """Correlate each final metric with each named score across sweep rows.
 
@@ -353,7 +354,7 @@ def correlation_report(sweep: SweepTable, score_names,
     names those that do not join. A degenerate pair (constant column,
     missing homogeneity) is recorded on its entry without aborting the rest.
     """
-    unmatched = sorted({row.fraction for row in sweep.rows}.symmetric_difference(scores))
+    unmatched = sorted({row.fraction for row in sweep}.symmetric_difference(scores))
     if unmatched:
         raise ValueError(
             "fractions do not join: " + ", ".join(format(f, "g") for f in unmatched)
@@ -361,9 +362,9 @@ def correlation_report(sweep: SweepTable, score_names,
 
     entries = []
     for metric in METRIC_NAMES:
-        values = [getattr(row.final, metric) for row in sweep.rows]
+        values = [getattr(row.final, metric) for row in sweep]
         for score in score_names:
-            column = [scores[row.fraction][score] for row in sweep.rows]
+            column = [scores[row.fraction][score] for row in sweep]
             if any(v is None for v in values):
                 entry = CorrelationEntry(metric, score, None, len(values),
                                          error=f"{metric} missing in some rows")

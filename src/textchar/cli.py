@@ -3,14 +3,17 @@
 Exit codes follow the usual convention: 0 on success, 1 on a runtime
 failure (one-line diagnostic on stderr), 2 on bad flags (argparse usage).
 Numeric CSV cells are written with 17 significant digits so text output
-round-trips to the exact float.
+round-trips to the exact float; a cell holding a comma, quote or newline is
+quoted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from io import StringIO
 from pathlib import Path
 
 from . import analysis, io, simulation, svg
@@ -34,6 +37,7 @@ _SCENARIOS = {
 }
 
 _SIM_COLUMNS = ("parameter", "diversity", "density", "density_log", "homogeneity")
+_CORRELATE_COLUMNS = ("metric", "score", "pearson_r", "n", "note")
 
 
 def _num(value) -> str:
@@ -66,6 +70,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _csv_text(header, rows) -> str:
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _require_inputs(*paths) -> None:
     for path in paths:
         if path is not None and not Path(path).exists():
@@ -85,25 +97,25 @@ def cmd_simulate(args) -> int:
         kind, dim=args.dims, points=args.points, seed=args.seed,
         outlier_radius=args.radius, spacing=args.spacing,
     )
-    result = simulation.run_scenario(spec)
+    rows = simulation.run_scenario(spec)
 
-    lines = [",".join(_SIM_COLUMNS)]
-    for row in result.rows:
+    cells = []
+    for row in rows:
         if row.report is None:
             raise RuntimeError(
                 f"scenario row at parameter {row.parameter:g} failed: {row.error}"
             )
         rep = row.report
-        lines.append(",".join([
+        cells.append([
             _num(row.parameter), _num(rep.diversity), _num(rep.density),
             _num(rep.density_log), _num(rep.homogeneity),
-        ]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+        ])
+    _write_text(args.out, _csv_text(_SIM_COLUMNS, cells))
 
     if args.svg is not None:
-        xs = [row.parameter for row in result.rows]
+        xs = [row.parameter for row in rows]
         panels = [
-            (name, [getattr(row.report, name) for row in result.rows])
+            (name, [getattr(row.report, name) for row in rows])
             for name in ("diversity", "density", "homogeneity")
         ]
         svg.write_line_chart(
@@ -128,11 +140,11 @@ def cmd_profile(args) -> int:
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
                                       homogeneity_cap=args.cap)
     if args.fractions is None:
-        doc = {"kind": "profile", **sweep.rows[0].profile.to_dict()}
+        doc = {"kind": "profile", **sweep[0].profile.to_dict()}
     else:
         doc = {
             "kind": "sweep",
-            "seed": sweep.seed,
+            "seed": args.seed,
             "rows": [
                 {
                     "fraction": row.fraction,
@@ -140,7 +152,7 @@ def cmd_profile(args) -> int:
                     "final": row.final.to_dict(),
                     "profile": row.profile.to_dict(),
                 }
-                for row in sweep.rows
+                for row in sweep
             ],
         }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -157,13 +169,9 @@ def cmd_correlate(args) -> int:
     _require_inputs(args.metrics, args.scores)
     sweep = io.read_sweep(args.metrics)
     names, table = io.read_scores(args.scores)
-    lines = ["metric,score,pearson_r,n,note"]
-    for entry in analysis.correlation_report(sweep, names, table):
-        lines.append(",".join([
-            entry.metric, entry.score, _num(entry.r), str(entry.n),
-            entry.error or "",
-        ]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    cells = [[entry.metric, entry.score, _num(entry.r), str(entry.n), entry.error or ""]
+             for entry in analysis.correlation_report(sweep, names, table)]
+    _write_text(args.out, _csv_text(_CORRELATE_COLUMNS, cells))
     return 0
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AggregateMetrics, SweepRow, SweepTable
+from .analysis import AggregateMetrics, SweepRow, _reject_booleans
 from .errors import (
     DimensionMismatch,
     EmptySequence,
@@ -396,13 +396,14 @@ def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.nd
 
 # --- sweep tables and scores for correlate ----------------------------------
 
-def read_sweep(path) -> SweepTable:
+def read_sweep(path) -> list[SweepRow]:
     """Load sweep rows for ``correlate``.
 
     Accepts either a full ``profile --fractions`` document or a bare list of
     rows, each an object with ``fraction`` and a ``final`` object that
     ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
-    document raises ParseError naming the file and the 1-based row.
+    document, a boolean ``fraction`` or ``size``, or a fraction that an
+    earlier row holds raises ParseError naming the file and the 1-based row.
     """
     path = Path(path)
     text = "".join(_text_lines(path))
@@ -418,20 +419,27 @@ def read_sweep(path) -> SweepTable:
     if not raw_rows:
         raise ParseError(path, "no sweep rows")
     rows = []
+    first_row: dict[float, int] = {}
     for number, raw in enumerate(raw_rows, start=1):
         if not (isinstance(raw, dict) and "fraction" in raw
                 and isinstance(raw.get("final"), dict)):
             raise ParseError(path, f"row {number}: expected an object with "
                                    "'fraction' and a 'final' object")
         try:
-            rows.append(SweepRow(fraction=float(raw["fraction"]),
-                                 size=int(raw.get("size", 0)),
-                                 final=AggregateMetrics.from_dict(raw["final"])))
+            _reject_booleans(raw, ("fraction", "size"))
+            row = SweepRow(fraction=float(raw["fraction"]),
+                           size=int(raw.get("size", 0)),
+                           final=AggregateMetrics.from_dict(raw["final"]))
         except KeyError as exc:
             raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"row {number}: {exc}") from exc
-    return SweepTable(rows=rows)
+        first = first_row.setdefault(row.fraction, number)
+        if first != number:
+            raise ParseError(path, f"row {number}: repeats fraction {row.fraction:g} "
+                                   f"of row {first}")
+        rows.append(row)
+    return rows
 
 
 def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
@@ -439,7 +447,8 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     least one score column, then one numeric row per fraction.
 
     Returns the score names in header order and each fraction's scores. A
-    malformed table raises ParseError naming the file and line.
+    malformed table, or a fraction that an earlier row holds, raises
+    ParseError naming the file and line.
     """
     path = Path(path)
     rows = _csv_rows(path)
@@ -451,10 +460,16 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     if not names:
         raise ParseError(path, "no score columns besides 'fraction'", line=1)
     table: dict[float, dict[str, float]] = {}
+    first_line: dict[float, int] = {}
     for lineno, row in rows:
         try:
             values = {name: float(cell) for name, cell in zip(header, row)}
         except ValueError as exc:
             raise ParseError(path, f"non-numeric cell: {exc}", line=lineno) from exc
-        table[values.pop("fraction")] = values
+        fraction = values.pop("fraction")
+        first = first_line.setdefault(fraction, lineno)
+        if first != lineno:
+            raise ParseError(path, f"repeats fraction {fraction:g} of line {first}",
+                             line=lineno)
+        table[fraction] = values
     return names, table

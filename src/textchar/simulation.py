@@ -30,7 +30,6 @@ from .metrics import MetricReport, metric_report, metric_reports
 
 __all__ = [
     "BlobSpec",
-    "ScenarioResult",
     "ScenarioRow",
     "ScenarioSpec",
     "DOWN_SAMPLING_FRACTIONS",
@@ -58,18 +57,18 @@ SUB_CLUSTER_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 SCENARIO_KINDS = ("down_sampling", "varying_spread", "outliers", "sub_clusters")
 
 # Outlier shell radius and sub-cluster spacing both default to this multiple
-# of the blob's per-axis spread: far outside the 3-sigma shell in low and
-# high dimension alike, so the perturbations are unambiguous.
+# of the blob's unit per-axis spread: far outside the 3-sigma shell in low
+# and high dimension alike, so the perturbations are unambiguous.
 DEFAULT_SCALE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class BlobSpec:
-    """Isotropic Gaussian blob: ``count`` points in ``dim`` dimensions."""
+    """Isotropic standard Gaussian blob: ``count`` points in ``dim``
+    dimensions, unit spread on every axis."""
 
     count: int
     dim: int
-    std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class BlobSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.std > 0:
-            raise ValueError(f"std must be > 0, got {self.std}")
 
 
 @dataclass(frozen=True)
@@ -108,16 +105,10 @@ class ScenarioRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    spec: ScenarioSpec
-    rows: tuple[ScenarioRow, ...]
-
-
 def gaussian_blob(spec: BlobSpec) -> np.ndarray:
     """Sample the blob described by ``spec``; bitwise deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    return rng.normal(0.0, spec.std, size=(spec.count, spec.dim))
+    return rng.normal(0.0, 1.0, size=(spec.count, spec.dim))
 
 
 def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
@@ -181,9 +172,8 @@ def add_outliers(base, count: int, radius: float, seed) -> np.ndarray:
     return np.vstack([arr, sphere_points(count, arr.shape[1], radius, seed)])
 
 
-def sub_clusters(k: int, total: int, dim: int, std: float, spacing: float,
-                 seed) -> np.ndarray:
-    """``k`` equal blobs with centers at ``(i * spacing, 0, ..., 0)``.
+def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarray:
+    """``k`` equal unit-spread blobs with centers at ``(i * spacing, 0, ..., 0)``.
 
     When ``total`` is not divisible by ``k`` the first clusters take the
     remainder, one extra point each.
@@ -196,7 +186,7 @@ def sub_clusters(k: int, total: int, dim: int, std: float, spacing: float,
     size, rem = divmod(total, k)
     parts = []
     for i in range(k):
-        points = rng.normal(0.0, std, size=(size + (1 if i < rem else 0), dim))
+        points = rng.normal(0.0, 1.0, size=(size + (1 if i < rem else 0), dim))
         points[:, 0] += i * spacing
         parts.append(points)
     return np.vstack(parts)
@@ -211,11 +201,11 @@ def default_sweep(kind: str) -> tuple:
     }[kind]
 
 
-def scenario(kind: str, dim: int, points: int = 10_000, std: float = 1.0,
-             seed: int = 0, sweep=None, outlier_radius: float | None = None,
+def scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep=None,
+             outlier_radius: float | None = None,
              spacing: float | None = None) -> ScenarioSpec:
     """Convenience constructor with per-kind default sweeps."""
-    base = BlobSpec(count=points, dim=dim, std=std, seed=seed)
+    base = BlobSpec(count=points, dim=dim, seed=seed)
     return ScenarioSpec(
         kind=kind,
         base=base,
@@ -231,14 +221,14 @@ def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
     if spec.kind == "varying_spread":
         rng = np.random.default_rng(row_seed)
         return rng.normal(0.0, float(value), size=(spec.base.count, spec.base.dim))
-    default = DEFAULT_SCALE_FACTOR * spec.base.std
     if spec.kind == "outliers":
-        radius = default if spec.outlier_radius is None else spec.outlier_radius
+        radius = (DEFAULT_SCALE_FACTOR if spec.outlier_radius is None
+                  else spec.outlier_radius)
         return add_outliers(base_points, int(value), radius, row_seed)
     if spec.kind == "sub_clusters":
-        spacing = default if spec.spacing is None else spec.spacing
+        spacing = DEFAULT_SCALE_FACTOR if spec.spacing is None else spec.spacing
         return sub_clusters(int(value), spec.base.count, spec.base.dim,
-                            spec.base.std, spacing, row_seed)
+                            spacing, row_seed)
     raise ValueError(f"unknown scenario kind {spec.kind!r}")
 
 
@@ -266,8 +256,9 @@ def _down_sampling_rows(spec: ScenarioSpec, base_points: np.ndarray) -> list[Sce
     return rows
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Walk the sweep, computing a metric report per parameter value.
+def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioRow, ...]:
+    """Walk the sweep, computing a metric report per parameter value, one
+    row per sweep value in sweep order.
 
     The base blob is generated once and reused by the scenarios that modify
     it; down-sampling rows share one pairwise pass over it. A failing row
@@ -275,7 +266,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """
     base_points = gaussian_blob(spec.base)
     if spec.kind == "down_sampling":
-        return ScenarioResult(spec, tuple(_down_sampling_rows(spec, base_points)))
+        return tuple(_down_sampling_rows(spec, base_points))
     rows = []
     for index, value in enumerate(spec.sweep):
         try:
@@ -285,4 +276,4 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         except Exception as exc:  # noqa: BLE001 - row-level error capture
             rows.append(ScenarioRow(parameter=float(value), report=None,
                                     error=str(exc)))
-    return ScenarioResult(spec, tuple(rows))
+    return tuple(rows)

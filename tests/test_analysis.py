@@ -42,7 +42,9 @@ def test_aggregate_metrics_from_dict_inverts_to_dict():
     bare = analysis.AggregateMetrics.from_dict({"diversity": 1, "density": 2})
     assert math.isnan(bare.density_log) and bare.homogeneity is None
     for bad, error in (({"density": 2.0}, KeyError), ({"diversity": [1], "density": 2.0}, TypeError),
-                       ({"diversity": "x", "density": 2.0}, ValueError)):
+                       ({"diversity": "x", "density": 2.0}, ValueError),
+                       ({"diversity": True, "density": False}, TypeError),
+                       ({"diversity": 1.0, "density": 2.0, "homogeneity": True}, TypeError)):
         with pytest.raises(error):
             analysis.AggregateMetrics.from_dict(bad)
 
@@ -202,21 +204,21 @@ def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
     sweep = analysis.downsample_sweep(emb, [1.0], seed=seed, homogeneity_cap=cap)
     direct = analysis.profile_dataset(io.group_by_label(emb), homogeneity_cap=cap,
                                       seed=seed)
-    assert json.dumps(sweep.rows[0].profile.to_dict()) == json.dumps(direct.to_dict())
-    assert sweep.rows[0].size == sum(sizes)
+    assert json.dumps(sweep[0].profile.to_dict()) == json.dumps(direct.to_dict())
+    assert sweep[0].size == sum(sizes)
 
 
 def test_sweep_sizes_track_fractions():
     emb = two_class_embeddings(np.random.default_rng(7), n_per_class=50)
     sweep = analysis.downsample_sweep(emb, [1.0, 0.5, 0.1], seed=0)
-    assert [row.size for row in sweep.rows] == [100, 50, 10]
-    assert [row.fraction for row in sweep.rows] == [1.0, 0.5, 0.1]
+    assert [row.size for row in sweep] == [100, 50, 10]
+    assert [row.fraction for row in sweep] == [1.0, 0.5, 0.1]
 
 
 def test_sweep_preserves_class_proportions():
     emb = two_class_embeddings(np.random.default_rng(8), n_per_class=40)
     sweep = analysis.downsample_sweep(emb, [0.9, 0.5, 0.2], seed=1)
-    for row in sweep.rows:
+    for row in sweep:
         sizes = row.profile.class_sizes
         expected = int(math.floor(row.fraction * 40 + 0.5))
         assert abs(sizes["pos"] - expected) <= 1
@@ -229,7 +231,7 @@ def test_sweep_keeps_layers_aligned():
     emb = two_class_embeddings(np.random.default_rng(9), n_per_class=30,
                                layers=("L1", "L2", "L3"))
     sweep = analysis.downsample_sweep(emb, [0.5], seed=2)
-    profile = sweep.rows[0].profile
+    profile = sweep[0].profile
     assert len(profile.per_group) == 6
     assert profile.class_sizes == {"pos": 15, "neg": 15}
 
@@ -239,8 +241,8 @@ def test_sweep_is_deterministic_per_seed():
     a = analysis.downsample_sweep(emb, [0.5], seed=5)
     b = analysis.downsample_sweep(emb, [0.5], seed=5)
     c = analysis.downsample_sweep(emb, [0.5], seed=6)
-    assert a.rows[0].final.to_dict() == b.rows[0].final.to_dict()
-    assert a.rows[0].final.to_dict() != c.rows[0].final.to_dict()
+    assert a[0].final.to_dict() == b[0].final.to_dict()
+    assert a[0].final.to_dict() != c[0].final.to_dict()
 
 
 def test_sweep_raises_when_class_empties():
@@ -307,9 +309,9 @@ def test_sweep_matches_per_fraction_reports(cap):
 
     sweep = analysis.downsample_sweep(emb, fractions, seed=4, homogeneity_cap=cap)
     expected = _reference_sweep(emb, fractions, 4, cap)
-    orders = [list(row.profile.per_group) for row in sweep.rows]
+    orders = [list(row.profile.per_group) for row in sweep]
     assert any(order != orders[0] for order in orders)
-    for row, (size, reports) in zip(sweep.rows, expected):
+    for row, (size, reports) in zip(sweep, expected):
         assert row.size == size
         assert list(row.profile.per_group) == list(reports)
         for key, want in reports.items():
@@ -393,7 +395,7 @@ def sweep_and_scores(metric_rows):
             fraction=fraction, size=0,
             final=analysis.AggregateMetrics(div, den, math.log(den), hom)))
         scores[fraction] = row_scores
-    return analysis.SweepTable(rows=rows), scores
+    return rows, scores
 
 
 def test_correlation_report_cross_product():

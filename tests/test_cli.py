@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from xml.etree import ElementTree
@@ -369,6 +370,30 @@ def test_correlate_accepts_profile_sweep_output(tmp_path):
     assert run(["correlate", "--metrics", str(sweep), "--scores", str(scores),
                 "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_csv_outputs_read_back_at_the_header_width(tmp_path):
+    # A cell holding a comma, quote or newline is quoted; the note of a
+    # one-fraction sweep holds a comma. Every other cell is written bare.
+    sim = tmp_path / "sim.csv"
+    assert run(["simulate", "--scenario", "downsample", "--dims", "2",
+                "--points", "50", "--out", str(sim)]) == 0
+    assert '"' not in sim.read_text()
+    sweep = tmp_path / "sweep.json"
+    write_sweep_json(sweep, [(1.0, 0.3, 10.0, 0.9)])
+    names = ["acc, top-1", 'say "f1"', "two\nlines"]
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", newline="") as fh:
+        csv.writer(fh).writerows([["fraction", *names], [1.0, 0.9, 0.8, 0.7]])
+    out = tmp_path / "corr.csv"
+    assert run(["correlate", "--metrics", str(sweep), "--scores", str(scores),
+                "--out", str(out)]) == 0
+    for path, width in ((sim, 5), (out, 5)):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == width for row in rows), rows
+    assert [row[1] for row in rows[1:4]] == names
+    assert rows[1][4] == "degenerate: need at least 2 pairs, got 1"
 
 
 def _correlate_fails_with_one_line(tmp_path, capsys, metrics_text, scores_text, bad):

@@ -12,7 +12,9 @@ no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
 must exit 2 with argparse's line naming the flag. ``profile`` without
 ``--fractions`` must also fail with the line, or succeed with the document,
 that the grouped profile ``profile_dataset(group_by_label(...))`` gives on
-the same file.
+the same file. ``correlate`` must reject, with the file and the line or row,
+a fraction that an earlier score line or sweep row holds, and a JSON boolean
+where the sweep needs a number.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -254,3 +257,42 @@ def test_correlate_on_mutated_files(data, which):
         out = Path(tmp) / "corr.csv"
         _run(["correlate", "--metrics", str(metrics_path), "--scores", str(scores_path),
               "--out", str(out)], [out])
+
+
+_SWEEP_ROWS = [{"fraction": f, "size": int(100 * f),
+                "final": {"diversity": 0.3 - 0.1 * f, "density": 40.0 * f}}
+               for f in (1.0, 0.5)]
+
+
+def _with(path, value):
+    """The sweep rows with the value at ``path`` (row index, then keys) set."""
+    rows = json.loads(json.dumps(_SWEEP_ROWS))
+    *keys, last = path
+    parent = rows
+    for key in keys:
+        parent = parent[key]
+    parent[last] = value
+    return rows
+
+
+@pytest.mark.parametrize("sweep_rows, scores, message", [
+    (_SWEEP_ROWS, "fraction,acc\n0.5,0.8\n1.0,0.9\n0.5,0.1\n",
+     "scores.csv, line 4: repeats fraction 0.5 of line 2"),
+    (_SWEEP_ROWS + _SWEEP_ROWS[:1], "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 3: repeats fraction 1 of row 1"),
+    (_with((1, "fraction"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 2: 'fraction' is a boolean, not a number"),
+    (_with((0, "size"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 1: 'size' is a boolean, not a number"),
+    (_with((1, "final", "diversity"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 2: 'diversity' is a boolean, not a number"),
+])
+def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
+        metrics_path.write_text(json.dumps({"kind": "sweep", "rows": sweep_rows}))
+        scores_path.write_text(scores)
+        out = Path(tmp) / "corr.csv"
+        code, err = _run(["correlate", "--metrics", str(metrics_path),
+                          "--scores", str(scores_path), "--out", str(out)], [out])
+        assert code == 1 and err == [f"textchar: error: {Path(tmp) / message}"], err
