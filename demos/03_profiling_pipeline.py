@@ -54,10 +54,10 @@ def main():
     print(f"pooled {pooled} sequences -> {vectors_path}")
 
     embeddings = io.read_vectors(vectors_path, "jsonl")
-    groups = io.group_by_label(embeddings)
-    print(f"{len(embeddings)} records in {len(groups)} (class, layer) groups\n")
+    # The profile of the whole collection is the sweep of the one fraction 1.0.
+    profile = analysis.downsample_sweep(embeddings, [1.0], seed=0)[0].profile
+    print(f"{len(embeddings)} records in {len(profile.per_group)} (class, layer) groups\n")
 
-    profile = analysis.profile_dataset(groups, seed=0)
     print("per (class, layer):")
     for (label, layer), report in profile.per_group.items():
         print(f"  {label:>8} / {layer}:")

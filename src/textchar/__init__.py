@@ -17,7 +17,6 @@ from .analysis import (
     correlation_report,
     downsample_sweep,
     pearson,
-    profile_dataset,
 )
 from .errors import (
     DegenerateCluster,
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .io import (
     LabeledEmbeddings,
-    group_by_label,
     mean_pool,
     pool_token_file,
     read_vectors,
@@ -102,14 +100,12 @@ __all__ = [
     "downsample_sweep",
     "entropy_rate",
     "gaussian_blob",
-    "group_by_label",
     "homogeneity",
     "mean_pool",
     "metric_report",
     "metric_reports",
     "pearson",
     "pool_token_file",
-    "profile_dataset",
     "read_vectors",
     "run_scenario",
     "scenario",

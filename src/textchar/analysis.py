@@ -2,8 +2,9 @@
 
 A dataset profile rolls per-(label, layer) metric reports up to one value
 per metric: layer reports are averaged per class, then class values are
-averaged weighted by class size. A sweep repeats that profile at shrinking
-sample fractions; a correlation report relates the sweep's final metric
+averaged weighted by class size. A sweep makes that profile at each of a
+list of sample fractions; the profile of a whole collection is the sweep of
+the one fraction 1.0. A correlation report relates the sweep's final metric
 values to externally supplied model scores.
 """
 
@@ -37,18 +38,26 @@ __all__ = [
     "correlation_report",
     "downsample_sweep",
     "pearson",
-    "profile_dataset",
 ]
 
 METRIC_NAMES = ("diversity", "density", "homogeneity")
 
 
-def _reject_booleans(doc: dict, keys) -> None:
-    """TypeError for the first of ``keys`` whose value in ``doc`` is a JSON
-    boolean, which ``float`` and ``int`` would read as 1 or 0."""
+def _check_numbers(doc: dict, keys, whole=()) -> None:
+    """TypeError for the first of ``keys`` whose value in ``doc`` is not a
+    JSON number, an int or a float: ``float`` and ``int`` would read a
+    string or a boolean as one. An absent or null value passes. ValueError
+    for a value of one of ``whole`` that is not a whole number."""
     for key in keys:
-        if isinstance(doc.get(key), bool):
-            raise TypeError(f"{key!r} is a boolean, not a number")
+        value = doc.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            kind = {bool: "a boolean", str: "a string"}.get(
+                type(value), f"a {type(value).__name__}")
+            raise TypeError(f"{key!r} is {kind}, not a number")
+        if key in whole and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key!r} is {value!r}, not a whole number")
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,10 @@ class AggregateMetrics:
     def from_dict(cls, doc: dict) -> AggregateMetrics:
         """Inverse of ``to_dict``. Only ``diversity`` and ``density`` are
         required: a missing ``density_log`` reads as NaN, a missing or null
-        ``homogeneity`` as None. Raises KeyError, TypeError (for a boolean
-        value too) or ValueError on a malformed ``doc``."""
-        _reject_booleans(doc, ("diversity", "density", "density_log", "homogeneity"))
+        ``homogeneity`` as None. Raises KeyError, TypeError (for a value that
+        is not a JSON number, a string or a boolean too) or ValueError on a
+        malformed ``doc``."""
+        _check_numbers(doc, ("diversity", "density", "density_log", "homogeneity"))
         hom = doc.get("homogeneity")
         return cls(diversity=float(doc["diversity"]),
                    density=float(doc["density"]),
@@ -181,9 +191,9 @@ def _plan(kept: dict[tuple[str, str], np.ndarray], cap: int | None,
           seed: int) -> _Plan:
     """Plan the profile of the ``kept`` rows of each (label, layer) group,
     listed in profile order. Every layer of a class must keep as many rows,
-    and a group of more than ``cap`` rows (and at least 3) gets its
-    homogeneity rows from ``SeedSequence([seed, g])``, ``g`` being its
-    position in ``kept``; both checks and draws precede every report."""
+    and a group of more than ``cap`` rows gets its homogeneity rows from
+    ``SeedSequence([seed, g])``, ``g`` being its position in ``kept``; both
+    checks and draws precede every report."""
     if not kept:
         raise ValueError("no groups to profile")
     class_sizes: dict[str, int] = {}
@@ -194,45 +204,12 @@ def _plan(kept: dict[tuple[str, str], np.ndarray], cap: int | None,
                 f"{class_sizes[label]} elsewhere")
     groups = {}
     for g, (key, rows) in enumerate(kept.items()):
-        if cap is not None and len(rows) > max(cap, 2):
+        if cap is not None and len(rows) > cap:
             rng = np.random.default_rng(np.random.SeedSequence([seed, g]))
             groups[key] = rows, rows[_sorted_draw(rng, len(rows), cap)]
         else:
             groups[key] = rows, rows
     return _Plan(class_sizes, groups)
-
-
-def _profiles(plans: list[_Plan], cluster, cap: int | None) -> list[DatasetProfile]:
-    """The profile of each plan, with one ``metric_reports`` call per group.
-
-    ``cluster(key)`` gives a group's whole matrix; it is asked for once, so
-    one pairwise pass serves the group in every plan that holds it, and only
-    that group's rows are held while its reports are made.
-    """
-    reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
-    for key in dict.fromkeys(key for plan in plans for key in plan.groups):
-        at = [i for i, plan in enumerate(plans) if key in plan.groups]
-        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
-        reports.update(zip([(i, key) for i in at], metric_reports(
-            cluster(key), subsets, homogeneity_subsets=hom_subsets)))
-    return [_profile({key: reports[i, key] for key in plan.groups},
-                     plan.class_sizes, cap) for i, plan in enumerate(plans)]
-
-
-def profile_dataset(groups: dict[tuple[str, str], np.ndarray],
-                    homogeneity_cap: int | None = None,
-                    seed: int = 0) -> DatasetProfile:
-    """Aggregate per-group clusters into a dataset profile.
-
-    Every layer of a class must hold the same number of points, since the
-    class weight in the final average is the class size. A group larger than
-    ``homogeneity_cap`` gets its homogeneity from ``homogeneity_cap`` rows
-    drawn with ``SeedSequence([seed, index])``, ``index`` being the group's
-    position in ``groups``.
-    """
-    plan = _plan({key: np.arange(cluster.shape[0]) for key, cluster in groups.items()},
-                 homogeneity_cap, seed)
-    return _profiles([plan], groups.__getitem__, homogeneity_cap)[0]
 
 
 def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
@@ -251,22 +228,23 @@ def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
                      homogeneity_cap: int | None = None) -> list[SweepRow]:
     """Profile the collection at each fraction of its sampling units, one
-    row per fraction in the order given.
+    row per fraction in the order given. The profile of the collection is
+    the one-fraction sweep ``downsample_sweep(embeddings, [1.0])[0].profile``.
 
     The sampling unit is the distinct (label, id) pair, so a text embedded
     at several layers is kept or dropped as a whole and layer sizes stay
     consistent. Units are sampled within each class, which preserves the
     class proportions.
 
-    Every fraction is planned first. Fraction 1.0 keeps every unit without
-    a draw; any other fraction ``i`` draws its units from
-    ``SeedSequence([seed, i])``, class by class. Its kept (label, layer)
-    groups are listed in order of their first kept row, and a group of more
-    than ``homogeneity_cap`` rows gets its homogeneity from
-    ``homogeneity_cap`` of them, drawn with
+    Every fraction is planned first. Fraction ``i`` draws its units from
+    ``SeedSequence([seed, i])``, class by class, so fraction 1.0 keeps them
+    all. Its kept (label, layer) groups are listed in order of their first
+    kept row, and a group of more than ``homogeneity_cap`` rows gets its
+    homogeneity from ``homogeneity_cap`` of them, drawn with
     ``SeedSequence([seed, g])``, ``g`` being the group's position in that
-    list. Then each group gets one ``metric_reports`` call, so one pairwise
-    pass serves it at every fraction, and only that group's rows are copied
+    list. The cap is None or an integer of at least 3. Then each group, in
+    record order, gets one ``metric_reports`` call, so one pairwise pass
+    serves it at every fraction, and only that group's rows are copied
     while it is reported on. Each fraction's reports are averaged over the
     layers of each class, then over classes weighted by class size.
     """
@@ -277,6 +255,11 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         raise ValueError(f"fractions must lie in (0, 1]: {fractions}")
     if any(b >= a for a, b in zip(fractions, fractions[1:])):
         raise ValueError("fractions must be strictly decreasing")
+    if homogeneity_cap is not None and (isinstance(homogeneity_cap, bool)
+                                        or not isinstance(homogeneity_cap, int)
+                                        or homogeneity_cap < 3):
+        raise ValueError("homogeneity_cap must be None or an integer of at least 3, "
+                         f"got {homogeneity_cap!r}")
 
     # Sampling units numbered in first-seen order, the units of each class,
     # the unit of each row, and the rows of each (label, layer) group.
@@ -299,11 +282,8 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     plans: list[_Plan] = []
     sizes = []
     for index, fraction in enumerate(fractions):
-        if fraction == 1.0:
-            kept_units = np.ones(len(unit_numbers), dtype=bool)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            kept_units = _kept_units(units_by_class, len(unit_numbers), fraction, rng)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        kept_units = _kept_units(units_by_class, len(unit_numbers), fraction, rng)
         kept = {key: np.flatnonzero(kept_units[units])
                 for key, units in group_units.items()}
         # Groups in order of their first kept row, as grouping the kept rows
@@ -313,8 +293,17 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         plans.append(_plan({key: kept[key] for key in order}, homogeneity_cap, seed))
         sizes.append(int(kept_units.sum()))
 
-    profiles = _profiles(plans, lambda key: embeddings.vectors[group_rows[key]],
-                         homogeneity_cap)
+    reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
+    for key, rows in group_rows.items():
+        at = [i for i, plan in enumerate(plans) if key in plan.groups]
+        if not at:
+            continue
+        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
+        reports.update(zip([(i, key) for i in at], metric_reports(
+            embeddings.vectors[rows], subsets, homogeneity_subsets=hom_subsets)))
+    profiles = [_profile({key: reports[i, key] for key in plan.groups},
+                         plan.class_sizes, homogeneity_cap)
+                for i, plan in enumerate(plans)]
     return [SweepRow(fraction=fraction, size=size, final=profile.final, profile=profile)
             for fraction, size, profile in zip(fractions, sizes, profiles)]
 

@@ -1,5 +1,5 @@
-"""Reading, writing, pooling, and grouping of labeled embedding vectors,
-plus the readers of the sweep and score tables that ``correlate`` joins.
+"""Reading, writing and pooling of labeled embedding vectors, plus the
+readers of the sweep and score tables that ``correlate`` joins.
 
 A collection is held as columns: one float64 ``m x H`` matrix plus the
 ``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AggregateMetrics, SweepRow, _reject_booleans
+from .analysis import AggregateMetrics, SweepRow, _check_numbers
 from .errors import (
     DimensionMismatch,
     EmptySequence,
@@ -45,7 +45,6 @@ from .errors import (
 __all__ = [
     "FORMATS",
     "LabeledEmbeddings",
-    "group_by_label",
     "mean_pool",
     "pool_token_file",
     "read_scores",
@@ -338,7 +337,7 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
             fh.write("\n")
 
 
-# --- pooling and grouping ---------------------------------------------------
+# --- pooling ----------------------------------------------------------------
 
 def _pooled_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
     """Mean-pool each sequence of a token-level file (``tokens`` instead of
@@ -382,18 +381,6 @@ def pool_token_file(in_path, out_path) -> int:
     return len(pooled)
 
 
-def group_by_label(embeddings: LabeledEmbeddings) -> dict[tuple[str, str], np.ndarray]:
-    """Partition records into one ``m x H`` cluster per (label, layer) pair.
-
-    Insertion order of both the groups and the rows within a group follows
-    the record order.
-    """
-    buckets: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(zip(embeddings.labels, embeddings.layers)):
-        buckets.setdefault(key, []).append(i)
-    return {key: embeddings.vectors[idx] for key, idx in buckets.items()}
-
-
 # --- sweep tables and scores for correlate ----------------------------------
 
 def read_sweep(path) -> list[SweepRow]:
@@ -402,8 +389,10 @@ def read_sweep(path) -> list[SweepRow]:
     Accepts either a full ``profile --fractions`` document or a bare list of
     rows, each an object with ``fraction`` and a ``final`` object that
     ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
-    document, a boolean ``fraction`` or ``size``, or a fraction that an
-    earlier row holds raises ParseError naming the file and the 1-based row.
+    document, a ``fraction``, ``size`` or metric value that is not a JSON
+    number (a string or a boolean, say), a ``size`` that is not a whole
+    number, or a fraction that an earlier row holds raises ParseError naming
+    the file and the 1-based row.
     """
     path = Path(path)
     text = "".join(_text_lines(path))
@@ -426,7 +415,7 @@ def read_sweep(path) -> list[SweepRow]:
             raise ParseError(path, f"row {number}: expected an object with "
                                    "'fraction' and a 'final' object")
         try:
-            _reject_booleans(raw, ("fraction", "size"))
+            _check_numbers(raw, ("fraction", "size"), whole=("size",))
             row = SweepRow(fraction=float(raw["fraction"]),
                            size=int(raw.get("size", 0)),
                            final=AggregateMetrics.from_dict(raw["final"]))
@@ -447,8 +436,9 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     least one score column, then one numeric row per fraction.
 
     Returns the score names in header order and each fraction's scores. A
-    malformed table, or a fraction that an earlier row holds, raises
-    ParseError naming the file and line.
+    malformed table, a score name holding a carriage return (which a csv
+    writer may leave unquoted), or a fraction that an earlier row holds,
+    raises ParseError naming the file and line.
     """
     path = Path(path)
     rows = _csv_rows(path)
@@ -459,6 +449,10 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     names = [name for name in header if name != "fraction"]
     if not names:
         raise ParseError(path, "no score columns besides 'fraction'", line=1)
+    for name in names:
+        if "\r" in name:
+            raise ParseError(path, f"score column {name!r} holds a carriage return",
+                             line=1)
     table: dict[float, dict[str, float]] = {}
     first_line: dict[float, int] = {}
     for lineno, row in rows:

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import math
 import time
 
@@ -42,7 +41,8 @@ def test_aggregate_metrics_from_dict_inverts_to_dict():
     bare = analysis.AggregateMetrics.from_dict({"diversity": 1, "density": 2})
     assert math.isnan(bare.density_log) and bare.homogeneity is None
     for bad, error in (({"density": 2.0}, KeyError), ({"diversity": [1], "density": 2.0}, TypeError),
-                       ({"diversity": "x", "density": 2.0}, ValueError),
+                       ({"diversity": "x", "density": 2.0}, TypeError),
+                       ({"diversity": "0.5", "density": 2.0}, TypeError),
                        ({"diversity": True, "density": False}, TypeError),
                        ({"diversity": 1.0, "density": 2.0, "homogeneity": True}, TypeError)):
         with pytest.raises(error):
@@ -82,11 +82,23 @@ def test_weighted_average_by_class_size():
     assert final.density_log == pytest.approx(math.log(7.5), abs=1e-15)
 
 
-# --- profile_dataset ----------------------------------------------------
+# --- the profile: the one-fraction sweep --------------------------------
+
+def profile_of(groups, seed=0, cap=None):
+    """The profile of a collection that holds ``groups``, a dict of
+    (label, layer) clusters, in order. Row ``i`` of each group has id
+    ``f"{label}-{i}"``, so the layers of a class share units."""
+    keys = [(f"{label}-{i}", label, layer) for (label, layer), cluster in groups.items()
+            for i in range(len(cluster))]
+    ids, labels, layers = (list(column) for column in zip(*keys)) if keys else ([], [], [])
+    vectors = np.concatenate(list(groups.values())) if groups else np.empty((0, 0))
+    emb = io.LabeledEmbeddings(vectors, ids, labels, layers)
+    return analysis.downsample_sweep(emb, [1.0], seed, cap)[0].profile
+
 
 def test_profile_single_group_is_identity():
     cluster = np.random.default_rng(0).normal(size=(30, 4))
-    profile = analysis.profile_dataset({("only", "L1"): cluster})
+    profile = profile_of({("only", "L1"): cluster})
     report = metric_report(cluster)
     assert profile.final.diversity == report.diversity
     assert profile.final.density == pytest.approx(report.density, rel=1e-15)
@@ -102,7 +114,7 @@ def test_profile_layers_average_then_classes_weight():
         ("b", "L1"): rng.normal(size=(10, 3)),
         ("b", "L2"): rng.normal(size=(10, 3)),
     }
-    profile = analysis.profile_dataset(groups)
+    profile = profile_of(groups)
     per_class_div = {
         label: np.mean([metric_report(groups[(label, layer)]).diversity
                         for layer in ("L1", "L2")])
@@ -118,7 +130,7 @@ def test_profile_final_is_convex_combination():
     rng = np.random.default_rng(2)
     groups = {("a", "L1"): rng.normal(size=(25, 4)),
               ("b", "L1"): rng.normal(scale=3.0, size=(75, 4))}
-    profile = analysis.profile_dataset(groups)
+    profile = profile_of(groups)
     for metric in ("diversity", "density", "homogeneity"):
         values = [getattr(agg, metric) for agg in profile.per_class.values()]
         final = getattr(profile.final, metric)
@@ -130,14 +142,14 @@ def test_profile_rejects_inconsistent_class_sizes():
     groups = {("a", "L1"): rng.normal(size=(10, 2)),
               ("a", "L2"): rng.normal(size=(11, 2))}
     with pytest.raises(InconsistentClassSize, match="'a'"):
-        analysis.profile_dataset(groups)
+        profile_of(groups)
 
 
 def test_profile_records_homogeneity_skips():
     rng = np.random.default_rng(4)
     groups = {("tiny", "L1"): rng.normal(size=(2, 3)),
               ("big", "L1"): rng.normal(size=(20, 3))}
-    profile = analysis.profile_dataset(groups)
+    profile = profile_of(groups)
     assert profile.per_class["tiny"].homogeneity is None
     assert profile.per_class["tiny"].homogeneity_skipped == ("L1",)
     assert profile.final.homogeneity == profile.per_class["big"].homogeneity
@@ -147,21 +159,20 @@ def test_profile_records_homogeneity_skips():
 def test_profile_homogeneity_cap_subsamples(monkeypatch):
     rng = np.random.default_rng(5)
     cluster = rng.normal(size=(400, 3))
-    profile = analysis.profile_dataset({("a", "L1"): cluster},
-                                       homogeneity_cap=50)
+    profile = profile_of({("a", "L1"): cluster}, cap=50)
     report = profile.per_group[("a", "L1")]
     # diversity/density still come from all 400 points
     assert report.diversity == metric_report(cluster).diversity
     assert any("50 of 400" in note for note in report.notes)
     assert profile.homogeneity_cap == 50
     # capped homogeneity is deterministic per seed
-    again = analysis.profile_dataset({("a", "L1"): cluster}, homogeneity_cap=50)
+    again = profile_of({("a", "L1"): cluster}, cap=50)
     assert again.per_group[("a", "L1")].homogeneity == report.homogeneity
 
 
 def test_profile_requires_groups():
     with pytest.raises(ValueError):
-        analysis.profile_dataset({})
+        profile_of({})
 
 
 def test_profile_aggregation_grows_linearly_in_the_class_count():
@@ -193,8 +204,9 @@ def test_profile_aggregation_grows_linearly_in_the_class_count():
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
-    # Fraction 1.0 of a sweep is the profile of the grouped collection: the
-    # same groups in the same order, the same cap draws, the same document.
+    # Fraction 1.0 of a sweep is the profile of the whole collection: every
+    # group in order of its first row, reported on all its rows, with the
+    # documented cap draws.
     rng = np.random.default_rng(seed)
     keys = [(f"t{c}-{i}", f"class{c}", f"L{layer}") for c, n in enumerate(sizes)
             for i in range(n) for layer in range(layers)]
@@ -202,10 +214,13 @@ def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
     ids, labels, layer_tags = (list(column) for column in zip(*keys))
     emb = io.LabeledEmbeddings(rng.normal(size=(len(keys), 3)), ids, labels, layer_tags)
     sweep = analysis.downsample_sweep(emb, [1.0], seed=seed, homogeneity_cap=cap)
-    direct = analysis.profile_dataset(io.group_by_label(emb), homogeneity_cap=cap,
-                                      seed=seed)
-    assert json.dumps(sweep[0].profile.to_dict()) == json.dumps(direct.to_dict())
-    assert sweep[0].size == sum(sizes)
+    [(size, reports)] = _reference_sweep(emb, [1.0], seed, cap)
+    profile = sweep[0].profile
+    assert list(profile.per_group) == list(reports)
+    for key, want in reports.items():
+        assert_same_report(profile.per_group[key], want)
+    assert profile.class_sizes == {f"class{c}": n for c, n in enumerate(sizes)}
+    assert sweep[0].size == size == sum(sizes)
 
 
 def test_sweep_sizes_track_fractions():
@@ -263,14 +278,11 @@ def _reference_sweep(emb, fractions, seed, cap):
     expected = []
     for index, fraction in enumerate(fractions):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        if fraction == 1.0:
-            chosen = {label: set(ids) for label, ids in units.items()}
-        else:
-            chosen = {}
-            for label, ids in units.items():
-                ids = list(ids)
-                keep = int(math.floor(fraction * len(ids) + 0.5))
-                chosen[label] = {ids[i] for i in np.sort(rng.choice(len(ids), keep, replace=False))}
+        chosen = {}
+        for label, ids in units.items():
+            ids = list(ids)
+            keep = int(math.floor(fraction * len(ids) + 0.5))
+            chosen[label] = {ids[i] for i in np.sort(rng.choice(len(ids), keep, replace=False))}
         groups = {}
         for row, (label, rec_id, layer) in enumerate(zip(emb.labels, emb.ids, emb.layers)):
             if rec_id in chosen[label]:
@@ -325,6 +337,13 @@ def test_sweep_validates_fractions(fractions):
     emb = two_class_embeddings(np.random.default_rng(13))
     with pytest.raises(ValueError):
         analysis.downsample_sweep(emb, fractions, seed=0)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1, 2, 2.5, 3.0, True, "3"])
+def test_sweep_validates_homogeneity_cap(cap):
+    emb = two_class_embeddings(np.random.default_rng(13))
+    with pytest.raises(ValueError, match="homogeneity_cap"):
+        analysis.downsample_sweep(emb, [1.0], seed=0, homogeneity_cap=cap)
 
 
 # --- pearson ------------------------------------------------------------

@@ -11,10 +11,11 @@ warning escapes (pytest turns warnings into errors); and a failed run leaves
 no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
 must exit 2 with argparse's line naming the flag. ``profile`` without
 ``--fractions`` must also fail with the line, or succeed with the document,
-that the grouped profile ``profile_dataset(group_by_label(...))`` gives on
-the same file. ``correlate`` must reject, with the file and the line or row,
-a fraction that an earlier score line or sweep row holds, and a JSON boolean
-where the sweep needs a number.
+that the one-fraction sweep ``downsample_sweep(read_vectors(...), [1.0])``
+gives on the same file. ``correlate`` must reject, with the file and the
+line or row, a fraction that an earlier score line or sweep row holds, a
+JSON boolean or string where the sweep needs a number, a fractional sweep
+size, and a score name holding a carriage return.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         if fractions is not None or code == 2:
             return
         try:
-            profile = analysis.profile_dataset(
-                textchar_io.group_by_label(textchar_io.read_vectors(src, fmt)),
-                homogeneity_cap=None if cap is None else int(cap), seed=int(seed))
+            profile = analysis.downsample_sweep(
+                textchar_io.read_vectors(src, fmt), [1.0], seed=int(seed),
+                homogeneity_cap=None if cap is None else int(cap))[0].profile
         except (TextcharError, OSError, ValueError, RuntimeError, KeyError) as exc:
             assert err == [f"textchar: error: {str(exc) or type(exc).__name__}"]
         else:
@@ -286,6 +287,14 @@ def _with(path, value):
      "sweep.json: row 1: 'size' is a boolean, not a number"),
     (_with((1, "final", "diversity"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
      "sweep.json: row 2: 'diversity' is a boolean, not a number"),
+    (_with((0, "fraction"), "1.0"), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 1: 'fraction' is a string, not a number"),
+    (_with((1, "final", "density"), "2"), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 2: 'density' is a string, not a number"),
+    (_with((0, "size"), 2.7), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 1: 'size' is 2.7, not a whole number"),
+    (_SWEEP_ROWS, 'fraction,"a\rb"\n1.0,0.9\n0.5,0.8\n',
+     "scores.csv, line 1: score column 'a\\rb' holds a carriage return"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     with tempfile.TemporaryDirectory() as tmp:

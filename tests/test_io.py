@@ -328,21 +328,3 @@ def test_pool_token_file_rejects_mixed_widths_before_writing(tmp_path):
     with pytest.raises(DimensionMismatch, match="'b'"):
         io.pool_token_file(src, out)
     assert not out.exists()
-
-
-# --- grouping -----------------------------------------------------------
-
-def test_group_by_label_shapes_and_order():
-    emb = make_collection(np.random.default_rng(4), n=8, dim=3,
-                          labels=("a", "b"), layers=("L1", "L2"))
-    groups = io.group_by_label(emb)
-    # i % 2 picks both label and layer together: (a, L1) and (b, L2)
-    assert list(groups) == [("a", "L1"), ("b", "L2")]
-    assert all(cluster.shape == (4, 3) for cluster in groups.values())
-
-
-def test_group_by_label_preserves_row_order():
-    emb = io.LabeledEmbeddings(np.arange(5.0)[:, None], [f"r{i}" for i in range(5)],
-                               ["only"] * 5, ["L"] * 5)
-    groups = io.group_by_label(emb)
-    assert np.array_equal(groups[("only", "L")][:, 0], np.arange(5.0))
