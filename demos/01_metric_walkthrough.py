@@ -32,24 +32,24 @@ def main():
     print("stationary distribution (strength-proportional):", chain.stationary)
     print("entropy rate:", chain.entropy_rate, "| upper bound ln(m-1):",
           chain.upper_bound)
-    print("homogeneity (rate / bound):", metrics.homogeneity(pts))
+    print("homogeneity (rate / bound):", metrics.metric_report(pts).homogeneity)
     print("-> the far-away third point makes the walk lopsided, so the")
     print("   normalized entropy sits well below 1.")
 
     banner("equidistant points are perfectly homogeneous")
     for m in (3, 4, 5):
         print(f"m={m} simplex corners: homogeneity =",
-              metrics.homogeneity(np.eye(m)))
+              metrics.metric_report(np.eye(m)).homogeneity)
 
     banner("what homogeneity ignores")
     rng = np.random.default_rng(7)
     blob = rng.normal(size=(200, 6))
-    h = metrics.homogeneity(blob)
+    h = metrics.metric_report(blob).homogeneity
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     print("blob:                 ", h)
-    print("same blob, x1000 size:", metrics.homogeneity(blob * 1000))
-    print("same blob, shifted:   ", metrics.homogeneity(blob + 50.0))
-    print("same blob, rotated:   ", metrics.homogeneity(blob @ q))
+    print("same blob, x1000 size:", metrics.metric_report(blob * 1000).homogeneity)
+    print("same blob, shifted:   ", metrics.metric_report(blob + 50.0).homogeneity)
+    print("same blob, rotated:   ", metrics.metric_report(blob @ q).homogeneity)
     print("-> scale, position, and orientation all cancel out of the")
     print("   transition probabilities; only the shape of the distance")
     print("   distribution matters.")

@@ -47,10 +47,8 @@ from .metrics import (
     density,
     diversity,
     entropy_rate,
-    homogeneity,
     metric_report,
     metric_reports,
-    stationary_distribution,
 )
 from .simulation import (
     BlobSpec,
@@ -100,7 +98,6 @@ __all__ = [
     "downsample_sweep",
     "entropy_rate",
     "gaussian_blob",
-    "homogeneity",
     "mean_pool",
     "metric_report",
     "metric_reports",
@@ -110,7 +107,6 @@ __all__ = [
     "run_scenario",
     "scenario",
     "sphere_points",
-    "stationary_distribution",
     "sub_clusters",
     "write_vectors",
     "__version__",

@@ -204,6 +204,8 @@ def _jsonl_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
         if vector.ndim != 1:
             raise ParseError(path, "'vector' must be a flat list of numbers",
                              line=lineno)
+        if not vector.size:
+            raise ParseError(path, "'vector' is empty", line=lineno)
         yield rec_id, str(obj["label"]), str(obj.get("layer", DEFAULT_LAYER)), vector
 
 
@@ -256,6 +258,9 @@ def _csv_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
         raise ParseError(path, "header has no 'label' column", line=1)
     axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
     for ordinal, (lineno, row) in enumerate(rows, start=1):
+        if not axis_cols:
+            raise ParseError(path, "header has no axis column for this row",
+                             line=lineno)
         rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
         try:
             vector = np.array([float(row[i]) for i in axis_cols], dtype=np.float64)
@@ -295,6 +300,8 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
             raise ParseError(path, f"unsupported version {version}", offset=4)
         if width not in _DTYPES:
             raise ParseError(path, f"unsupported float width {width}", offset=5)
+        if m and not dim:
+            raise ParseError(path, f"{m} vectors of 0 dimensions", offset=12)
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER.size + m * dim * width
         if size != expected:
@@ -391,8 +398,10 @@ def read_sweep(path) -> list[SweepRow]:
     ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
     document, a ``fraction``, ``size`` or metric value that is not a JSON
     number (a string or a boolean, say), a ``size`` that is not a whole
-    number, or a fraction that an earlier row holds raises ParseError naming
-    the file and the 1-based row.
+    number, a fraction outside ``(0, 1]`` (NaN too), or a fraction that an
+    earlier row holds raises ParseError naming the file and the 1-based row.
+    A metric value may be ``Infinity``, as ``profile`` writes for a density
+    beyond the float64 range.
     """
     path = Path(path)
     text = "".join(_text_lines(path))
@@ -423,6 +432,9 @@ def read_sweep(path) -> list[SweepRow]:
             raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"row {number}: {exc}") from exc
+        if not 0.0 < row.fraction <= 1.0:
+            raise ParseError(path, f"row {number}: fraction {row.fraction:g} "
+                                   "is not in (0, 1]")
         first = first_row.setdefault(row.fraction, number)
         if first != number:
             raise ParseError(path, f"row {number}: repeats fraction {row.fraction:g} "
@@ -437,8 +449,9 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
 
     Returns the score names in header order and each fraction's scores. A
     malformed table, a score name holding a carriage return (which a csv
-    writer may leave unquoted), or a fraction that an earlier row holds,
-    raises ParseError naming the file and line.
+    writer may leave unquoted), a fraction outside ``(0, 1]`` (``nan``
+    too), or a fraction that an earlier row holds, raises ParseError naming
+    the file and line.
     """
     path = Path(path)
     rows = _csv_rows(path)
@@ -461,6 +474,8 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
         except ValueError as exc:
             raise ParseError(path, f"non-numeric cell: {exc}", line=lineno) from exc
         fraction = values.pop("fraction")
+        if not 0.0 < fraction <= 1.0:
+            raise ParseError(path, f"fraction {fraction:g} is not in (0, 1]", line=lineno)
         first = first_line.setdefault(fraction, lineno)
         if first != lineno:
             raise ParseError(path, f"repeats fraction {fraction:g} of line {first}",

@@ -38,10 +38,8 @@ __all__ = [
     "density",
     "diversity",
     "entropy_rate",
-    "homogeneity",
     "metric_report",
     "metric_reports",
-    "stationary_distribution",
 ]
 
 # Axes whose standard deviation falls below this floor are clamped when
@@ -74,15 +72,14 @@ def as_cluster(vectors) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClusterStats:
-    """Per-axis mean and population standard deviation of a cluster."""
+    """Per-axis population standard deviation and point count of a cluster."""
 
-    means: np.ndarray
     stds: np.ndarray
     count: int
 
     @property
     def dim(self) -> int:
-        return self.means.shape[0]
+        return self.stds.shape[0]
 
 
 class DensityResult(NamedTuple):
@@ -126,23 +123,20 @@ class MetricReport:
 
 
 def axis_stats(cluster) -> ClusterStats:
-    """Mean and population standard deviation (divisor ``m``) along each axis.
+    """Population standard deviation (divisor ``m``) along each axis.
 
-    An axis whose mean or standard deviation overflows is recomputed on its
-    values over their largest magnitude and scaled back, so it stays finite
-    near the float64 maximum; the other axes keep the bits of ``np.std``.
+    An axis whose standard deviation overflows is recomputed on its values
+    over their largest magnitude and scaled back, so it stays finite near
+    the float64 maximum; the other axes keep the bits of ``np.std``.
     """
     arr = as_cluster(cluster)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = arr.mean(axis=0)
         stds = arr.std(axis=0)
-    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    bad = ~np.isfinite(stds)
     if bad.any():
         scale = np.abs(arr[:, bad]).max(axis=0)
-        scaled = arr[:, bad] / scale
-        means[bad] = scaled.mean(axis=0) * scale
-        stds[bad] = scaled.std(axis=0) * scale
-    return ClusterStats(means=means, stds=stds, count=arr.shape[0])
+        stds[bad] = (arr[:, bad] / scale).std(axis=0) * scale
+    return ClusterStats(stds=stds, count=arr.shape[0])
 
 
 def diversity(stats: ClusterStats) -> float:
@@ -335,53 +329,28 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     return chains
 
 
-def _whole_chain(cluster, least: int, too_few: str) -> MarkovChainSummary:
-    """Chain summary of a whole cluster; raises ``TooFewSamples(too_few)``
-    (``{m}`` is the point count) below ``least`` points."""
+def entropy_rate(cluster) -> MarkovChainSummary:
+    """Entropy rate of the distance-weighted chain, in nats, with its
+    stationary distribution and its ``ln(m - 1)`` upper bound.
+
+    The chain-level call: unlike ``metric_report`` it raises, with
+    ``TooFewSamples`` below 2 points and ``DegenerateCluster`` when every
+    point coincides or a point's edge weights all underflow. One streaming
+    pass over upper-triangle tiles yields each point's row strength and
+    transition entropy; the rate is their stationary-weighted mean. The
+    weight matrix is symmetric, so the chain is reversible and a point's
+    stationary probability is its row strength over the total strength; no
+    eigensolve is needed. ``metric_report`` reports the rate over its bound
+    as homogeneity.
+    """
     arr = as_cluster(cluster)
     m = arr.shape[0]
-    if m < least:
-        raise TooFewSamples(too_few.format(m=m))
+    if m < 2:
+        raise TooFewSamples("need at least 2 points for a transition chain")
     (chain,) = _chains(arr, [np.arange(m)])
     if isinstance(chain, DegenerateCluster):
         raise chain
     return chain
-
-
-def _normalized_rate(chain: MarkovChainSummary) -> float:
-    # The rate provably cannot exceed the bound; roundoff in the last ulp can.
-    return min(chain.entropy_rate / chain.upper_bound, 1.0)
-
-
-def stationary_distribution(cluster) -> np.ndarray:
-    """Stationary distribution of the distance-weighted chain.
-
-    Because the weight matrix is symmetric the chain is reversible and the
-    stationary probability of a point is its row strength over the total
-    strength; no eigensolve is needed.
-    """
-    return entropy_rate(cluster).stationary
-
-
-def entropy_rate(cluster) -> MarkovChainSummary:
-    """Entropy rate of the distance-weighted chain, in nats.
-
-    One streaming pass over upper-triangle tiles yields each point's row
-    strength and transition entropy; the rate is their stationary-weighted
-    mean.
-    """
-    return _whole_chain(cluster, 2, "need at least 2 points for a transition chain")
-
-
-def homogeneity(cluster) -> float:
-    """Entropy rate normalized by its ``ln(m - 1)`` upper bound.
-
-    Lies in ``[0, 1]``; equals 1 exactly when all pairwise distances are
-    equal. Requires at least 3 points, otherwise the bound is zero and the
-    ratio is meaningless.
-    """
-    return _normalized_rate(
-        _whole_chain(cluster, 3, "homogeneity needs at least 3 points, got {m}"))
 
 
 def _reports(arr: np.ndarray, rows: list[np.ndarray],
@@ -415,7 +384,9 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
             diversity=diversity(stats),
             density=den.value,
             density_log=den.log_value,
-            homogeneity=_normalized_rate(chain) if defined else None,
+            # The rate provably cannot exceed the bound; roundoff in the last ulp can.
+            homogeneity=(min(chain.entropy_rate / chain.upper_bound, 1.0)
+                         if defined else None),
             degenerate_axes=den.floored_axes,
             homogeneity_skipped_reason=None if defined else str(chain),
             notes=notes,

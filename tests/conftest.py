@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from textchar.metrics import metric_report
+
 # One line per acceptance criterion, echoed after the test run so the
 # verdicts are visible without -s.
 ACCEPTANCE_LINES: list[str] = []
@@ -112,6 +114,13 @@ def random_cluster(rng: np.random.Generator, max_m: int = 64,
     scale = float(10.0 ** rng.integers(-3, 4))
     offset = rng.normal(scale=scale, size=dim)
     return rng.normal(scale=scale, size=(m, dim)) + offset
+
+
+def homogeneity_of(points) -> float:
+    """``metric_report(points).homogeneity``, asserted to be defined."""
+    value = metric_report(points).homogeneity
+    assert value is not None
+    return value
 
 
 def assert_same_report(got, want) -> None:

@@ -22,6 +22,7 @@ from conftest import (
     SST2_REFERENCE,
     brute_entropy_rate,
     brute_weights,
+    homogeneity_of,
     power_iteration_stationary,
     random_cluster,
 )
@@ -228,7 +229,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
 
     def h_of(cluster) -> float:
         start = time.perf_counter()
-        value = metrics.homogeneity(cluster)
+        value = homogeneity_of(cluster)
         durations.append(time.perf_counter() - start)
         return value
 
@@ -310,7 +311,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
 def test_criterion_6_exact_value_suite(monkeypatch):
     # Equidistant points: the chain is uniform, homogeneity is exactly 1.
     simplex_worst = max(
-        abs(metrics.homogeneity(np.eye(m)) - 1.0) for m in (3, 4, 5))
+        abs(homogeneity_of(np.eye(m)) - 1.0) for m in (3, 4, 5))
 
     # Two-point hand values. With per-axis stds (1, 1) every intermediate
     # is exactly representable; with stds (1, 2) the exp/log route may sit
@@ -337,7 +338,7 @@ def test_criterion_6_exact_value_suite(monkeypatch):
     stationary_worst = 0.0
     for _ in range(50):
         pts = random_cluster(rng, max_m=64)
-        gap = np.abs(metrics.stationary_distribution(pts)
+        gap = np.abs(metrics.entropy_rate(pts).stationary
                      - power_iteration_stationary(pts)).max()
         stationary_worst = max(stationary_worst, gap)
 
@@ -376,14 +377,14 @@ def test_criterion_6_exact_value_suite(monkeypatch):
     invariance_worst = 0.0
     for _ in range(200):
         pts = random_cluster(rng, max_m=32, max_dim=12)
-        h = metrics.homogeneity(pts)
+        h = homogeneity_of(pts)
         scale = float(10.0 ** rng.uniform(-3.0, 3.0))
-        invariance_worst = max(invariance_worst, abs(metrics.homogeneity(scale * pts) - h))
+        invariance_worst = max(invariance_worst, abs(homogeneity_of(scale * pts) - h))
         shift = rng.normal(size=pts.shape[1]) * 100.0 * float(np.abs(pts).max())
-        invariance_worst = max(invariance_worst, abs(metrics.homogeneity(pts + shift) - h))
+        invariance_worst = max(invariance_worst, abs(homogeneity_of(pts + shift) - h))
         if pts.shape[1] > 1:
             q, _ = np.linalg.qr(rng.normal(size=(pts.shape[1],) * 2))
-            invariance_worst = max(invariance_worst, abs(metrics.homogeneity(pts @ q) - h))
+            invariance_worst = max(invariance_worst, abs(homogeneity_of(pts @ q) - h))
 
     ok = (simplex_worst <= 1e-12 and exact_ok and stationary_worst <= 1e-10
           and entropy_worst <= 1e-12 and row_worst <= 1e-12

@@ -15,7 +15,10 @@ that the one-fraction sweep ``downsample_sweep(read_vectors(...), [1.0])``
 gives on the same file. ``correlate`` must reject, with the file and the
 line or row, a fraction that an earlier score line or sweep row holds, a
 JSON boolean or string where the sweep needs a number, a fractional sweep
-size, and a score name holding a carriage return.
+size, a fraction outside (0, 1] (NaN and inf too) and a score name holding
+a carriage return; it must still read an infinite metric value. ``profile``
+must reject, with the file and the line or offset, records whose vectors
+have no values, while the empty collection still round-trips.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -295,6 +299,20 @@ def _with(path, value):
      "sweep.json: row 1: 'size' is 2.7, not a whole number"),
     (_SWEEP_ROWS, 'fraction,"a\rb"\n1.0,0.9\n0.5,0.8\n',
      "scores.csv, line 1: score column 'a\\rb' holds a carriage return"),
+    (_with((0, "fraction"), 7), "fraction,acc\n7,0.9\n-3,0.8\n",
+     "sweep.json: row 1: fraction 7 is not in (0, 1]"),
+    (_with((1, "fraction"), -3), "fraction,acc\n1.0,0.9\n-3,0.8\n",
+     "sweep.json: row 2: fraction -3 is not in (0, 1]"),
+    (_with((0, "fraction"), float("nan")), "fraction,acc\nnan,0.9\n0.5,0.8\n",
+     "sweep.json: row 1: fraction nan is not in (0, 1]"),
+    (_with((1, "fraction"), float("inf")), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 2: fraction inf is not in (0, 1]"),
+    (_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.5,0.8\nnan,0.7\n",
+     "scores.csv, line 4: fraction nan is not in (0, 1]"),
+    (_SWEEP_ROWS, "fraction,acc\n1e400,0.9\n0.5,0.8\n",
+     "scores.csv, line 2: fraction inf is not in (0, 1]"),
+    (_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0,0.8\n",
+     "scores.csv, line 3: fraction 0 is not in (0, 1]"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,3 +323,51 @@ def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
         code, err = _run(["correlate", "--metrics", str(metrics_path),
                           "--scores", str(scores_path), "--out", str(out)], [out])
         assert code == 1 and err == [f"textchar: error: {Path(tmp) / message}"], err
+
+
+def test_correlate_reads_infinite_metric_values():
+    # profile writes Infinity for a density beyond the float64 range and
+    # -Infinity for the log of a zero density; correlate must read both.
+    rows = _with((0, "final", "density"), float("inf"))
+    rows[1]["final"]["density_log"] = -float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
+        metrics_path.write_text(json.dumps({"kind": "sweep", "rows": rows}))
+        scores_path.write_text("fraction,acc\n1.0,0.9\n0.5,0.8\n")
+        out = Path(tmp) / "corr.csv"
+        code, _ = _run(["correlate", "--metrics", str(metrics_path),
+                        "--scores", str(scores_path), "--out", str(out)], [out])
+        assert code == 0
+        first, second = textchar_io.read_sweep(metrics_path)
+    assert first.final.density == math.inf and second.final.density_log == -math.inf
+
+
+def _zero_width_file(path: Path, fmt: str) -> None:
+    """Three records of label "a" whose vectors have no values."""
+    if fmt == "jsonl":
+        path.write_text('{"label": "a", "vector": []}\n' * 3)
+    elif fmt == "csv":
+        path.write_text("label\na\na\na\n")
+    else:
+        path.write_bytes(b"CMET\x01\x08\x00\x00" + (3).to_bytes(4, "little")
+                         + (0).to_bytes(4, "little"))
+        Path(str(path) + ".meta.jsonl").write_text('{"label": "a"}\n' * 3)
+
+
+@pytest.mark.parametrize("fmt, where", [
+    ("jsonl", "line 1: 'vector' is empty"),
+    ("csv", "line 2: header has no axis column for this row"),
+    ("binary", "offset 12: 3 vectors of 0 dimensions"),
+])
+def test_profile_rejects_zero_width_records(fmt, where):
+    # The empty collection still round-trips; records with no values are a
+    # ParseError at the record, not a failure deep in the metrics.
+    with tempfile.TemporaryDirectory() as tmp:
+        empty = Path(tmp) / f"empty.{fmt}"
+        textchar_io.write_vectors(textchar_io.LabeledEmbeddings(), empty, fmt)
+        assert len(textchar_io.read_vectors(empty, fmt)) == 0
+        src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
+        _zero_width_file(src, fmt)
+        code, err = _run(["profile", "--input", str(src), "--format", fmt,
+                          "--out", str(out)], [out])
+        assert code == 1 and err == [f"textchar: error: {src}, {where}"], err

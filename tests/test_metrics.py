@@ -11,6 +11,7 @@ from conftest import (
     assert_same_report,
     brute_entropy_rate,
     brute_transitions,
+    homogeneity_of,
     power_iteration_stationary,
     random_cluster,
 )
@@ -39,13 +40,11 @@ def test_axis_stats_uses_population_divisor():
     stats = metrics.axis_stats([[0.0], [2.0]])
     assert stats.count == 2
     assert stats.dim == 1
-    assert stats.means[0] == 1.0
     assert stats.stds[0] == 1.0
 
 
 def test_axis_stats_hand_values():
     stats = metrics.axis_stats([[0.0, 0.0], [2.0, 4.0]])
-    assert np.array_equal(stats.means, [1.0, 2.0])
     assert np.array_equal(stats.stds, [1.0, 2.0])
 
 
@@ -53,7 +52,7 @@ def test_axis_stats_hand_values():
 @pytest.mark.parametrize("case", ["square overflows", "sum overflows"])
 def test_axis_stats_near_float64_max_match_a_scaled_reference(case):
     # One coordinate of 1e160 overflows the squares in np.std; a column near
-    # 1e308 throughout overflows even the sum behind the mean. Scaling a
+    # 1e308 throughout overflows even the sum behind its mean. Scaling a
     # column by a power of two is exact, so the statistics of the scaled
     # copy, scaled back, are the reference.
     rng = np.random.default_rng(79)
@@ -66,10 +65,10 @@ def test_axis_stats_near_float64_max_match_a_scaled_reference(case):
     scaled[:, 1] *= 2.0 ** -exponent
     reference = metrics.axis_stats(scaled)
     stats = metrics.axis_stats(pts)
-    for got, want in ((stats.means, reference.means), (stats.stds, reference.stds)):
-        assert np.isfinite(got).all()
-        assert got[1] == pytest.approx(want[1] * 2.0 ** exponent, rel=1e-12)
-        assert got[[0, 2]].tolist() == want[[0, 2]].tolist()  # bits kept
+    got, want = stats.stds, reference.stds
+    assert np.isfinite(got).all()
+    assert got[1] == pytest.approx(want[1] * 2.0 ** exponent, rel=1e-12)
+    assert got[[0, 2]].tolist() == want[[0, 2]].tolist()  # bits kept
     report = metrics.metric_report(pts)
     log_diversity = np.log(reference.stds).mean() + exponent * math.log(2.0) / 3
     assert report.diversity == pytest.approx(math.exp(log_diversity), rel=1e-12)
@@ -86,8 +85,7 @@ def test_diversity_two_point_hand_value():
 
 
 def test_diversity_geometric_mean():
-    stats = metrics.ClusterStats(means=np.zeros(2), stds=np.array([2.0, 8.0]),
-                                 count=10)
+    stats = metrics.ClusterStats(stds=np.array([2.0, 8.0]), count=10)
     assert metrics.diversity(stats) == pytest.approx(4.0, rel=1e-15)
 
 
@@ -161,20 +159,20 @@ THREE_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
 
 
 def test_stationary_three_point_hand_value():
-    nu = metrics.stationary_distribution(THREE_POINTS)
+    nu = metrics.entropy_rate(THREE_POINTS).stationary
     expected = (0.2820229923560615, 0.2655083611388984, 0.45246864650504004)
     assert np.abs(nu - expected).max() <= 1e-15
 
 
 def test_stationary_two_points_split_evenly():
-    nu = metrics.stationary_distribution([[0.0, 0.0], [5.0, 5.0]])
+    nu = metrics.entropy_rate([[0.0, 0.0], [5.0, 5.0]]).stationary
     assert np.array_equal(nu, [0.5, 0.5])
 
 
 def test_stationary_is_probability_vector():
     rng = np.random.default_rng(17)
     for _ in range(10):
-        nu = metrics.stationary_distribution(random_cluster(rng))
+        nu = metrics.entropy_rate(random_cluster(rng)).stationary
         assert (nu > 0.0).all()
         assert abs(nu.sum() - 1.0) <= 1e-12
 
@@ -185,26 +183,26 @@ def test_stationary_matches_power_iteration():
         pts = random_cluster(rng, max_dim=8)
         if pts.shape[1] == 1:
             continue  # 1-dim chains are uniform; nothing to iterate on
-        nu = metrics.stationary_distribution(pts)
+        nu = metrics.entropy_rate(pts).stationary
         oracle = power_iteration_stationary(pts)
         assert np.abs(nu - oracle).max() <= 1e-10
 
 
 def test_stationary_is_fixed_under_transitions():
     pts = random_cluster(np.random.default_rng(31), max_dim=6)
-    nu = metrics.stationary_distribution(pts)
+    nu = metrics.entropy_rate(pts).stationary
     p = brute_transitions(pts)
     assert np.abs(nu @ p - nu).max() <= 1e-12
 
 
 def test_stationary_rejects_single_point():
     with pytest.raises(TooFewSamples):
-        metrics.stationary_distribution([[1.0, 2.0]])
+        metrics.entropy_rate([[1.0, 2.0]])
 
 
 def test_stationary_rejects_coincident_cluster():
     with pytest.raises(DegenerateCluster):
-        metrics.stationary_distribution([[3.0, 4.0]] * 5)
+        metrics.entropy_rate([[3.0, 4.0]] * 5)
 
 
 # --- entropy rate and homogeneity -----------------------------------------
@@ -216,7 +214,7 @@ def test_entropy_rate_three_point_hand_value():
 
 
 def test_homogeneity_three_point_hand_value():
-    assert metrics.homogeneity(THREE_POINTS) == pytest.approx(
+    assert homogeneity_of(THREE_POINTS) == pytest.approx(
         0.8165705512892505, abs=1e-15)
 
 
@@ -240,17 +238,38 @@ def test_entropy_rate_independent_of_block_size(monkeypatch):
 def test_uniform_simplex_has_homogeneity_one():
     # Basis vectors are pairwise equidistant, making the chain exactly uniform.
     for m in (3, 4, 5):
-        assert abs(metrics.homogeneity(np.eye(m)) - 1.0) <= 1e-12
+        assert abs(homogeneity_of(np.eye(m)) - 1.0) <= 1e-12
 
 
 def test_one_dimensional_cluster_has_homogeneity_one():
     pts = np.random.default_rng(3).normal(size=(30, 1))
-    assert metrics.homogeneity(pts) == 1.0
+    assert homogeneity_of(pts) == 1.0
 
 
 def test_homogeneity_requires_three_points():
-    with pytest.raises(TooFewSamples):
-        metrics.homogeneity([[0.0, 0.0], [1.0, 1.0]])
+    report = metrics.metric_report([[0.0, 0.0], [1.0, 1.0]])
+    assert report.homogeneity is None
+    assert report.homogeneity_skipped_reason == "fewer than 3 samples (m=2)"
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_metric_report_homogeneity_is_the_normalized_entropy_rate(monkeypatch, block):
+    # The report and entropy_rate reach the chain by the same pass, so the
+    # report's homogeneity is the rate over its ln(m - 1) bound bitwise,
+    # clamped at 1. Simplex corners are equidistant: there roundoff can put
+    # the rate an ulp above its bound (it does for m = 3 on OpenBLAS).
+    rng = np.random.default_rng(97)
+    clusters = [random_cluster(rng, max_m=80, max_dim=10) for _ in range(10)]
+    copies = rng.normal(size=(20, 4))
+    copies[[5, 11, 17]] = copies[2]
+    clusters.append(copies)
+    clusters += [np.eye(m) for m in range(3, 9)]
+    if block is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
+    for pts in clusters:
+        chain = metrics.entropy_rate(pts)
+        want = min(chain.entropy_rate / chain.upper_bound, 1.0)
+        assert metrics.metric_report(pts).homogeneity == want
 
 
 def test_duplicate_rows_match_brute_force():
@@ -292,7 +311,7 @@ def test_chain_rows_never_receives_a_copy_pair(monkeypatch):
 
     monkeypatch.setattr(metrics, "_chain_rows", checked)
     metrics.metric_report(pts)
-    metrics.homogeneity(pts[:26])
+    metrics.metric_report(pts[:26])
     metrics.metric_reports(pts, [np.arange(30), np.array([3, 7, 11, 25]), np.arange(20)],
                            homogeneity_subsets=[np.arange(0, 30, 2), np.array([3, 7, 11, 25]),
                                                 np.arange(20)])
@@ -310,10 +329,9 @@ def test_duplicate_rows_in_different_blocks_match_brute_force(monkeypatch):
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", 4)
     with monkeypatch.context() as patch:
         _bump_copy_norms(patch)
-        rate = metrics.entropy_rate(pts).entropy_rate
-        stationary = metrics.stationary_distribution(pts)
-    assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
-    assert np.abs(stationary - power_iteration_stationary(pts)).max() <= 1e-10
+        chain = metrics.entropy_rate(pts)
+    assert abs(chain.entropy_rate - brute_entropy_rate(pts)) <= 1e-12
+    assert np.abs(chain.stationary - power_iteration_stationary(pts)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("block", [1, 3, 13, 19])
@@ -329,10 +347,9 @@ def test_triangle_strips_match_brute_force(monkeypatch, block):
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
         _bump_copy_norms(patch)
-        rate = metrics.entropy_rate(pts).entropy_rate
-        stationary = metrics.stationary_distribution(pts)
-    assert abs(rate - brute_entropy_rate(pts)) <= 1e-12
-    assert np.abs(stationary - power_iteration_stationary(pts)).max() <= 1e-10
+        chain = metrics.entropy_rate(pts)
+    assert abs(chain.entropy_rate - brute_entropy_rate(pts)) <= 1e-12
+    assert np.abs(chain.stationary - power_iteration_stationary(pts)).max() <= 1e-10
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -341,7 +358,7 @@ def test_triangle_strips_match_brute_force(monkeypatch, block):
 @settings(max_examples=60, deadline=None)
 def test_homogeneity_stays_in_unit_interval(seed, m, dim):
     pts = np.random.default_rng(seed).normal(scale=100.0, size=(m, dim))
-    h = metrics.homogeneity(pts)
+    h = homogeneity_of(pts)
     assert 0.0 <= h <= 1.0
 
 
@@ -349,12 +366,12 @@ def test_homogeneity_invariances():
     rng = np.random.default_rng(53)
     for _ in range(10):
         pts = random_cluster(rng, max_m=30, max_dim=8)
-        h = metrics.homogeneity(pts)
+        h = homogeneity_of(pts)
         shift = rng.normal(size=pts.shape[1])
-        assert abs(metrics.homogeneity(pts + shift) - h) <= 1e-9
-        assert abs(metrics.homogeneity(pts * 7.25) - h) <= 1e-9
+        assert abs(homogeneity_of(pts + shift) - h) <= 1e-9
+        assert abs(homogeneity_of(pts * 7.25) - h) <= 1e-9
         q, _ = np.linalg.qr(rng.normal(size=(pts.shape[1], pts.shape[1])))
-        assert abs(metrics.homogeneity(pts @ q) - h) <= 1e-9
+        assert abs(homogeneity_of(pts @ q) - h) <= 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -367,8 +384,8 @@ def test_homogeneity_invariant_under_large_offsets(seed, log_offset):
     pts = rng.normal(size=(60, 16))
     direction = rng.normal(size=16)
     offset = 10.0 ** log_offset * direction / np.linalg.norm(direction)
-    h = metrics.homogeneity(pts)
-    assert abs(metrics.homogeneity(pts + offset) - h) <= 1e-9
+    h = homogeneity_of(pts)
+    assert abs(homogeneity_of(pts + offset) - h) <= 1e-9
 
 
 # --- metric_report -----------------------------------------------------------
@@ -379,7 +396,8 @@ def test_metric_report_bundles_all_three():
     stats = metrics.axis_stats(pts)
     assert report.diversity == metrics.diversity(stats)
     assert report.density == metrics.density(stats).value
-    assert report.homogeneity == metrics.homogeneity(pts)
+    chain = metrics.entropy_rate(pts)
+    assert report.homogeneity == min(chain.entropy_rate / chain.upper_bound, 1.0)
     assert report.homogeneity_skipped_reason is None
     assert report.degenerate_axes == 0
 
@@ -608,8 +626,8 @@ def test_homogeneity_subsets_pass_covers_only_their_rows():
     full, first = metrics.metric_reports(
         pts, [np.arange(20), np.arange(19)],
         homogeneity_subsets=[np.arange(0, 19, 2), np.arange(1, 19, 2)])
-    assert abs(full.homogeneity - metrics.homogeneity(pts[0:19:2])) <= 1e-12
-    assert abs(first.homogeneity - metrics.homogeneity(pts[1:19:2])) <= 1e-12
+    assert abs(full.homogeneity - homogeneity_of(pts[0:19:2])) <= 1e-12
+    assert abs(first.homogeneity - homogeneity_of(pts[1:19:2])) <= 1e-12
     assert full.notes == ("homogeneity computed on 10 of 20 points",)
 
 
@@ -646,11 +664,11 @@ def test_homogeneity_is_scale_free_across_the_float64_range(pts, exponent):
     subsets = [np.arange(20), np.arange(1, 20, 2), np.arange(10, 20)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = metrics.homogeneity(pts)
-        report = metrics.metric_report(pts)
+        chain = metrics.entropy_rate(pts)
+        h = homogeneity_of(pts)
         shared = metrics.metric_reports(pts, subsets)
-        assert abs(h - metrics.homogeneity(normal)) <= 1e-12
-        assert report.homogeneity == h
+        assert abs(h - homogeneity_of(normal)) <= 1e-12
+        assert h == min(chain.entropy_rate / chain.upper_bound, 1.0)
         for idx, got in zip(subsets, shared):
             assert_same_report(got, metrics.metric_report(pts[idx]))
-            assert abs(got.homogeneity - metrics.homogeneity(normal[idx])) <= 1e-12
+            assert abs(got.homogeneity - homogeneity_of(normal[idx])) <= 1e-12
