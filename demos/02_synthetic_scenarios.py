@@ -21,24 +21,16 @@ DIM = 2
 SEED = 11
 
 
-def print_rows(rows):
+def show(kind, x_label, path, **kwargs):
+    """Run one scenario, print its rows and chart them."""
+    reports = simulation.run_scenario(kind, points=POINTS, seed=SEED, **kwargs)
+    xs = [float(value) for value in simulation.SWEEPS[kind]]
     print(f"{'parameter':>10} {'diversity':>11} {'density':>11} {'homogeneity':>12}")
-    for row in rows:
-        if row.report is None:
-            print(f"{row.parameter:>10g}  error: {row.error}")
-            continue
-        hom = f"{row.report.homogeneity:.4f}" if row.report.homogeneity is not None else "-"
-        print(f"{row.parameter:>10g} {row.report.diversity:>11.4f} "
-              f"{row.report.density:>11.4f} {hom:>12}")
-
-
-def chart(rows, x_label, path):
-    xs = [row.parameter for row in rows]
-    panels = []
-    for name in ("diversity", "density", "homogeneity"):
-        ys = [getattr(row.report, name) if row.report else None
-              for row in rows]
-        panels.append((name, ys))
+    for x, rep in zip(xs, reports):
+        hom = f"{rep.homogeneity:.4f}" if rep.homogeneity is not None else "-"
+        print(f"{x:>10g} {rep.diversity:>11.4f} {rep.density:>11.4f} {hom:>12}")
+    panels = [(name, [getattr(rep, name) for rep in reports])
+              for name in ("diversity", "density", "homogeneity")]
     write_line_chart(path, x_label, xs, panels)
 
 
@@ -46,37 +38,25 @@ def main():
     OUT_DIR.mkdir(exist_ok=True)
 
     print("== down-sampling: keep a fraction of the blob " + "=" * 20)
-    spec = simulation.scenario("down_sampling", dim=DIM, points=POINTS, seed=SEED)
-    rows = simulation.run_scenario(spec)
-    print_rows(rows)
-    chart(rows, "fraction kept", OUT_DIR / "down_sampling.svg")
+    show("down_sampling", "fraction kept", OUT_DIR / "down_sampling.svg", dim=DIM)
     print("-> diversity and homogeneity barely move; density tracks the")
     print("   sample count almost exactly.\n")
 
     print("== varying spread: same blob shape, bigger radius " + "=" * 16)
-    spec = simulation.scenario("varying_spread", dim=DIM, points=POINTS, seed=SEED)
-    rows = simulation.run_scenario(spec)
-    print_rows(rows)
-    chart(rows, "per-axis std", OUT_DIR / "varying_spread.svg")
+    show("varying_spread", "per-axis std", OUT_DIR / "varying_spread.svg", dim=DIM)
     print("-> diversity grows linearly with the spread, density shrinks,")
     print("   homogeneity stays put (it is scale-invariant).\n")
 
     print("== outliers: append points on a far shell " + "=" * 24)
     # The shell must sit far outside the bulk for the dip-then-rise shape
     # to show at this m; with the 10-x-std default the curve only decays.
-    spec = simulation.scenario("outliers", dim=DIM, points=POINTS, seed=SEED,
-                               outlier_radius=200.0)
-    rows = simulation.run_scenario(spec)
-    print_rows(rows)
-    chart(rows, "outliers added", OUT_DIR / "outliers.svg")
+    show("outliers", "outliers added", OUT_DIR / "outliers.svg", dim=DIM,
+         outlier_radius=200.0)
     print("-> the first outliers drag homogeneity down; once the shell")
     print("   itself is populous the walk evens out again.\n")
 
     print("== sub-clusters: split the mass into k islands " + "=" * 20)
-    spec = simulation.scenario("sub_clusters", dim=768, points=POINTS, seed=SEED)
-    rows = simulation.run_scenario(spec)
-    print_rows(rows)
-    chart(rows, "sub-cluster count", OUT_DIR / "sub_clusters.svg")
+    show("sub_clusters", "sub-cluster count", OUT_DIR / "sub_clusters.svg", dim=768)
     print("-> in high dimension homogeneity falls steadily as the mass")
     print("   fragments. (In 2-D the same sweep is not monotone: after a")
     print("   dip at k=2 the many nearby islands blend back together.)\n")

@@ -51,14 +51,10 @@ from .metrics import (
     metric_reports,
 )
 from .simulation import (
-    BlobSpec,
-    ScenarioRow,
-    ScenarioSpec,
     add_outliers,
     down_sample,
     gaussian_blob,
     run_scenario,
-    scenario,
     sphere_points,
     sub_clusters,
 )
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateMetrics",
-    "BlobSpec",
     "ClusterStats",
     "CorrelationEntry",
     "DatasetProfile",
@@ -84,8 +79,6 @@ __all__ = [
     "MetricReport",
     "NonFiniteValue",
     "ParseError",
-    "ScenarioRow",
-    "ScenarioSpec",
     "SweepRow",
     "TextcharError",
     "TooFewSamples",
@@ -105,7 +98,6 @@ __all__ = [
     "pool_token_file",
     "read_vectors",
     "run_scenario",
-    "scenario",
     "sphere_points",
     "sub_clusters",
     "write_vectors",

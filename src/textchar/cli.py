@@ -93,29 +93,21 @@ def _write_text(path, text: str) -> None:
 
 def cmd_simulate(args) -> int:
     kind = _SCENARIOS[args.scenario]
-    spec = simulation.scenario(
+    reports = simulation.run_scenario(
         kind, dim=args.dims, points=args.points, seed=args.seed,
         outlier_radius=args.radius, spacing=args.spacing,
     )
-    rows = simulation.run_scenario(spec)
-
-    cells = []
-    for row in rows:
-        if row.report is None:
-            raise RuntimeError(
-                f"scenario row at parameter {row.parameter:g} failed: {row.error}"
-            )
-        rep = row.report
-        cells.append([
-            _num(row.parameter), _num(rep.diversity), _num(rep.density),
-            _num(rep.density_log), _num(rep.homogeneity),
-        ])
+    xs = [float(value) for value in simulation.SWEEPS[kind]]
+    cells = [
+        [_num(x), _num(rep.diversity), _num(rep.density), _num(rep.density_log),
+         _num(rep.homogeneity)]
+        for x, rep in zip(xs, reports)
+    ]
     _write_text(args.out, _csv_text(_SIM_COLUMNS, cells))
 
     if args.svg is not None:
-        xs = [row.parameter for row in rows]
         panels = [
-            (name, [getattr(row.report, name) for row in rows])
+            (name, [getattr(rep, name) for rep in reports])
             for name in ("diversity", "density", "homogeneity")
         ]
         svg.write_line_chart(
@@ -196,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="CSV output path (default: stdout)")
     sim.add_argument("--svg", default=None,
                      help="also write an SVG line chart here")
-    sim.add_argument("--radius", type=float, default=None,
+    sim.add_argument("--radius", type=float, default=simulation.DEFAULT_SCALE_FACTOR,
                      help="outlier shell radius (outliers scenario)")
-    sim.add_argument("--spacing", type=float, default=None,
+    sim.add_argument("--spacing", type=float, default=simulation.DEFAULT_SCALE_FACTOR,
                      help="sub-cluster center spacing (subclusters scenario)")
     sim.set_defaults(func=cmd_simulate)
 

@@ -8,9 +8,11 @@ isotropic Gaussian blob:
 * ``outliers`` -- add points drawn uniformly from a far sphere shell.
 * ``sub_clusters`` -- split the budget into k blobs spaced along axis 0.
 
-Every down-sampling row is a subset of one base blob, so ``run_scenario``
-reports all of them from one shared pairwise pass
-(``metrics.metric_reports``); the other kinds build a new cluster per row.
+``run_scenario`` walks one sweep and returns one metric report per sweep
+value, raising at the first row that cannot be built. Every down-sampling
+row is a subset of one base blob, so all of them are reported from one
+shared pairwise pass (``metrics.metric_reports``); the other kinds build a
+new cluster per row.
 
 Reproducibility contract: all draws use numpy's PCG64 ``default_rng``. A
 generator seeded with ``s`` fills its matrix with one row-major ``normal``
@@ -21,7 +23,6 @@ change to this mapping is a breaking change of the artifact version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +30,23 @@ from .errors import EmptyResult
 from .metrics import MetricReport, metric_report, metric_reports
 
 __all__ = [
-    "BlobSpec",
-    "ScenarioRow",
-    "ScenarioSpec",
-    "DOWN_SAMPLING_FRACTIONS",
-    "OUTLIER_COUNTS",
-    "SPREADS",
-    "SUB_CLUSTER_COUNTS",
-    "SCENARIO_KINDS",
+    "SWEEPS",
     "add_outliers",
-    "default_sweep",
     "down_sample",
     "gaussian_blob",
     "run_scenario",
-    "scenario",
     "sphere_points",
     "sub_clusters",
 ]
 
-# Default sweeps, base value first so every scenario row can be compared
-# against the unmodified blob.
-DOWN_SAMPLING_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-SPREADS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
-OUTLIER_COUNTS = (0, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500)
-SUB_CLUSTER_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-
-SCENARIO_KINDS = ("down_sampling", "varying_spread", "outliers", "sub_clusters")
+# Default sweep of each scenario kind, base value first so every row can be
+# compared against the unmodified blob.
+SWEEPS = {
+    "down_sampling": (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+    "varying_spread": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
+    "outliers": (0, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500),
+    "sub_clusters": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+}
 
 # Outlier shell radius and sub-cluster spacing both default to this multiple
 # of the blob's unit per-axis spread: far outside the 3-sigma shell in low
@@ -62,53 +54,14 @@ SCENARIO_KINDS = ("down_sampling", "varying_spread", "outliers", "sub_clusters")
 DEFAULT_SCALE_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class BlobSpec:
+def gaussian_blob(count: int, dim: int, seed=0) -> np.ndarray:
     """Isotropic standard Gaussian blob: ``count`` points in ``dim``
-    dimensions, unit spread on every axis."""
-
-    count: int
-    dim: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One sweep: a base blob plus the parameter values to walk through."""
-
-    kind: str
-    base: BlobSpec
-    sweep: tuple
-    outlier_radius: float | None = None
-    spacing: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if len(self.sweep) == 0:
-            raise ValueError("sweep must not be empty")
-        diffs = np.diff(np.asarray(self.sweep, dtype=np.float64))
-        if len(diffs) and not ((diffs > 0).all() or (diffs < 0).all()):
-            raise ValueError("sweep values must be strictly monotone")
-
-
-@dataclass(frozen=True)
-class ScenarioRow:
-    parameter: float
-    report: MetricReport | None
-    error: str | None = None
-
-
-def gaussian_blob(spec: BlobSpec) -> np.ndarray:
-    """Sample the blob described by ``spec``; bitwise deterministic per seed."""
-    rng = np.random.default_rng(spec.seed)
-    return rng.normal(0.0, 1.0, size=(spec.count, spec.dim))
+    dimensions, unit spread on every axis; bitwise deterministic per seed."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return np.random.default_rng(seed).normal(0.0, 1.0, size=(count, dim))
 
 
 def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
@@ -151,8 +104,10 @@ def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not radius > 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, dim))
     norms = np.linalg.norm(points, axis=1)
@@ -182,6 +137,10 @@ def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarr
         raise ValueError(f"k must be >= 1, got {k}")
     if total < k:
         raise ValueError(f"total ({total}) must be >= k ({k})")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not math.isfinite(spacing):
+        raise ValueError(f"spacing must be finite, got {spacing}")
     rng = np.random.default_rng(seed)
     size, rem = divmod(total, k)
     parts = []
@@ -192,88 +151,39 @@ def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarr
     return np.vstack(parts)
 
 
-def default_sweep(kind: str) -> tuple:
-    return {
-        "down_sampling": DOWN_SAMPLING_FRACTIONS,
-        "varying_spread": SPREADS,
-        "outliers": OUTLIER_COUNTS,
-        "sub_clusters": SUB_CLUSTER_COUNTS,
-    }[kind]
+def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep=None,
+                 outlier_radius: float = DEFAULT_SCALE_FACTOR,
+                 spacing: float = DEFAULT_SCALE_FACTOR) -> tuple[MetricReport, ...]:
+    """One metric report per value of the sweep, in sweep order.
 
-
-def scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep=None,
-             outlier_radius: float | None = None,
-             spacing: float | None = None) -> ScenarioSpec:
-    """Convenience constructor with per-kind default sweeps."""
-    base = BlobSpec(count=points, dim=dim, seed=seed)
-    return ScenarioSpec(
-        kind=kind,
-        base=base,
-        sweep=tuple(sweep) if sweep is not None else default_sweep(kind),
-        outlier_radius=outlier_radius,
-        spacing=spacing,
-    )
-
-
-def _scenario_cluster(spec: ScenarioSpec, base_points: np.ndarray,
-                      index: int, value) -> np.ndarray:
-    row_seed = np.random.SeedSequence([spec.base.seed, index])
-    if spec.kind == "varying_spread":
-        rng = np.random.default_rng(row_seed)
-        return rng.normal(0.0, float(value), size=(spec.base.count, spec.base.dim))
-    if spec.kind == "outliers":
-        radius = (DEFAULT_SCALE_FACTOR if spec.outlier_radius is None
-                  else spec.outlier_radius)
-        return add_outliers(base_points, int(value), radius, row_seed)
-    if spec.kind == "sub_clusters":
-        spacing = DEFAULT_SCALE_FACTOR if spec.spacing is None else spec.spacing
-        return sub_clusters(int(value), spec.base.count, spec.base.dim,
-                            spacing, row_seed)
-    raise ValueError(f"unknown scenario kind {spec.kind!r}")
-
-
-def _down_sampling_rows(spec: ScenarioSpec, base_points: np.ndarray) -> list[ScenarioRow]:
-    """Every row's subset of the base blob, reported from one shared pass."""
-    m = base_points.shape[0]
-    subsets, errors = [], {}
-    for index, value in enumerate(spec.sweep):
-        try:
-            subsets.append(_sample_rows(
-                m, float(value), np.random.SeedSequence([spec.base.seed, index])))
-        except Exception as exc:  # noqa: BLE001 - row-level error capture
-            errors[index] = str(exc)
-    try:
-        reports = iter(metric_reports(base_points, subsets))
-    except Exception as exc:  # noqa: BLE001 - row-level error capture
-        errors = {index: errors.get(index, str(exc)) for index in range(len(spec.sweep))}
-    rows = []
-    for index, value in enumerate(spec.sweep):
-        if index in errors:
-            rows.append(ScenarioRow(parameter=float(value), report=None,
-                                    error=errors[index]))
-        else:
-            rows.append(ScenarioRow(parameter=float(value), report=next(reports)))
-    return rows
-
-
-def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioRow, ...]:
-    """Walk the sweep, computing a metric report per parameter value, one
-    row per sweep value in sweep order.
-
-    The base blob is generated once and reused by the scenarios that modify
-    it; down-sampling rows share one pairwise pass over it. A failing row
-    records its error and the sweep continues.
+    ``kind`` is a key of ``SWEEPS``, and ``sweep`` (default ``SWEEPS[kind]``)
+    must be non-empty and strictly monotone. The base blob of ``points``
+    points is generated once and reused by the scenarios that modify it;
+    down-sampling rows share one pairwise pass over it. The first row that
+    cannot be built raises.
     """
-    base_points = gaussian_blob(spec.base)
-    if spec.kind == "down_sampling":
-        return tuple(_down_sampling_rows(spec, base_points))
-    rows = []
-    for index, value in enumerate(spec.sweep):
-        try:
-            cluster = _scenario_cluster(spec, base_points, index, value)
-            report = metric_report(cluster)
-            rows.append(ScenarioRow(parameter=float(value), report=report))
-        except Exception as exc:  # noqa: BLE001 - row-level error capture
-            rows.append(ScenarioRow(parameter=float(value), report=None,
-                                    error=str(exc)))
-    return tuple(rows)
+    if kind not in SWEEPS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    sweep = SWEEPS[kind] if sweep is None else tuple(sweep)
+    if len(sweep) == 0:
+        raise ValueError("sweep must not be empty")
+    diffs = np.diff(np.asarray(sweep, dtype=np.float64))
+    if len(diffs) and not ((diffs > 0).all() or (diffs < 0).all()):
+        raise ValueError("sweep values must be strictly monotone")
+    base = gaussian_blob(points, dim, seed)
+    streams = [np.random.SeedSequence([seed, index]) for index in range(len(sweep))]
+    if kind == "down_sampling":
+        subsets = [_sample_rows(points, float(value), stream)
+                   for value, stream in zip(sweep, streams)]
+        return tuple(metric_reports(base, subsets))
+    reports = []
+    for value, stream in zip(sweep, streams):
+        if kind == "varying_spread":
+            rng = np.random.default_rng(stream)
+            cluster = rng.normal(0.0, float(value), size=(points, dim))
+        elif kind == "outliers":
+            cluster = add_outliers(base, int(value), outlier_radius, stream)
+        else:
+            cluster = sub_clusters(int(value), points, dim, spacing, stream)
+        reports.append(metric_report(cluster))
+    return tuple(reports)

@@ -158,8 +158,7 @@ _BLOBS: dict[int, np.ndarray] = {}
 
 def _blob_10k(dim: int) -> np.ndarray:
     if dim not in _BLOBS:
-        _BLOBS[dim] = simulation.gaussian_blob(
-            simulation.BlobSpec(count=10_000, dim=dim, seed=101))
+        _BLOBS[dim] = simulation.gaussian_blob(10_000, dim, 101)
     return _BLOBS[dim]
 
 
@@ -237,8 +236,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
     down_worst = 0.0
     bases = {}
     for dim in (2, 768):
-        base = simulation.gaussian_blob(
-            simulation.BlobSpec(count=2000, dim=dim, seed=11))
+        base = simulation.gaussian_blob(2000, dim, 11)
         bases[dim] = base
         h_full = h_of(base)
         for i, fraction in enumerate(_FRACTIONS):
@@ -251,7 +249,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
     spread_range = 0.0
     for dim in (2, 768):
         values = []
-        for i, spread in enumerate(simulation.SPREADS):
+        for i, spread in enumerate(simulation.SWEEPS["varying_spread"]):
             rng = np.random.default_rng(np.random.SeedSequence([12, dim, i]))
             values.append(h_of(rng.normal(0.0, spread, size=(2000, dim))))
         spread_range = max(spread_range, max(values) - min(values))
@@ -271,7 +269,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
             f"h(+500)={h500:.4f}")
 
     # (d) monotone decrease over sub-cluster counts, high-dimensional regime.
-    counts = simulation.SUB_CLUSTER_COUNTS
+    counts = simulation.SWEEPS["sub_clusters"]
     hs_768 = [
         h_of(simulation.sub_clusters(
             k, 2000, 768, 10.0, np.random.SeedSequence([14, k])))

@@ -5,10 +5,11 @@ or repeated lines, JSON values of the wrong type or deleted keys, numbers
 beyond float64 (400-digit integers, ``1e400``) or not numbers (``NaN``),
 csv rows with a cell missing or one too many, and repeated header names.
 ``simulate`` gets small sizes with non-finite or negative ``--radius`` and
-``--spacing``. Whatever the input, ``cli.main`` must exit 0, 1 or 2; exit 1
-prints exactly one ``textchar: error:`` line on stderr; no exception or
-warning escapes (pytest turns warnings into errors); and a failed run leaves
-no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
+``--spacing``; a non-finite ``--radius`` of ``outliers`` or ``--spacing`` of
+``subclusters`` must fail with a line that names the argument. Whatever the
+input, ``cli.main`` must exit 0, 1 or 2; exit 1 prints exactly one
+``textchar: error:`` line on stderr; no exception or warning escapes (pytest
+turns warnings into errors); and a failed run leaves no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
 must exit 2 with argparse's line naming the flag. ``profile`` without
 ``--fractions`` must also fail with the line, or succeed with the document,
 that the one-fraction sweep ``downsample_sweep(read_vectors(...), [1.0])``
@@ -155,6 +156,12 @@ def _collection(scale: float, records: str) -> textchar_io.LabeledEmbeddings:
        dims=st.integers(0, 8), points=st.integers(0, 60), seed=st.integers(-1, 3),
        radius=st.none() | st.sampled_from(BAD_SCALES),
        spacing=st.none() | st.sampled_from(BAD_SCALES), chart=st.booleans())
+@example(scenario="outliers", dims=3, points=20, seed=0, radius="inf", spacing=None,
+         chart=False)
+@example(scenario="subclusters", dims=3, points=20, seed=0, radius=None, spacing="inf",
+         chart=True)
+@example(scenario="subclusters", dims=3, points=20, seed=0, radius="2.5", spacing="nan",
+         chart=False)
 def test_simulate_on_odd_flags(scenario, dims, points, seed, radius, spacing, chart):
     with tempfile.TemporaryDirectory() as tmp:
         out, chart_path = Path(tmp) / "out.csv", Path(tmp) / "chart.svg"
@@ -167,9 +174,15 @@ def test_simulate_on_odd_flags(scenario, dims, points, seed, radius, spacing, ch
         if chart:
             argv += ["--svg", str(chart_path)]
         code, err = _run(argv, [out, chart_path])
+        # The one scale flag that this scenario reads.
+        name, value = {"outliers": ("radius", radius),
+                       "subclusters": ("spacing", spacing)}.get(scenario, ("", None))
         if seed < 0:
             assert code == 2 and err[-1].endswith(
                 f"argument --seed: must be >= 0, got {seed}"), err
+        elif dims >= 1 and points >= 1 and value is not None \
+                and not math.isfinite(float(value)):
+            assert code == 1 and f"{name} must be finite" in err[0], err
 
 
 @MUTATION

@@ -4,25 +4,24 @@ from scipy import stats as sps
 
 from textchar import simulation as sim
 from textchar.errors import EmptyResult
-from textchar.metrics import axis_stats, diversity, metric_report
+from textchar.metrics import MetricReport, axis_stats, diversity, metric_report
 
 
 def test_blob_is_deterministic_per_seed():
-    spec = sim.BlobSpec(count=500, dim=8, seed=123)
-    assert np.array_equal(sim.gaussian_blob(spec), sim.gaussian_blob(spec))
-    other = sim.BlobSpec(count=500, dim=8, seed=124)
-    assert not np.array_equal(sim.gaussian_blob(spec), sim.gaussian_blob(other))
+    assert np.array_equal(sim.gaussian_blob(500, 8, 123), sim.gaussian_blob(500, 8, 123))
+    assert not np.array_equal(sim.gaussian_blob(500, 8, 123),
+                              sim.gaussian_blob(500, 8, 124))
 
 
 def test_blob_sample_statistics():
-    pts = sim.gaussian_blob(sim.BlobSpec(count=10_000, dim=2, seed=42))
+    pts = sim.gaussian_blob(10_000, 2, 42)
     stats = axis_stats(pts)
     assert np.abs(stats.stds - 1.0).max() <= 0.03
     assert np.abs(pts.mean(axis=0)).max() <= 0.05
 
 
 def test_blob_diversity_in_768_dims():
-    pts = sim.gaussian_blob(sim.BlobSpec(count=10_000, dim=768, seed=42))
+    pts = sim.gaussian_blob(10_000, 768, 42)
     assert diversity(axis_stats(pts)) == pytest.approx(1.0, rel=0.03)
 
 
@@ -30,9 +29,9 @@ def test_blob_diversity_in_768_dims():
     dict(count=0, dim=2),
     dict(count=10, dim=0),
 ])
-def test_blob_spec_validation(kwargs):
-    with pytest.raises(ValueError):
-        sim.BlobSpec(**kwargs)
+def test_gaussian_blob_validation(kwargs):
+    with pytest.raises(ValueError, match="^(count|dim) must be >= 1, got 0$"):
+        sim.gaussian_blob(**kwargs)
 
 
 # --- down-sampling ---------------------------------------------------------
@@ -114,6 +113,16 @@ def test_sphere_points_determinism_and_validation():
         sim.sphere_points(0, 3, 1.0, seed=5)
     with pytest.raises(ValueError):
         sim.sphere_points(10, 3, 0.0, seed=5)
+    # add_outliers draws its shell through sphere_points.
+    for dim, radius, message in [
+        (0, 1.0, "dim must be >= 1, got 0"),
+        (2, float("inf"), "radius must be finite and > 0, got inf"),
+        (2, float("nan"), "radius must be finite and > 0, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sim.sphere_points(3, dim, radius, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sim.add_outliers(np.zeros((4, dim)), 2, radius, seed=0)
 
 
 # --- outliers and sub-clusters ---------------------------------------------
@@ -165,109 +174,101 @@ def test_sub_clusters_validation():
         sim.sub_clusters(0, 10, 2, 10.0, seed=0)
     with pytest.raises(ValueError):
         sim.sub_clusters(5, 4, 2, 10.0, seed=0)
+    with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
+        sim.sub_clusters(2, 4, 0, 1.0, seed=0)
+    for spacing in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^spacing must be finite, got {spacing}$"):
+            sim.sub_clusters(2, 4, 2, spacing, seed=0)
 
 
-# --- scenario specs and runs -------------------------------------------------
+# --- scenario runs -----------------------------------------------------------
 
-def test_scenario_spec_validation():
-    base = sim.BlobSpec(count=10, dim=2)
-    with pytest.raises(ValueError):
-        sim.ScenarioSpec(kind="nonsense", base=base, sweep=(1.0,))
-    with pytest.raises(ValueError):
-        sim.ScenarioSpec(kind="outliers", base=base, sweep=())
-    with pytest.raises(ValueError):
-        sim.ScenarioSpec(kind="outliers", base=base, sweep=(1.0, 3.0, 2.0))
+def test_run_scenario_validation():
+    with pytest.raises(ValueError, match="^unknown scenario kind 'nonsense'$"):
+        sim.run_scenario("nonsense", dim=2, points=10, sweep=(1.0,))
+    with pytest.raises(ValueError, match="^sweep must not be empty$"):
+        sim.run_scenario("outliers", dim=2, points=10, sweep=())
+    with pytest.raises(ValueError, match="^sweep values must be strictly monotone$"):
+        sim.run_scenario("outliers", dim=2, points=10, sweep=(1.0, 3.0, 2.0))
 
 
 def test_default_sweeps():
-    assert sim.scenario("down_sampling", dim=2).sweep == sim.DOWN_SAMPLING_FRACTIONS
-    assert sim.scenario("varying_spread", dim=2).sweep == sim.SPREADS
-    assert sim.scenario("outliers", dim=2).sweep == sim.OUTLIER_COUNTS
-    assert sim.scenario("sub_clusters", dim=2).sweep == sim.SUB_CLUSTER_COUNTS
-    assert len(sim.DOWN_SAMPLING_FRACTIONS) == 10
-    assert len(sim.SPREADS) == 10
-    assert len(sim.OUTLIER_COUNTS) == 11
-    assert len(sim.SUB_CLUSTER_COUNTS) == 10
+    assert {kind: len(sweep) for kind, sweep in sim.SWEEPS.items()} == {
+        "down_sampling": 10, "varying_spread": 10, "outliers": 11, "sub_clusters": 10}
+    for kind, sweep in sim.SWEEPS.items():
+        assert len(sim.run_scenario(kind, dim=2, points=40)) == len(sweep)
 
 
 def test_run_scenario_row_per_sweep_value():
-    spec = sim.scenario("down_sampling", dim=2, points=300, seed=7)
-    rows = sim.run_scenario(spec)
-    assert [row.parameter for row in rows] == list(spec.sweep)
-    assert all(row.report is not None for row in rows)
+    reports = sim.run_scenario("down_sampling", dim=2, points=300, seed=7)
+    assert len(reports) == len(sim.SWEEPS["down_sampling"])
+    assert all(isinstance(report, MetricReport) for report in reports)
 
 
 def test_run_scenario_is_deterministic():
-    spec = sim.scenario("outliers", dim=2, points=200, seed=3,
-                        sweep=(0, 50, 100))
-    a = sim.run_scenario(spec)
-    b = sim.run_scenario(spec)
-    assert [r.report.to_dict() for r in a] == [r.report.to_dict() for r in b]
+    a = sim.run_scenario("outliers", dim=2, points=200, seed=3, sweep=(0, 50, 100))
+    b = sim.run_scenario("outliers", dim=2, points=200, seed=3, sweep=(0, 50, 100))
+    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
-def test_run_scenario_records_row_errors_without_aborting():
-    spec = sim.scenario("down_sampling", dim=2, points=3, seed=1,
-                        sweep=(1.0, 0.1))
-    rows = sim.run_scenario(spec)
-    assert rows[0].report is not None
-    assert rows[1].report is None
-    assert "rounds to 0" in rows[1].error
+def test_run_scenario_raises_before_the_pass(monkeypatch):
+    # Every subset is drawn before the shared pass, so a fraction that
+    # rounds to 0 raises without paying for the pass.
+    def never(*args, **kwargs):
+        raise AssertionError("metric_reports called")
+
+    monkeypatch.setattr(sim, "metric_reports", never)
+    with pytest.raises(EmptyResult, match="rounds to 0"):
+        sim.run_scenario("down_sampling", dim=2, points=3, seed=1, sweep=(1.0, 0.1))
 
 
 def test_down_sampling_rows_reuse_base_blob():
     # Row i must equal down_sample(base, f_i, SeedSequence([seed, i])).
-    spec = sim.scenario("down_sampling", dim=3, points=120, seed=5,
-                        sweep=(1.0, 0.5))
-    rows = sim.run_scenario(spec)
-    base = sim.gaussian_blob(spec.base)
+    reports = sim.run_scenario("down_sampling", dim=3, points=120, seed=5,
+                               sweep=(1.0, 0.5))
+    base = sim.gaussian_blob(120, 3, 5)
     manual = sim.down_sample(base, 0.5, np.random.SeedSequence([5, 1]))
     expected = axis_stats(manual)
-    assert rows[1].report.diversity == diversity(expected)
+    assert reports[1].diversity == diversity(expected)
 
 
 def test_down_sampling_rows_match_per_row_reports():
     # The shared pass must reproduce metric_report on each row's subset.
-    spec = sim.scenario("down_sampling", dim=5, points=400, seed=13)
-    rows = sim.run_scenario(spec)
-    base = sim.gaussian_blob(spec.base)
-    for index, (value, row) in enumerate(zip(spec.sweep, rows)):
+    reports = sim.run_scenario("down_sampling", dim=5, points=400, seed=13)
+    base = sim.gaussian_blob(400, 5, 13)
+    sweep = sim.SWEEPS["down_sampling"]
+    assert len(reports) == len(sweep)
+    for index, (value, report) in enumerate(zip(sweep, reports)):
         alone = metric_report(sim.down_sample(
             base, value, np.random.SeedSequence([13, index])))
-        assert row.parameter == value
-        assert row.report.diversity == alone.diversity
-        assert row.report.density == alone.density
-        assert row.report.density_log == alone.density_log
-        assert row.report.degenerate_axes == alone.degenerate_axes
-        assert abs(row.report.homogeneity - alone.homogeneity) <= 1e-12
+        assert report.diversity == alone.diversity
+        assert report.density == alone.density
+        assert report.density_log == alone.density_log
+        assert report.degenerate_axes == alone.degenerate_axes
+        assert abs(report.homogeneity - alone.homogeneity) <= 1e-12
 
 
 def test_spread_rows_use_per_row_streams():
-    spec = sim.scenario("varying_spread", dim=2, points=150, seed=9,
-                        sweep=(1.0, 4.0))
-    rows = sim.run_scenario(spec)
+    reports = sim.run_scenario("varying_spread", dim=2, points=150, seed=9,
+                               sweep=(1.0, 4.0))
     rng = np.random.default_rng(np.random.SeedSequence([9, 1]))
     manual = rng.normal(0.0, 4.0, size=(150, 2))
-    assert rows[1].report.diversity == diversity(axis_stats(manual))
+    assert reports[1].diversity == diversity(axis_stats(manual))
 
 
 def test_outlier_radius_defaults_to_ten_sigma():
-    implicit = sim.scenario("outliers", dim=2, points=50, seed=13, sweep=(0, 20))
-    explicit = sim.scenario("outliers", dim=2, points=50, seed=13,
-                            sweep=(0, 20), outlier_radius=10.0)
-    rows = sim.run_scenario(implicit)
-    assert ([r.report.to_dict() for r in rows]
-            == [r.report.to_dict() for r in sim.run_scenario(explicit)])
+    implicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, sweep=(0, 20))
+    explicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, sweep=(0, 20),
+                                outlier_radius=10.0)
+    assert [r.to_dict() for r in implicit] == [r.to_dict() for r in explicit]
     # and the defaulted cluster is reproducible by hand
-    base = sim.gaussian_blob(implicit.base)
+    base = sim.gaussian_blob(50, 2, 13)
     manual = sim.add_outliers(base, 20, 10.0, np.random.SeedSequence([13, 1]))
-    assert rows[1].report.to_dict() == metric_report(manual).to_dict()
+    assert implicit[1].to_dict() == metric_report(manual).to_dict()
 
 
 def test_sub_cluster_spacing_defaults_to_ten_sigma():
-    implicit = sim.scenario("sub_clusters", dim=2, points=60, seed=17,
-                            sweep=(2, 3))
-    explicit = sim.scenario("sub_clusters", dim=2, points=60, seed=17,
-                            sweep=(2, 3), spacing=10.0)
-    rows_a = sim.run_scenario(implicit)
-    rows_b = sim.run_scenario(explicit)
-    assert [r.report.to_dict() for r in rows_a] == [r.report.to_dict() for r in rows_b]
+    implicit = sim.run_scenario("sub_clusters", dim=2, points=60, seed=17, sweep=(2, 3))
+    explicit = sim.run_scenario("sub_clusters", dim=2, points=60, seed=17, sweep=(2, 3),
+                                spacing=10.0)
+    assert [r.to_dict() for r in implicit] == [r.to_dict() for r in explicit]
