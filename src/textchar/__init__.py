@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     EmptyResult,
-    EmptySequence,
     InconsistentClassSize,
     NonFiniteValue,
     ParseError,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .io import (
     LabeledEmbeddings,
-    mean_pool,
     pool_token_file,
     read_vectors,
     write_vectors,
@@ -72,7 +70,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyClass",
     "EmptyResult",
-    "EmptySequence",
     "InconsistentClassSize",
     "LabeledEmbeddings",
     "MarkovChainSummary",
@@ -91,7 +88,6 @@ __all__ = [
     "downsample_sweep",
     "entropy_rate",
     "gaussian_blob",
-    "mean_pool",
     "metric_report",
     "metric_reports",
     "pearson",

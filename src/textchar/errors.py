@@ -19,14 +19,6 @@ class TooFewSamples(TextcharError):
     """An operation needs more samples than the cluster provides."""
 
 
-class EmptySequence(TextcharError):
-    """A token sequence contains no tokens."""
-
-    def __init__(self, sequence_id: str):
-        super().__init__(f"sequence {sequence_id!r} has no tokens")
-        self.sequence_id = sequence_id
-
-
 class EmptyResult(TextcharError):
     """A sampling operation would return zero points."""
 

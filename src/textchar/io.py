@@ -5,9 +5,8 @@ A collection is held as columns: one float64 ``m x H`` matrix plus the
 ``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
 on-disk formats:
 
-* ``jsonl`` -- one object per line with required keys ``label`` and
-  ``vector`` (or ``tokens``, a list of token vectors, for the token-level
-  variant) and optional ``id`` and ``layer``.
+* ``jsonl`` -- one object per line with a ``vector`` (or ``tokens``, a
+  list of token vectors, for the token-level variant).
 * ``csv`` -- header row with a ``label`` column, optional ``id`` and
   ``layer`` columns, and the remaining columns as numeric axes in order;
   columns may come in any order. The writer emits ``id,label,layer,d0,...``.
@@ -16,6 +15,11 @@ on-disk formats:
   ``m * H`` little-endian floats row-major. Ids, labels, and layers live in
   a JSONL sidecar at ``<path>.meta.jsonl``, one JSON object per row in row
   order.
+
+Every JSON-lines record, a sidecar row too, needs a ``label``; a missing
+``id`` is ``"row-<n>"`` with ``n`` the 1-based record ordinal, and a
+missing ``layer`` is ``"default"``. A faulty record is a ParseError naming
+its file and line.
 
 The binary format round-trips float64 payloads bitwise; the text formats
 round-trip exactly as well because every float is written with enough
@@ -35,17 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AggregateMetrics, SweepRow, _check_numbers
-from .errors import (
-    DimensionMismatch,
-    EmptySequence,
-    NonFiniteValue,
-    ParseError,
-)
+from .errors import DimensionMismatch, NonFiniteValue, ParseError
 
 __all__ = [
     "FORMATS",
     "LabeledEmbeddings",
-    "mean_pool",
     "pool_token_file",
     "read_scores",
     "read_sweep",
@@ -82,21 +80,6 @@ class LabeledEmbeddings:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def mean_pool(tokens) -> np.ndarray:
-    """Arithmetic mean of the token vectors of one sequence.
-
-    Sequence-start/separator/end marker vectors must already be excluded by
-    whatever produced the tokens; everything passed in is averaged.
-    """
-    arr = np.asarray(tokens, dtype=np.float64)
-    if arr.size == 0 or arr.shape[0] == 0:
-        raise EmptySequence("<anonymous>")
-    # A mean that overflows is returned as inf without numpy's warning;
-    # callers that need finite vectors check for it.
-    with np.errstate(over="ignore"):
-        return arr.mean(axis=0)
 
 
 def _columns(records: Iterable[tuple[str, str, str, np.ndarray]]) -> LabeledEmbeddings:
@@ -145,11 +128,15 @@ def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
             raise ParseError(path, f"not UTF-8 text: {exc.reason}", line=line) from exc
 
 
-def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file; every line must be a JSON object holding the ``required`` keys."""
-    keys = " and ".join(repr(key) for key in required)
-    expected = f"expected an object with {keys}" if required else "expected a JSON object"
+def _json_records(path: Path, payload: str | None
+                  ) -> Iterator[tuple[int, str, str, str, object]]:
+    """Yield ``(line number, id, label, layer, payload value)`` for each
+    non-blank line of a JSONL file, by the record rule of this module. Each
+    line must also hold the ``payload`` key, unless that is None; the value
+    is None then."""
+    required = ("label",) if payload is None else ("label", payload)
+    expected = "expected an object with " + " and ".join(repr(key) for key in required)
+    ordinal = 0
     for lineno, line in enumerate(_text_lines(path), start=1):
         if not line.strip():
             continue
@@ -161,7 +148,10 @@ def _json_objects(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, 
             raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise ParseError(path, expected, line=lineno)
-        yield lineno, obj
+        ordinal += 1
+        yield (lineno, str(obj.get("id", f"row-{ordinal}")), str(obj["label"]),
+               str(obj.get("layer", DEFAULT_LAYER)),
+               None if payload is None else obj[payload])
 
 
 def read_vectors(path, format: str) -> LabeledEmbeddings:
@@ -193,11 +183,9 @@ def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
 # --- jsonl ------------------------------------------------------------------
 
 def _jsonl_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
-    for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "vector")),
-                                            start=1):
-        rec_id = str(obj.get("id", f"row-{ordinal}"))
+    for lineno, rec_id, label, layer, value in _json_records(path, "vector"):
         try:
-            vector = np.asarray(obj["vector"], dtype=np.float64)
+            vector = np.asarray(value, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"'vector' is not numeric: {exc}",
                              line=lineno) from exc
@@ -206,7 +194,7 @@ def _jsonl_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
                              line=lineno)
         if not vector.size:
             raise ParseError(path, "'vector' is empty", line=lineno)
-        yield rec_id, str(obj["label"]), str(obj.get("layer", DEFAULT_LAYER)), vector
+        yield rec_id, label, layer, vector
 
 
 def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -316,18 +304,19 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise ParseError(path, f"missing metadata sidecar {sidecar.name!r}")
-    meta = [obj for _, obj in _json_objects(sidecar, ())]
-    if len(meta) != m:
-        raise ParseError(sidecar, f"{len(meta)} metadata rows for {m} vectors")
-    ids = [str(obj.get("id", f"row-{i}")) for i, obj in enumerate(meta, start=1)]
+    ids, labels, layers = [], [], []
+    for _, rec_id, label, layer, _ in _json_records(sidecar, None):
+        ids.append(rec_id)
+        labels.append(label)
+        layers.append(layer)
+    if len(ids) != m:
+        raise ParseError(sidecar, f"{len(ids)} metadata rows for {m} vectors")
 
     finite = np.isfinite(vectors)
     if not finite.all():
         row, axis = np.argwhere(~finite)[0]
         raise NonFiniteValue(ids[row], int(axis))
-    return LabeledEmbeddings(vectors, ids,
-                             [str(obj.get("label", "")) for obj in meta],
-                             [str(obj.get("layer", DEFAULT_LAYER)) for obj in meta])
+    return LabeledEmbeddings(vectors, ids, labels, layers)
 
 
 def _write_binary(embeddings: LabeledEmbeddings, path: Path,
@@ -349,10 +338,7 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
 def _pooled_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
     """Mean-pool each sequence of a token-level file (``tokens`` instead of
     ``vector``) as it is read."""
-    for ordinal, (lineno, obj) in enumerate(_json_objects(path, ("label", "tokens")),
-                                            start=1):
-        rec_id = str(obj.get("id", f"row-{ordinal}"))
-        tokens = obj["tokens"]
+    for lineno, rec_id, label, layer, tokens in _json_records(path, "tokens"):
         if not isinstance(tokens, list):
             raise ParseError(path, "'tokens' must be a list of vectors", line=lineno)
         try:
@@ -367,18 +353,24 @@ def _pooled_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
         if not finite.all():
             raise NonFiniteValue(rec_id, int(np.argwhere(~finite)[0][1]))
         if matrix.size == 0:
-            raise EmptySequence(rec_id)
-        yield (rec_id, str(obj["label"]), str(obj.get("layer", DEFAULT_LAYER)),
-               mean_pool(matrix))
+            fault = "has no tokens" if not tokens else "has tokens with no values"
+            raise ParseError(path, f"sequence {rec_id!r} {fault}", line=lineno)
+        # A mean that overflows stays inf, without numpy's warning, for
+        # _columns to name as a NonFiniteValue.
+        with np.errstate(over="ignore"):
+            vector = matrix.mean(axis=0)
+        yield rec_id, label, layer, vector
 
 
 def pool_token_file(in_path, out_path) -> int:
     """Mean-pool every sequence of a token-level file into a vector file.
 
-    Ids, labels, and layers are preserved. Returns the number of sequences
-    written. Sequences are pooled one at a time as they are read, and the
-    first faulty one in file order is named: unparsable tokens (ParseError),
-    no tokens (EmptySequence), a non-finite token value or mean
+    Each vector is the arithmetic mean of its sequence's token vectors;
+    marker tokens must already be left out. Ids, labels, and layers are
+    preserved. Returns the number of sequences written. Sequences are pooled
+    one at a time as they are read, and the first faulty one in file order
+    is named: unparsable tokens, no tokens, or tokens with no values
+    (ParseError at its line), a non-finite token value or mean
     (NonFiniteValue), or a width other than the first sequence's
     (DimensionMismatch). Nothing is written then.
     """

@@ -54,13 +54,17 @@ SWEEPS = {
 DEFAULT_SCALE_FACTOR = 10.0
 
 
-def gaussian_blob(count: int, dim: int, seed=0) -> np.ndarray:
-    """Isotropic standard Gaussian blob: ``count`` points in ``dim``
-    dimensions, unit spread on every axis; bitwise deterministic per seed."""
+def _check_shape(count: int, dim: int) -> None:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+
+
+def gaussian_blob(count: int, dim: int, seed=0) -> np.ndarray:
+    """Isotropic standard Gaussian blob: ``count`` points in ``dim``
+    dimensions, unit spread on every axis; bitwise deterministic per seed."""
+    _check_shape(count, dim)
     return np.random.default_rng(seed).normal(0.0, 1.0, size=(count, dim))
 
 
@@ -158,9 +162,9 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep
 
     ``kind`` is a key of ``SWEEPS``, and ``sweep`` (default ``SWEEPS[kind]``)
     must be non-empty and strictly monotone. The base blob of ``points``
-    points is generated once and reused by the scenarios that modify it;
-    down-sampling rows share one pairwise pass over it. The first row that
-    cannot be built raises.
+    points is generated once for the kinds that modify it, down-sampling
+    and outliers; down-sampling rows share one pairwise pass over it. The
+    first row that cannot be built raises.
     """
     if kind not in SWEEPS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -170,7 +174,9 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep
     diffs = np.diff(np.asarray(sweep, dtype=np.float64))
     if len(diffs) and not ((diffs > 0).all() or (diffs < 0).all()):
         raise ValueError("sweep values must be strictly monotone")
-    base = gaussian_blob(points, dim, seed)
+    _check_shape(points, dim)
+    if kind in ("down_sampling", "outliers"):
+        base = gaussian_blob(points, dim, seed)
     streams = [np.random.SeedSequence([seed, index]) for index in range(len(sweep))]
     if kind == "down_sampling":
         subsets = [_sample_rows(points, float(value), stream)

@@ -7,6 +7,8 @@ repeated runs with the same data are byte-identical.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["line_chart", "write_line_chart"]
 
 _WIDTH = 720
@@ -49,8 +51,9 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
     """Render stacked line panels as an SVG document string.
 
     ``panels`` is an ordered sequence of (name, values) pairs; each values
-    list matches ``x_values`` in length and may contain None for points to
-    omit (a panel with no remaining points is drawn empty).
+    list matches ``x_values`` in length and may contain None, or a NaN or
+    infinite value, for points to omit (a panel with no remaining points is
+    drawn empty).
     """
     x_values = [float(v) for v in x_values]
     if not x_values:
@@ -85,7 +88,8 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
         top = _MARGIN_TOP + index * (_PANEL_HEIGHT + _PANEL_GAP)
         bottom = top + _PANEL_HEIGHT
         color = _COLORS[index % len(_COLORS)]
-        points = [(x, float(v)) for x, v in zip(x_values, values) if v is not None]
+        points = [(x, float(v)) for x, v in zip(x_values, values)
+                  if v is not None and math.isfinite(v)]
 
         out.append(f'<rect x="{px_lo}" y="{top}" width="{px_hi - px_lo}" '
                    f'height="{_PANEL_HEIGHT}" fill="none" stroke="#888"/>')

@@ -7,7 +7,7 @@ from xml.sax import saxutils
 import numpy as np
 import pytest
 
-from textchar import cli, svg
+from textchar import cli, io, svg
 
 
 def run(argv):
@@ -77,6 +77,12 @@ def test_svg_escapes_markup_like_saxutils():
     assert svg._escape(text) == saxutils.escape(text)
     doc = svg.line_chart(text, [0.0, 1.0], [(text, [1.0, 2.0])], title=text)
     assert text in [el.text for el in ElementTree.fromstring(doc).iter()]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_svg_omits_non_finite_values_like_none(value):
+    panel = svg.line_chart("x", [0, 1, 2], [("density", [1.0, value, 2.0])])
+    assert panel == svg.line_chart("x", [0, 1, 2], [("density", [1.0, None, 2.0])])
 
 
 def test_simulate_defaults_to_stdout(capsys):
@@ -181,6 +187,23 @@ def test_profile_cap_below_three_exits_2(tmp_path, capsys, cap):
     assert "--cap: must be at least 3" in capsys.readouterr().err
 
 
+def test_profile_is_the_same_in_every_format(tmp_path):
+    # Two classes of 6 ids, each id at two layers.
+    keys = [(f"{label}{i}", label, layer) for label in ("pos", "neg")
+            for i in range(6) for layer in ("L0", "L1")]
+    ids, labels, layers = (list(column) for column in zip(*keys))
+    vectors = np.random.default_rng(17).normal(size=(len(keys), 3))
+    collection = io.LabeledEmbeddings(vectors, ids, labels, layers)
+    docs = []
+    for fmt in io.FORMATS:
+        src, out = tmp_path / f"vecs.{fmt}", tmp_path / f"{fmt}.json"
+        io.write_vectors(collection, src, fmt)
+        assert run(["profile", "--input", str(src), "--format", fmt,
+                    "--fractions", "1.0,0.5", "--cap", "3", "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_profile_missing_input_exits_1(tmp_path, capsys):
     assert run(["profile", "--input", str(tmp_path / "nope.jsonl"),
                 "--format", "jsonl"]) == 1
@@ -210,8 +233,11 @@ def test_pool_names_empty_sequence(tmp_path, capsys):
     src = tmp_path / "tokens.jsonl"
     src.write_text('{"id": "fine", "label": "x", "tokens": [[1.0]]}\n'
                    '{"id": "hollow", "label": "x", "tokens": []}\n')
-    assert run(["pool", "--input", str(src), "--out", str(tmp_path / "o.jsonl")]) == 1
-    assert "hollow" in capsys.readouterr().err
+    out = tmp_path / "o.jsonl"
+    assert run(["pool", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"textchar: error: {src}, line 2: sequence 'hollow' has no tokens\n")
+    assert not out.exists()
 
 
 def test_pool_overflowing_mean_prints_one_line(tmp_path, capsys):

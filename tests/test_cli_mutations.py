@@ -19,7 +19,9 @@ JSON boolean or string where the sweep needs a number, a fractional sweep
 size, a fraction outside (0, 1] (NaN and inf too) and a score name holding
 a carriage return; it must still read an infinite metric value. ``profile``
 must reject, with the file and the line or offset, records whose vectors
-have no values, while the empty collection still round-trips.
+have no values, while the empty collection still round-trips, and a
+sidecar row without ``label``; ``pool`` must reject, with the file and the
+line, a sequence with no tokens or with tokens of no values.
 """
 
 from __future__ import annotations
@@ -111,6 +113,19 @@ def _mutate_lines(data, text: str) -> str:
         return text[:data.draw(st.integers(0, len(text) - 1))]
     lines[i:i + 1] = {"drop": [], "repeat": [lines[i]] * 2, "blank": ["\n"]}[how]
     return "".join(lines)
+
+
+def _changed_record(before: str, after: str) -> tuple[int, object] | None:
+    """The line number and JSON value of the one line that a mutation
+    replaced, or None when the mutation did something else."""
+    old, new = before.splitlines(), after.splitlines()
+    changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    if len(old) != len(new) or len(changed) != 1:
+        return None
+    try:
+        return changed[0] + 1, json.loads(new[changed[0]])
+    except ValueError:
+        return None
 
 
 def _mutate(data, text: str, structured) -> str:
@@ -205,10 +220,15 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
         textchar_io.write_vectors(_collection(scale, records), src, fmt)
         mutate = mutate and records != "none"  # no line to break
+        unlabeled = None  # the sidecar line that lost its label
         if mutate and fmt == "binary":
             sidecar = Path(str(src) + ".meta.jsonl")
             if data.draw(st.booleans()):
-                sidecar.write_text(_mutate(data, sidecar.read_text(), _mutate_json_line))
+                text = sidecar.read_text()
+                sidecar.write_text(_mutate(data, text, _mutate_json_line))
+                changed = _changed_record(text, sidecar.read_text())
+                if changed and not (isinstance(changed[1], dict) and "label" in changed[1]):
+                    unlabeled = changed[0]
             else:
                 raw = src.read_bytes()
                 src.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
@@ -222,6 +242,9 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         if cap is not None:
             argv.append(f"--cap={cap}")
         code, err = _run(argv, [out])
+        if unlabeled is not None and code != 2:
+            assert err == [f"textchar: error: {sidecar}, line {unlabeled}: "
+                           "expected an object with 'label'"], err
         if seed == "-1":
             assert code == 2 and err[-1].endswith(
                 "argument --seed: must be >= 0, got -1"), err
@@ -241,17 +264,29 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
                                                  indent=2) + "\n"
 
 
+def _token_text() -> str:
+    """Four sequences s0..s3 of 1 to 3 two-dimensional tokens."""
+    rng = np.random.default_rng(103)
+    return "".join(json.dumps({"id": f"s{i}", "label": "ab"[i % 2],
+                               "tokens": rng.normal(size=(i % 3 + 1, 2)).tolist()}) + "\n"
+                   for i in range(4))
+
+
 @MUTATION
 @given(data=st.data())
 def test_pool_on_mutated_files(data):
-    rng = np.random.default_rng(103)
-    text = "".join(json.dumps({"id": f"s{i}", "label": "ab"[i % 2],
-                               "tokens": rng.normal(size=(i % 3 + 1, 2)).tolist()}) + "\n"
-                   for i in range(4))
+    text = _token_text()
+    mutated = _mutate(data, text, _mutate_json_line)
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "tokens.jsonl", Path(tmp) / "pooled.jsonl"
-        src.write_text(_mutate(data, text, _mutate_json_line))
-        _run(["pool", "--input", str(src), "--out", str(out)], [out])
+        src.write_text(mutated)
+        _, err = _run(["pool", "--input", str(src), "--out", str(out)], [out])
+    changed = _changed_record(text, mutated)
+    if changed and isinstance(changed[1], dict) and "label" in changed[1]:
+        tokens = changed[1].get("tokens")
+        if isinstance(tokens, list) and all(token == [] for token in tokens):
+            assert len(err) == 1 and err[0].startswith(
+                f"textchar: error: {src}, line {changed[0]}: sequence "), err
 
 
 @MUTATION
@@ -353,6 +388,35 @@ def test_correlate_reads_infinite_metric_values():
         assert code == 0
         first, second = textchar_io.read_sweep(metrics_path)
     assert first.final.density == math.inf and second.final.density_log == -math.inf
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("sidecar", None, "line 2: expected an object with 'label'"),
+    ("tokens", [], "line 2: sequence 's1' has no tokens"),
+    ("tokens", [[]], "line 2: sequence 's1' has tokens with no values"),
+    ("tokens", [[], []], "line 2: sequence 's1' has tokens with no values"),
+], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens"])
+def test_record_faults_name_file_and_line(kind, value, message):
+    # Line 2 loses its sidecar label, or gets the tokens given.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        if kind == "sidecar":
+            src = Path(tmp) / "in.bin"
+            textchar_io.write_vectors(_collection(1.0, "all"), src, "binary")
+            bad = Path(str(src) + ".meta.jsonl")
+            lines = bad.read_text().splitlines(keepends=True)
+            record = json.loads(lines[1])
+            del record["label"]
+            argv = ["profile", "--format", "binary"]
+        else:
+            src = bad = Path(tmp) / "tokens.jsonl"
+            lines = _token_text().splitlines(keepends=True)
+            record = {**json.loads(lines[1]), "tokens": value}
+            argv = ["pool"]
+        lines[1] = json.dumps(record) + "\n"
+        bad.write_text("".join(lines))
+        code, err = _run(argv + ["--input", str(src), "--out", str(out)], [out])
+        assert code == 1 and err == [f"textchar: error: {bad}, {message}"], err
 
 
 def _zero_width_file(path: Path, fmt: str) -> None:

@@ -9,7 +9,6 @@ EXAMPLES = [
     errors.TextcharError("something failed"),
     errors.DegenerateCluster("all 3 points coincide"),
     errors.TooFewSamples("need at least 2 points"),
-    errors.EmptySequence("s1"),
     errors.EmptyResult("no points left"),
     errors.EmptyClass("class 'a' is empty"),
     errors.DegenerateInput("zero variance"),

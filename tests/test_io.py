@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from textchar import io
-from textchar.errors import (
-    DimensionMismatch,
-    EmptySequence,
-    NonFiniteValue,
-    ParseError,
-)
+from textchar.errors import DimensionMismatch, NonFiniteValue, ParseError
 
 
 def make_collection(rng, n=12, dim=4, labels=("pos", "neg"), layers=("L1", "L2")):
@@ -19,24 +14,6 @@ def make_collection(rng, n=12, dim=4, labels=("pos", "neg"), layers=("L1", "L2")
         labels=[labels[i % len(labels)] for i in range(n)],
         layers=[layers[i % len(layers)] for i in range(n)],
     )
-
-
-# --- mean pooling -------------------------------------------------------
-
-def test_mean_pool_hand_value():
-    pooled = io.mean_pool([[1.0, 3.0], [3.0, 5.0]])
-    assert np.array_equal(pooled, [2.0, 4.0])
-
-
-def test_mean_pool_single_token_is_identity():
-    pooled = io.mean_pool([[7.0, -1.0, 0.5]])
-    assert np.array_equal(pooled, [7.0, -1.0, 0.5])
-
-
-def test_mean_pool_names_empty_sequence():
-    for empty in ([], [[]], np.empty((0, 3))):
-        with pytest.raises(EmptySequence, match="<anonymous>"):
-            io.mean_pool(empty)
 
 
 # --- round-trips --------------------------------------------------------
@@ -232,6 +209,24 @@ def test_binary_sidecar_required(tmp_path):
         io.read_vectors(path, "binary")
 
 
+def test_binary_sidecar_rows_follow_the_jsonl_rule(tmp_path):
+    path = tmp_path / "meta.bin"
+    io.write_vectors(make_collection(np.random.default_rng(4), n=3, dim=2),
+                     path, "binary")
+    sidecar = tmp_path / "meta.bin.meta.jsonl"
+    sidecar.write_text('{"label": "a"}\n\n{"label": "b", "layer": "L"}\n'
+                       '{"id": "c", "label": 7}\n')
+    loaded = io.read_vectors(path, "binary")
+    assert loaded.ids == ["row-1", "row-2", "c"]
+    assert loaded.labels == ["a", "b", "7"]
+    assert loaded.layers == ["default", "L", "default"]
+
+    sidecar.write_text('{"label": "a"}\n{"id": "b"}\n{"label": "c"}\n')
+    with pytest.raises(ParseError) as exc:
+        io.read_vectors(path, "binary")
+    assert str(exc.value) == f"{sidecar}, line 2: expected an object with 'label'"
+
+
 def test_binary_sidecar_row_count_must_match(tmp_path):
     path = tmp_path / "counted.bin"
     io.write_vectors(make_collection(np.random.default_rng(3), n=3, dim=2),
@@ -283,11 +278,17 @@ def test_pool_token_file_rejects_ragged(tmp_path):
 
 
 @pytest.mark.parametrize("lines, error, match", [
-    (['{"id": "e", "label": "x", "tokens": []}'], EmptySequence, "'e'"),
+    (['{"id": "e", "label": "x", "tokens": []}'], ParseError,
+     "line 1: sequence 'e' has no tokens"),
+    (['{"id": "w", "label": "x", "tokens": [[]]}'], ParseError,
+     "line 1: sequence 'w' has tokens with no values"),
+    (['{"id": "ok", "label": "x", "tokens": [[1.0]]}',
+      '{"id": "w", "label": "x", "tokens": [[], []]}'], ParseError,
+     "line 2: sequence 'w' has tokens with no values"),
     (['{"id": "n", "label": "x", "tokens": [[1.0, NaN]]}'], NonFiniteValue, "'n'"),
     (['{"id": "a", "label": "x", "tokens": [[1.0]]}',
       '{"id": "b", "label": "x", "tokens": [[1.0, 2.0]]}'], DimensionMismatch, "'b'"),
-], ids=["empty", "non-finite", "width"])
+], ids=["empty", "zero-width", "zero-width-rows", "non-finite", "width"])
 def test_pool_token_file_names_first_fault_in_file_order(tmp_path, lines, error, match):
     # Each sequence is pooled as it is read, so the first faulty sequence is
     # named although an unparsable line follows it.
@@ -297,6 +298,21 @@ def test_pool_token_file_names_first_fault_in_file_order(tmp_path, lines, error,
     with pytest.raises(error, match=match):
         io.pool_token_file(src, out)
     assert not out.exists()
+
+
+def _pooled(tmp_path, tokens):
+    src, dst = tmp_path / "tokens.jsonl", tmp_path / "pooled.jsonl"
+    src.write_text(json.dumps({"label": "x", "tokens": tokens}) + "\n")
+    assert io.pool_token_file(src, dst) == 1
+    return io.read_vectors(dst, "jsonl").vectors[0]
+
+
+def test_pool_token_file_hand_value(tmp_path):
+    assert np.array_equal(_pooled(tmp_path, [[1.0, 3.0], [3.0, 5.0]]), [2.0, 4.0])
+
+
+def test_pool_token_file_single_token_is_identity(tmp_path):
+    assert np.array_equal(_pooled(tmp_path, [[7.0, -1.0, 0.5]]), [7.0, -1.0, 0.5])
 
 
 def test_pool_token_file(tmp_path):
@@ -316,7 +332,7 @@ def test_pool_token_file_names_first_empty_sequence(tmp_path):
     src = tmp_path / "tokens.jsonl"
     src.write_text('{"id": "ok", "label": "x", "tokens": [[1.0]]}\n'
                    '{"id": "empty-7", "label": "x", "tokens": []}\n')
-    with pytest.raises(EmptySequence, match="empty-7"):
+    with pytest.raises(ParseError, match="line 2: sequence 'empty-7' has no tokens"):
         io.pool_token_file(src, tmp_path / "out.jsonl")
 
 

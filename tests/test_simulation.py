@@ -222,6 +222,21 @@ def test_run_scenario_raises_before_the_pass(monkeypatch):
         sim.run_scenario("down_sampling", dim=2, points=3, seed=1, sweep=(1.0, 0.1))
 
 
+def test_run_scenario_draws_no_base_blob_it_does_not_read(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("gaussian_blob called")
+
+    monkeypatch.setattr(sim, "gaussian_blob", never)
+    for kind in ("varying_spread", "sub_clusters"):
+        assert len(sim.run_scenario(kind, dim=2, points=30, sweep=(1, 2))) == 2
+    # Every kind checks the sizes before it draws anything.
+    for kind in sim.SWEEPS:
+        with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+            sim.run_scenario(kind, dim=2, points=0)
+        with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
+            sim.run_scenario(kind, dim=0, points=10)
+
+
 def test_down_sampling_rows_reuse_base_blob():
     # Row i must equal down_sample(base, f_i, SeedSequence([seed, i])).
     reports = sim.run_scenario("down_sampling", dim=3, points=120, seed=5,
