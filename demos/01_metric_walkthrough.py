@@ -18,13 +18,10 @@ def banner(title):
 
 def main():
     banner("two points, axis stds (1, 2)")
-    pts = [[-1.0, -2.0], [1.0, 2.0]]
-    stats = metrics.axis_stats(pts)
-    print("per-axis stds:", stats.stds)
-    print("diversity (geometric mean of stds):", metrics.diversity(stats))
-    den = metrics.density(stats)
-    print(f"density m/(prod std)^(1/sqrt(H)) = 2/2^(1/sqrt 2):",
-          den.value, "| closed form:", 2 * 2 ** (-1 / math.sqrt(2)))
+    report = metrics.metric_report([[-1.0, -2.0], [1.0, 2.0]])
+    print("diversity (geometric mean of stds) = sqrt 2:", report.diversity)
+    print("density m/(prod std)^(1/sqrt(H)) = 2/2^(1/sqrt 2):",
+          report.density, "| closed form:", 2 * 2 ** (-1 / math.sqrt(2)))
 
     banner("three collinear points and their distance chain")
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])

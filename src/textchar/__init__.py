@@ -37,13 +37,8 @@ from .io import (
     write_vectors,
 )
 from .metrics import (
-    ClusterStats,
-    DensityResult,
     MarkovChainSummary,
     MetricReport,
-    axis_stats,
-    density,
-    diversity,
     entropy_rate,
     metric_report,
     metric_reports,
@@ -61,12 +56,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateMetrics",
-    "ClusterStats",
     "CorrelationEntry",
     "DatasetProfile",
     "DegenerateCluster",
     "DegenerateInput",
-    "DensityResult",
     "DimensionMismatch",
     "EmptyClass",
     "EmptyResult",
@@ -80,10 +73,7 @@ __all__ = [
     "TextcharError",
     "TooFewSamples",
     "add_outliers",
-    "axis_stats",
     "correlation_report",
-    "density",
-    "diversity",
     "down_sample",
     "downsample_sweep",
     "entropy_rate",

@@ -80,15 +80,18 @@ class AggregateMetrics:
         required: a missing ``density_log`` reads as NaN, a missing or null
         ``homogeneity`` as None. Raises KeyError, TypeError (for a value that
         is not a JSON number, a string or a boolean too) or ValueError on a
-        malformed ``doc``."""
+        malformed ``doc``; a ``homogeneity_skipped`` that is present must be a
+        list of strings (TypeError)."""
         _check_numbers(doc, ("diversity", "density", "density_log", "homogeneity"))
         hom = doc.get("homogeneity")
+        skipped = doc.get("homogeneity_skipped", [])
+        if not (isinstance(skipped, list) and all(isinstance(key, str) for key in skipped)):
+            raise TypeError("'homogeneity_skipped' is not a list of strings")
         return cls(diversity=float(doc["diversity"]),
                    density=float(doc["density"]),
                    density_log=float(doc.get("density_log", math.nan)),
                    homogeneity=None if hom is None else float(hom),
-                   homogeneity_skipped=tuple(str(key) for key in
-                                             doc.get("homogeneity_skipped", ())))
+                   homogeneity_skipped=tuple(skipped))
 
 
 @dataclass(eq=False)

@@ -18,7 +18,9 @@ on-disk formats:
 
 Every JSON-lines record, a sidecar row too, needs a ``label``; a missing
 ``id`` is ``"row-<n>"`` with ``n`` the 1-based record ordinal, and a
-missing ``layer`` is ``"default"``. A faulty record is a ParseError naming
+missing ``layer`` is ``"default"``. The ``label``, ``id`` and ``layer``
+present must be JSON strings: ``null`` and ``"None"``, or ``1`` and
+``"1"``, are never read as one key. A faulty record is a ParseError naming
 its file and line.
 
 The binary format round-trips float64 payloads bitwise; the text formats
@@ -149,9 +151,12 @@ def _json_records(path: Path, payload: str | None
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise ParseError(path, expected, line=lineno)
         ordinal += 1
-        yield (lineno, str(obj.get("id", f"row-{ordinal}")), str(obj["label"]),
-               str(obj.get("layer", DEFAULT_LAYER)),
-               None if payload is None else obj[payload])
+        keys = (obj.get("id", f"row-{ordinal}"), obj["label"],
+                obj.get("layer", DEFAULT_LAYER))
+        for name, value in zip(("id", "label", "layer"), keys):
+            if not isinstance(value, str):
+                raise ParseError(path, f"{name!r} is not a string", line=lineno)
+        yield (lineno, *keys, None if payload is None else obj[payload])
 
 
 def read_vectors(path, format: str) -> LabeledEmbeddings:
@@ -390,8 +395,9 @@ def read_sweep(path) -> list[SweepRow]:
     ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
     document, a ``fraction``, ``size`` or metric value that is not a JSON
     number (a string or a boolean, say), a ``size`` that is not a whole
-    number, a fraction outside ``(0, 1]`` (NaN too), or a fraction that an
-    earlier row holds raises ParseError naming the file and the 1-based row.
+    number, a ``homogeneity_skipped`` that is not a list of strings, a
+    fraction outside ``(0, 1]`` (NaN too), or a fraction that an earlier row
+    holds raises ParseError naming the file and the 1-based row.
     A metric value may be ``Infinity``, as ``profile`` writes for a density
     beyond the float64 range.
     """

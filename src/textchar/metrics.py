@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,14 +28,8 @@ from .errors import DegenerateCluster, TooFewSamples
 
 __all__ = [
     "DEFAULT_STD_FLOOR",
-    "ClusterStats",
-    "DensityResult",
     "MarkovChainSummary",
     "MetricReport",
-    "as_cluster",
-    "axis_stats",
-    "density",
-    "diversity",
     "entropy_rate",
     "metric_report",
     "metric_reports",
@@ -55,7 +48,7 @@ DEFAULT_STD_FLOOR = 1e-12
 _BLOCK_ROWS = 256
 
 
-def as_cluster(vectors) -> np.ndarray:
+def _as_cluster(vectors) -> np.ndarray:
     """Validate and return a cluster as a float64 ``m x H`` array.
 
     Raises ValueError for empty input, wrong rank, or non-finite entries.
@@ -71,24 +64,6 @@ def as_cluster(vectors) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterStats:
-    """Per-axis population standard deviation and point count of a cluster."""
-
-    stds: np.ndarray
-    count: int
-
-    @property
-    def dim(self) -> int:
-        return self.stds.shape[0]
-
-
-class DensityResult(NamedTuple):
-    value: float
-    log_value: float
-    floored_axes: int
-
-
-@dataclass(frozen=True, eq=False)
 class MarkovChainSummary:
     """Stationary distribution and entropy rate of the distance chain."""
 
@@ -101,6 +76,13 @@ class MarkovChainSummary:
 class MetricReport:
     """All three metrics for one cluster, plus degeneracy flags.
 
+    Diversity and density come from the population standard deviations
+    ``sigma_j`` (divisor ``m``) of the ``H`` axes. ``diversity`` is
+    ``exp(mean(ln sigma_j))``, and 0.0 when an axis has no spread.
+    ``density`` is ``m / (prod sigma_j') ** (1 / sqrt(H))`` with
+    ``sigma_j' = max(sigma_j, DEFAULT_STD_FLOOR)``, and ``density_log`` is
+    its natural log; beyond the float64 range, as when every axis of a wide
+    cluster is floored, ``density`` is inf and ``density_log`` finite.
     ``homogeneity`` is None, and ``homogeneity_skipped_reason`` says why,
     when it cannot be computed: fewer than 3 samples, a fully coincident
     cluster, or a point whose edge weights all underflow. Copies of a point
@@ -122,52 +104,21 @@ class MetricReport:
         return {**asdict(self), "notes": list(self.notes)}
 
 
-def axis_stats(cluster) -> ClusterStats:
-    """Population standard deviation (divisor ``m``) along each axis.
+def _axis_stds(arr: np.ndarray) -> np.ndarray:
+    """Population standard deviation (divisor ``m``) along each axis of a
+    validated cluster.
 
     An axis whose standard deviation overflows is recomputed on its values
     over their largest magnitude and scaled back, so it stays finite near
     the float64 maximum; the other axes keep the bits of ``np.std``.
     """
-    arr = as_cluster(cluster)
     with np.errstate(over="ignore", invalid="ignore"):
         stds = arr.std(axis=0)
     bad = ~np.isfinite(stds)
     if bad.any():
         scale = np.abs(arr[:, bad]).max(axis=0)
         stds[bad] = (arr[:, bad] / scale).std(axis=0) * scale
-    return ClusterStats(stds=stds, count=arr.shape[0])
-
-
-def diversity(stats: ClusterStats) -> float:
-    """Geometric mean of the per-axis standard deviations.
-
-    Computed in log space, ``exp(mean(log sigma_j))``. Returns 0.0 as soon as
-    any axis has zero spread, since a zero factor annihilates the product.
-    """
-    stds = np.asarray(stats.stds, dtype=np.float64)
-    if np.any(stds == 0.0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(stds))))
-
-
-def density(stats: ClusterStats) -> DensityResult:
-    """Sample count over the dimension-normalized volume.
-
-    ``density = m / (prod sigma_j') ** (1 / sqrt(H))`` with
-    ``sigma_j' = max(sigma_j, DEFAULT_STD_FLOOR)``. Evaluated in log space so
-    that 768-dimensional products neither overflow nor underflow.
-    ``floored_axes`` reports how many axes hit the floor. Beyond the float64
-    range, as when every axis of a wide cluster is floored, ``value`` is inf.
-    """
-    stds = np.asarray(stats.stds, dtype=np.float64)
-    floored = int(np.count_nonzero(stds < DEFAULT_STD_FLOOR))
-    clamped = np.maximum(stds, DEFAULT_STD_FLOOR)
-    dim = stds.shape[0]
-    log_value = math.log(stats.count) - np.sum(np.log(clamped)) / math.sqrt(dim)
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_value))
-    return DensityResult(value, float(log_value), floored)
+    return stds
 
 
 def _distinct_rows(arr: np.ndarray) -> np.ndarray:
@@ -343,7 +294,7 @@ def entropy_rate(cluster) -> MarkovChainSummary:
     eigensolve is needed. ``metric_report`` reports the rate over its bound
     as homogeneity.
     """
-    arr = as_cluster(cluster)
+    arr = _as_cluster(cluster)
     m = arr.shape[0]
     if m < 2:
         raise TooFewSamples("need at least 2 points for a transition chain")
@@ -359,35 +310,43 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
     cluster, homogeneity computed on its subset ``hom_rows[f]``. Every
     ``MetricReport`` is built here; all homogeneity subsets share one pass.
 
-    Every subset's axis statistics are computed before that pass, so their
-    numpy work does not run while BLAS worker threads still spin after the
-    pass's last products; the bits are the same in either order.
+    Every subset's per-axis standard deviations are computed before that
+    pass, so their numpy work does not run while BLAS worker threads still
+    spin after the pass's last products; the bits are the same in either
+    order. The cluster is validated once, by the caller.
     """
     # The whole cluster goes in as the array itself: numpy's axis-0 sums
     # depend on memory layout, so a C-order copy could change their bits.
-    all_stats = [axis_stats(arr if len(idx) == arr.shape[0] else arr[idx])
-                 for idx in rows]
+    all_stds = [_axis_stds(arr if len(idx) == arr.shape[0] else arr[idx])
+                for idx in rows]
     chains = iter(_chains(arr, [h for h in hom_rows if len(h) >= 3]))
     reports = []
-    for idx, h, stats in zip(rows, hom_rows, all_stats):
-        den = density(stats)
+    for idx, h, stds in zip(rows, hom_rows, all_stds):
+        # Both metrics are evaluated in log space, so 768-dimensional
+        # products neither overflow nor underflow.
+        diversity = 0.0 if np.any(stds == 0.0) else float(np.exp(np.mean(np.log(stds))))
+        floored = int(np.count_nonzero(stds < DEFAULT_STD_FLOOR))
+        clamped = np.maximum(stds, DEFAULT_STD_FLOOR)
+        density_log = math.log(len(idx)) - np.sum(np.log(clamped)) / math.sqrt(len(stds))
+        with np.errstate(over="ignore"):
+            density = float(np.exp(density_log))
         chain = (next(chains) if len(h) >= 3
                  else TooFewSamples(f"fewer than 3 samples (m={len(h)})"))
         defined = isinstance(chain, MarkovChainSummary)
         notes: tuple[str, ...] = ()
-        if stats.dim == 1:
+        if len(stds) == 1:
             notes = ("homogeneity is identically 1 in one dimension: the distance "
                      "exponent ln(1) = 0 makes every edge weight equal",)
         if len(h) < len(idx):
             notes += (f"homogeneity computed on {len(h)} of {len(idx)} points",)
         reports.append(MetricReport(
-            diversity=diversity(stats),
-            density=den.value,
-            density_log=den.log_value,
+            diversity=diversity,
+            density=density,
+            density_log=float(density_log),
             # The rate provably cannot exceed the bound; roundoff in the last ulp can.
             homogeneity=(min(chain.entropy_rate / chain.upper_bound, 1.0)
                          if defined else None),
-            degenerate_axes=den.floored_axes,
+            degenerate_axes=floored,
             homogeneity_skipped_reason=None if defined else str(chain),
             notes=notes,
         ))
@@ -402,7 +361,7 @@ def metric_report(cluster) -> MetricReport:
     memory layout. Never raises for degenerate inputs: when homogeneity
     cannot be computed the report carries the reason instead.
     """
-    arr = as_cluster(cluster)
+    arr = _as_cluster(cluster)
     whole = [np.arange(arr.shape[0])]
     return _reports(arr, whole, whole)[0]
 
@@ -448,7 +407,7 @@ def metric_reports(cluster, subsets, homogeneity_subsets=None) -> list[MetricRep
     plus the note ``homogeneity computed on {cap} of {m} points``. The pass
     covers only the rows some homogeneity subset holds.
     """
-    arr = as_cluster(cluster)
+    arr = _as_cluster(cluster)
     rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
     if homogeneity_subsets is None:
         return _reports(arr, rows, rows)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from textchar.metrics import metric_report
+from textchar.metrics import MetricReport, metric_report, metric_reports
 
 # One line per acceptance criterion, echoed after the test run so the
 # verdicts are visible without -s.
@@ -114,6 +114,16 @@ def random_cluster(rng: np.random.Generator, max_m: int = 64,
     scale = float(10.0 ** rng.integers(-3, 4))
     offset = rng.normal(scale=scale, size=dim)
     return rng.normal(scale=scale, size=(m, dim)) + offset
+
+
+def spread_report(points) -> MetricReport:
+    """``metric_report(points)`` without its O(m^2 H) pairwise pass:
+    diversity, density and degenerate axes come out bitwise the same, and
+    homogeneity is skipped on a 2-point homogeneity subset."""
+    pts = np.asarray(points)
+    (report,) = metric_reports(pts, [np.arange(len(pts))],
+                               homogeneity_subsets=[np.arange(2)])
+    return report
 
 
 def homogeneity_of(points) -> float:

@@ -25,6 +25,7 @@ from conftest import (
     homogeneity_of,
     power_iteration_stationary,
     random_cluster,
+    spread_report,
 )
 from textchar import cli, io, metrics, simulation
 
@@ -167,11 +168,11 @@ def test_criterion_2_diversity_flat_under_down_sampling():
     worst = 0.0
     for dim in (2, 768):
         pts = _blob_10k(dim)
-        full = metrics.diversity(metrics.axis_stats(pts))
+        full = spread_report(pts).diversity
         for i, fraction in enumerate(_FRACTIONS):
             sample = simulation.down_sample(
                 pts, fraction, np.random.SeedSequence([202, dim, i]))
-            value = metrics.diversity(metrics.axis_stats(sample))
+            value = spread_report(sample).diversity
             worst = max(worst, abs(value - full) / full)
     elapsed = time.perf_counter() - start
     ok = worst <= 0.03 and elapsed < 10.0
@@ -188,7 +189,7 @@ def test_criterion_3_diversity_linear_in_spread():
     for spread in spreads:
         rng = np.random.default_rng(303 + int(spread))
         pts = rng.normal(0.0, spread, size=(10_000, 2))
-        values.append(metrics.diversity(metrics.axis_stats(pts)))
+        values.append(spread_report(pts).diversity)
     slope, intercept = np.polyfit(spreads, values, 1)
     elapsed = time.perf_counter() - start
     ok = 0.95 <= slope <= 1.05 and -0.1 <= intercept <= 0.1 and elapsed < 10.0
@@ -203,11 +204,11 @@ def test_criterion_4_density_linear_in_sample_count():
     worst = 0.0
     for dim in (2, 768):
         pts = _blob_10k(dim)
-        full = metrics.density(metrics.axis_stats(pts)).value
+        full = spread_report(pts).density
         for i, fraction in enumerate(_FRACTIONS):
             sample = simulation.down_sample(
                 pts, fraction, np.random.SeedSequence([404, dim, i]))
-            value = metrics.density(metrics.axis_stats(sample)).value
+            value = spread_report(sample).density
             expected = fraction * full
             worst = max(worst, abs(value - expected) / expected)
     elapsed = time.perf_counter() - start
@@ -315,19 +316,17 @@ def test_criterion_6_exact_value_suite(monkeypatch):
     # is exactly representable; with stds (1, 2) the exp/log route may sit
     # one ulp from the closed form, so that case pins the closed form
     # bitwise where it holds and one ulp where it cannot.
-    flat = metrics.axis_stats([[0.0, 0.0], [2.0, 2.0]])
-    flat_den = metrics.density(flat)
+    flat = metrics.metric_report([[0.0, 0.0], [2.0, 2.0]])
     exact_ok = (
-        metrics.diversity(flat) == 1.0
-        and flat_den.value == 2.0
-        and flat_den.log_value == math.log(2.0)
+        flat.diversity == 1.0
+        and flat.density == 2.0
+        and flat.density_log == math.log(2.0)
     )
-    skew = metrics.axis_stats([[-1.0, -2.0], [1.0, 2.0]])
-    skew_den = metrics.density(skew)
+    skew = metrics.metric_report([[-1.0, -2.0], [1.0, 2.0]])
     exact_ok &= (
-        abs(metrics.diversity(skew) - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
-        and skew_den.value == 2.0 * 2.0 ** (-1.0 / math.sqrt(2.0))
-        and skew_den.log_value == math.log(2.0) - math.log(2.0) / math.sqrt(2.0)
+        abs(skew.diversity - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+        and skew.density == 2.0 * 2.0 ** (-1.0 / math.sqrt(2.0))
+        and skew.density_log == math.log(2.0) - math.log(2.0) / math.sqrt(2.0)
         and brute_weights([[0.0, 0.0], [3.0, 4.0]])[0, 1] == 5.0 ** math.log(2.0)
     )
 
@@ -362,7 +361,7 @@ def test_criterion_6_exact_value_suite(monkeypatch):
     # per-pair weights.
     row_worst = 0.0
     for _ in range(5):
-        pts = metrics.as_cluster(random_cluster(rng, max_m=40, max_dim=10))
+        pts = random_cluster(rng, max_m=40, max_dim=10)
         ones = np.ones((pts.shape[0], 1))
         strengths = metrics._chain_rows(pts, ones)[0][:, 0]
         row_sums = (brute_weights(pts) / strengths[:, None]).sum(axis=1)

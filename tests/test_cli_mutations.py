@@ -16,12 +16,15 @@ that the one-fraction sweep ``downsample_sweep(read_vectors(...), [1.0])``
 gives on the same file. ``correlate`` must reject, with the file and the
 line or row, a fraction that an earlier score line or sweep row holds, a
 JSON boolean or string where the sweep needs a number, a fractional sweep
-size, a fraction outside (0, 1] (NaN and inf too) and a score name holding
-a carriage return; it must still read an infinite metric value. ``profile``
-must reject, with the file and the line or offset, records whose vectors
-have no values, while the empty collection still round-trips, and a
-sidecar row without ``label``; ``pool`` must reject, with the file and the
-line, a sequence with no tokens or with tokens of no values.
+size, a fraction outside (0, 1] (NaN and inf too), a
+``homogeneity_skipped`` that is not a list of strings and a score name
+holding a carriage return; it must still read an infinite metric value.
+``profile`` must reject, with the file and the line or offset, records
+whose vectors have no values, while the empty collection still
+round-trips, and a sidecar row without ``label``; ``pool`` must reject,
+with the file and the line, a sequence with no tokens or with tokens of no
+values. Both must reject, with the file and the line, a jsonl, sidecar or
+token record whose ``label``, ``id`` or ``layer`` is not a JSON string.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ HUGE_INT = "1" + "0" * 399  # 400 digits: beyond the float64 range
 
 # Raw JSON texts that replace one value of a valid document.
 BAD_VALUES = (HUGE_INT, "-" + HUGE_INT, "1e400", "-1e400", "NaN", "Infinity",
-              "1e308", "-1e308", "1e-320", "0", '"x"', "null", "true", "[]", "{}",
-              "[[]]", '[1.0, "a"]', "[[1.0], [2.0, 3.0]]", "[[[1.0]]]")
+              "1e308", "-1e308", "1e-320", "0", "7", '"x"', "null", "true", "[]", "[1]",
+              "{}", "[[]]", '[1.0, "a"]', "[[1.0], [2.0, 3.0]]", "[[[1.0]]]")
 # Texts that replace one csv cell or are added as an extra one.
 BAD_CELLS = (HUGE_INT, "1e400", "nan", "inf", "-inf", "1e308", "", "x", "fraction",
              "label")
@@ -126,6 +129,24 @@ def _changed_record(before: str, after: str) -> tuple[int, object] | None:
         return changed[0] + 1, json.loads(new[changed[0]])
     except ValueError:
         return None
+
+
+def _key_fault(changed, payload: str | None) -> str | None:
+    """The message that names the one mutated line of a JSON-lines file,
+    when its reader must reject that line for its keys: not an object with
+    ``label`` and ``payload`` (unless None), or an ``id``, ``label`` or
+    ``layer`` that is not a JSON string. None otherwise."""
+    if changed is None:
+        return None
+    line, record = changed
+    required = ("label",) if payload is None else ("label", payload)
+    if not (isinstance(record, dict) and all(key in record for key in required)):
+        return f"line {line}: expected an object with " + " and ".join(
+            repr(key) for key in required)
+    for key in ("id", "label", "layer"):
+        if key in record and not isinstance(record[key], str):
+            return f"line {line}: {key!r} is not a string"
+    return None
 
 
 def _mutate(data, text: str, structured) -> str:
@@ -220,21 +241,24 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
         textchar_io.write_vectors(_collection(scale, records), src, fmt)
         mutate = mutate and records != "none"  # no line to break
-        unlabeled = None  # the sidecar line that lost its label
+        fault = bad = None  # the message for a JSON line rejected for its keys, its file
         if mutate and fmt == "binary":
             sidecar = Path(str(src) + ".meta.jsonl")
             if data.draw(st.booleans()):
                 text = sidecar.read_text()
                 sidecar.write_text(_mutate(data, text, _mutate_json_line))
-                changed = _changed_record(text, sidecar.read_text())
-                if changed and not (isinstance(changed[1], dict) and "label" in changed[1]):
-                    unlabeled = changed[0]
+                bad = sidecar
+                fault = _key_fault(_changed_record(text, bad.read_text()), None)
             else:
                 raw = src.read_bytes()
                 src.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         elif mutate:
             structured = _mutate_json_line if fmt == "jsonl" else _mutate_csv
-            src.write_text(_mutate(data, src.read_text(), structured))
+            text = src.read_text()
+            src.write_text(_mutate(data, text, structured))
+            if fmt == "jsonl":
+                bad = src
+                fault = _key_fault(_changed_record(text, bad.read_text()), "vector")
         argv = ["profile", "--input", str(src), "--format", fmt, "--out", str(out),
                 f"--seed={seed}"]
         if fractions is not None:
@@ -242,9 +266,8 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         if cap is not None:
             argv.append(f"--cap={cap}")
         code, err = _run(argv, [out])
-        if unlabeled is not None and code != 2:
-            assert err == [f"textchar: error: {sidecar}, line {unlabeled}: "
-                           "expected an object with 'label'"], err
+        if fault is not None and code != 2:
+            assert err == [f"textchar: error: {bad}, {fault}"], err
         if seed == "-1":
             assert code == 2 and err[-1].endswith(
                 "argument --seed: must be >= 0, got -1"), err
@@ -282,7 +305,10 @@ def test_pool_on_mutated_files(data):
         src.write_text(mutated)
         _, err = _run(["pool", "--input", str(src), "--out", str(out)], [out])
     changed = _changed_record(text, mutated)
-    if changed and isinstance(changed[1], dict) and "label" in changed[1]:
+    fault = _key_fault(changed, "tokens")
+    if fault is not None:
+        assert err == [f"textchar: error: {src}, {fault}"], err
+    elif changed:
         tokens = changed[1].get("tokens")
         if isinstance(tokens, list) and all(token == [] for token in tokens):
             assert len(err) == 1 and err[0].startswith(
@@ -308,8 +334,28 @@ def test_correlate_on_mutated_files(data, which):
         metrics_path.write_text(sweep)
         scores_path.write_text(scores)
         out = Path(tmp) / "corr.csv"
-        _run(["correlate", "--metrics", str(metrics_path), "--scores", str(scores_path),
-              "--out", str(out)], [out])
+        _, err = _run(["correlate", "--metrics", str(metrics_path),
+                       "--scores", str(scores_path), "--out", str(out)], [out])
+    row = _bad_skipped_row(sweep)
+    if row is not None:
+        assert err == [f"textchar: error: {metrics_path}: row {row}: "
+                       "'homogeneity_skipped' is not a list of strings"], err
+
+
+def _bad_skipped_row(text: str) -> int | None:
+    """The number of the one sweep row whose ``final`` holds a
+    ``homogeneity_skipped`` that is not a list of strings, if there is one."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    for number, row in enumerate(rows if isinstance(rows, list) else (), start=1):
+        final = row.get("final") if isinstance(row, dict) else None
+        skipped = final.get("homogeneity_skipped", []) if isinstance(final, dict) else []
+        if not (isinstance(skipped, list) and all(isinstance(key, str) for key in skipped)):
+            return number
+    return None
 
 
 _SWEEP_ROWS = [{"fraction": f, "size": int(100 * f),
@@ -361,6 +407,11 @@ def _with(path, value):
      "scores.csv, line 2: fraction inf is not in (0, 1]"),
     (_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0,0.8\n",
      "scores.csv, line 3: fraction 0 is not in (0, 1]"),
+] + [
+    (_with((1, "final", "homogeneity_skipped"), skipped),
+     "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+     "sweep.json: row 2: 'homogeneity_skipped' is not a list of strings")
+    for skipped in ("abc", 5, None, True, {"a/b": "x"}, ["a/b", 1], [["a/b"]])
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     with tempfile.TemporaryDirectory() as tmp:
@@ -390,6 +441,26 @@ def test_correlate_reads_infinite_metric_values():
     assert first.final.density == math.inf and second.final.density_log == -math.inf
 
 
+def _broken_input(tmp: Path, kind: str, change) -> tuple[list[str], Path]:
+    """The arguments of a run on a valid input whose line 2 record is
+    replaced by ``change(record)``, and the file that holds that line.
+    ``kind`` is "jsonl" or "sidecar" (profile) or "tokens" (pool)."""
+    if kind == "tokens":
+        src = bad = tmp / "tokens.jsonl"
+        bad.write_text(_token_text())
+        argv = ["pool"]
+    else:
+        fmt = "binary" if kind == "sidecar" else "jsonl"
+        src = tmp / f"in.{fmt}"
+        textchar_io.write_vectors(_collection(1.0, "all"), src, fmt)
+        bad = Path(str(src) + ".meta.jsonl") if kind == "sidecar" else src
+        argv = ["profile", "--format", fmt]
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps(change(json.loads(lines[1]))) + "\n"
+    bad.write_text("".join(lines))
+    return argv + ["--input", str(src), "--out", str(tmp / "out.json")], bad
+
+
 @pytest.mark.parametrize("kind, value, message", [
     ("sidecar", None, "line 2: expected an object with 'label'"),
     ("tokens", [], "line 2: sequence 's1' has no tokens"),
@@ -398,25 +469,29 @@ def test_correlate_reads_infinite_metric_values():
 ], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens"])
 def test_record_faults_name_file_and_line(kind, value, message):
     # Line 2 loses its sidecar label, or gets the tokens given.
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out.json"
+    def change(record):
         if kind == "sidecar":
-            src = Path(tmp) / "in.bin"
-            textchar_io.write_vectors(_collection(1.0, "all"), src, "binary")
-            bad = Path(str(src) + ".meta.jsonl")
-            lines = bad.read_text().splitlines(keepends=True)
-            record = json.loads(lines[1])
             del record["label"]
-            argv = ["profile", "--format", "binary"]
-        else:
-            src = bad = Path(tmp) / "tokens.jsonl"
-            lines = _token_text().splitlines(keepends=True)
-            record = {**json.loads(lines[1]), "tokens": value}
-            argv = ["pool"]
-        lines[1] = json.dumps(record) + "\n"
-        bad.write_text("".join(lines))
-        code, err = _run(argv + ["--input", str(src), "--out", str(out)], [out])
+            return record
+        return {**record, "tokens": value}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, bad = _broken_input(Path(tmp), kind, change)
+        code, err = _run(argv, [Path(tmp) / "out.json"])
         assert code == 1 and err == [f"textchar: error: {bad}, {message}"], err
+
+
+@pytest.mark.parametrize("value", [None, True, 7, [1], {}],
+                         ids=["null", "true", "7", "list", "object"])
+@pytest.mark.parametrize("key", ["label", "id", "layer"])
+@pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
+def test_non_string_keys_name_file_and_line(kind, key, value):
+    # "label": null must not join a class "None", nor "id": 1 collide with "1".
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, bad = _broken_input(Path(tmp), kind, lambda record: {**record, key: value})
+        code, err = _run(argv, [Path(tmp) / "out.json"])
+        assert code == 1 and err == [
+            f"textchar: error: {bad}, line 2: {key!r} is not a string"], err
 
 
 def _zero_width_file(path: Path, fmt: str) -> None:

@@ -214,12 +214,18 @@ def test_binary_sidecar_rows_follow_the_jsonl_rule(tmp_path):
     io.write_vectors(make_collection(np.random.default_rng(4), n=3, dim=2),
                      path, "binary")
     sidecar = tmp_path / "meta.bin.meta.jsonl"
-    sidecar.write_text('{"label": "a"}\n\n{"label": "b", "layer": "L"}\n'
-                       '{"id": "c", "label": 7}\n')
+    rows = '{"label": "a"}\n\n{"label": "b", "layer": "L"}\n{"id": "c", "label": "7"}\n'
+    sidecar.write_text(rows)
     loaded = io.read_vectors(path, "binary")
     assert loaded.ids == ["row-1", "row-2", "c"]
     assert loaded.labels == ["a", "b", "7"]
     assert loaded.layers == ["default", "L", "default"]
+
+    # A label, id or layer must be a JSON string; the blank line 2 counts.
+    sidecar.write_text(rows.replace('"7"', "7"))
+    with pytest.raises(ParseError) as exc:
+        io.read_vectors(path, "binary")
+    assert str(exc.value) == f"{sidecar}, line 4: 'label' is not a string"
 
     sidecar.write_text('{"label": "a"}\n{"id": "b"}\n{"label": "c"}\n')
     with pytest.raises(ParseError) as exc:

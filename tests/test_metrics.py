@@ -32,20 +32,42 @@ from textchar.errors import DegenerateCluster, TooFewSamples
 ])
 def test_as_cluster_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
-        metrics.as_cluster(bad)
+        metrics.metric_report(bad)
+
+
+def test_metric_reports_validate_the_cluster_once(monkeypatch):
+    # The report builder works on the validated array; no per-subset step
+    # scans it for non-finite values again.
+    calls = []
+    as_cluster = metrics._as_cluster
+
+    def counted(vectors):
+        calls.append(1)
+        return as_cluster(vectors)
+
+    monkeypatch.setattr(metrics, "_as_cluster", counted)
+    pts = np.random.default_rng(37).normal(size=(30, 4))
+    subsets = [np.arange(30), np.arange(0, 30, 2), np.arange(2), np.arange(5, 20)]
+    metrics.metric_reports(pts, subsets)
+    assert len(calls) == 1
+    metrics.metric_reports(pts, subsets, homogeneity_subsets=[s[:2] for s in subsets])
+    assert len(calls) == 2
 
 
 def test_axis_stats_uses_population_divisor():
     # Sample std (divisor m-1) would give sqrt(2) here; population gives 1.
-    stats = metrics.axis_stats([[0.0], [2.0]])
-    assert stats.count == 2
-    assert stats.dim == 1
-    assert stats.stds[0] == 1.0
+    report = metrics.metric_report([[0.0], [2.0]])
+    assert report.diversity == 1.0
+    assert report.density_log == math.log(2.0)  # ln m - ln 1 / sqrt(1)
+    assert any("one dimension" in note for note in report.notes)
 
 
 def test_axis_stats_hand_values():
-    stats = metrics.axis_stats([[0.0, 0.0], [2.0, 4.0]])
-    assert np.array_equal(stats.stds, [1.0, 2.0])
+    pts = np.array([[0.0, 0.0], [2.0, 4.0]])
+    assert np.array_equal(metrics._axis_stds(pts), [1.0, 2.0])
+    report = metrics.metric_report(pts)
+    assert report.diversity == 1.414213562373095  # exp(ln(2)/2)
+    assert report.density_log == 0.20301810882567173  # ln 2 - ln 2 / sqrt(2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -63,14 +85,13 @@ def test_axis_stats_near_float64_max_match_a_scaled_reference(case):
         pts[:, 1], exponent = 1e308 * rng.uniform(0.5, 1.0, size=10), 1000
     scaled = pts.copy()
     scaled[:, 1] *= 2.0 ** -exponent
-    reference = metrics.axis_stats(scaled)
-    stats = metrics.axis_stats(pts)
-    got, want = stats.stds, reference.stds
+    want = metrics._axis_stds(scaled)
+    got = metrics._axis_stds(pts)
     assert np.isfinite(got).all()
     assert got[1] == pytest.approx(want[1] * 2.0 ** exponent, rel=1e-12)
     assert got[[0, 2]].tolist() == want[[0, 2]].tolist()  # bits kept
     report = metrics.metric_report(pts)
-    log_diversity = np.log(reference.stds).mean() + exponent * math.log(2.0) / 3
+    log_diversity = np.log(want).mean() + exponent * math.log(2.0) / 3
     assert report.diversity == pytest.approx(math.exp(log_diversity), rel=1e-12)
     assert report.density_log == pytest.approx(
         math.log(10) - 3 * log_diversity / math.sqrt(3), rel=1e-12)
@@ -79,19 +100,19 @@ def test_axis_stats_near_float64_max_match_a_scaled_reference(case):
 # --- diversity ------------------------------------------------------------
 
 def test_diversity_two_point_hand_value():
-    stats = metrics.axis_stats([[-1.0, -2.0], [1.0, 2.0]])
-    assert np.array_equal(stats.stds, [1.0, 2.0])
-    assert metrics.diversity(stats) == 1.414213562373095  # exp(ln(2)/2)
+    pts = [[-1.0, -2.0], [1.0, 2.0]]
+    assert np.array_equal(metrics._axis_stds(np.array(pts)), [1.0, 2.0])
+    assert metrics.metric_report(pts).diversity == 1.414213562373095  # exp(ln(2)/2)
 
 
 def test_diversity_geometric_mean():
-    stats = metrics.ClusterStats(stds=np.array([2.0, 8.0]), count=10)
-    assert metrics.diversity(stats) == pytest.approx(4.0, rel=1e-15)
+    # Ten points with per-axis stds exactly (2, 8).
+    pts = np.tile([[-2.0, -8.0], [2.0, 8.0]], (5, 1))
+    assert metrics.metric_report(pts).diversity == pytest.approx(4.0, rel=1e-15)
 
 
 def test_diversity_zero_axis_collapses_to_zero():
-    stats = metrics.axis_stats([[0.0, 1.0], [0.0, 3.0]])
-    assert metrics.diversity(stats) == 0.0
+    assert metrics.metric_report([[0.0, 1.0], [0.0, 3.0]]).diversity == 0.0
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),
@@ -99,46 +120,43 @@ def test_diversity_zero_axis_collapses_to_zero():
 @settings(max_examples=50, deadline=None)
 def test_diversity_scale_equivariance(scale, seed):
     pts = np.random.default_rng(seed).normal(size=(20, 5))
-    base = metrics.diversity(metrics.axis_stats(pts))
-    scaled = metrics.diversity(metrics.axis_stats(scale * pts))
+    base = metrics.metric_report(pts).diversity
+    scaled = metrics.metric_report(scale * pts).diversity
     assert scaled == pytest.approx(scale * base, rel=1e-12)
 
 
 # --- density ----------------------------------------------------------------
 
 def test_density_two_point_hand_value():
-    stats = metrics.axis_stats([[-1.0, -2.0], [1.0, 2.0]])
-    result = metrics.density(stats)
+    result = metrics.metric_report([[-1.0, -2.0], [1.0, 2.0]])
     # closed form: 2 / (1 * 2) ** (1 / sqrt(2))
-    assert result.value == 1.2250946530721318
-    assert result.log_value == 0.20301810882567173
-    assert result.floored_axes == 0
+    assert result.density == 1.2250946530721318
+    assert result.density_log == 0.20301810882567173
+    assert result.degenerate_axes == 0
 
 
 def test_density_matches_log_form():
     pts = np.random.default_rng(5).normal(size=(40, 6))
-    stats = metrics.axis_stats(pts)
-    result = metrics.density(stats)
-    expected = math.log(40) - np.log(stats.stds).sum() / math.sqrt(6)
-    assert result.log_value == pytest.approx(expected, rel=1e-15)
-    assert result.value == pytest.approx(math.exp(expected), rel=1e-15)
+    result = metrics.metric_report(pts)
+    expected = math.log(40) - np.log(pts.std(axis=0)).sum() / math.sqrt(6)
+    assert result.density_log == pytest.approx(expected, rel=1e-15)
+    assert result.density == pytest.approx(math.exp(expected), rel=1e-15)
 
 
 def test_density_floors_degenerate_axis():
-    stats = metrics.axis_stats([[0.0, 1.0], [0.0, 3.0]])
-    result = metrics.density(stats)
-    assert result.floored_axes == 1
+    result = metrics.metric_report([[0.0, 1.0], [0.0, 3.0]])
+    assert result.degenerate_axes == 1
     expected = math.log(2) - (math.log(1e-12) + math.log(1.0)) / math.sqrt(2)
-    assert result.log_value == pytest.approx(expected, rel=1e-15)
-    assert math.isfinite(result.value)
+    assert result.density_log == pytest.approx(expected, rel=1e-15)
+    assert math.isfinite(result.density)
 
 
 def test_density_survives_768_dims_without_underflow():
     # 768 axes of spread 1e-3 would underflow a plain product (1e-2304).
     pts = np.random.default_rng(9).normal(scale=1e-3, size=(100, 768))
-    result = metrics.density(metrics.axis_stats(pts))
-    assert math.isfinite(result.log_value)
-    assert result.value > 0.0
+    result = metrics.metric_report(pts)
+    assert math.isfinite(result.density_log)
+    assert result.density > 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -393,9 +411,9 @@ def test_homogeneity_invariant_under_large_offsets(seed, log_offset):
 def test_metric_report_bundles_all_three():
     pts = np.random.default_rng(7).normal(size=(25, 3))
     report = metrics.metric_report(pts)
-    stats = metrics.axis_stats(pts)
-    assert report.diversity == metrics.diversity(stats)
-    assert report.density == metrics.density(stats).value
+    stds = pts.std(axis=0)
+    assert report.diversity == float(np.exp(np.mean(np.log(stds))))
+    assert report.density == math.exp(math.log(25) - np.sum(np.log(stds)) / math.sqrt(3))
     chain = metrics.entropy_rate(pts)
     assert report.homogeneity == min(chain.entropy_rate / chain.upper_bound, 1.0)
     assert report.homogeneity_skipped_reason is None
@@ -433,11 +451,18 @@ def test_metric_report_serializes_to_json():
 # --- metric_reports: one pass for many row subsets ----------------------------
 
 @pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
-def test_whole_cluster_subset_is_metric_report_bitwise(layout):
+def test_whole_cluster_subset_is_metric_report_bitwise(monkeypatch, layout):
     # numpy's axis-0 sums depend on memory layout, so a C-order copy of the
     # rows would change the bits of the axis statistics. The strided case is
     # a view into a column-major buffer, contiguous in neither order.
     rng = np.random.default_rng(89)
+    axis_stds, seen = metrics._axis_stds, []
+
+    def recorded(arr):
+        seen.append(arr)
+        return axis_stds(arr)
+
+    monkeypatch.setattr(metrics, "_axis_stds", recorded)
     for _ in range(30):
         pts = random_cluster(rng, max_m=60, max_dim=12, min_m=1)
         if layout == "Fortran":
@@ -446,11 +471,11 @@ def test_whole_cluster_subset_is_metric_report_bitwise(layout):
             wide = np.zeros((2 * pts.shape[0], 3 * pts.shape[1]), order="F")
             wide[::2, ::3] = pts
             pts = wide[::2, ::3]
+        seen.clear()
         (shared,) = metrics.metric_reports(pts, [np.arange(pts.shape[0])])
         assert shared == metrics.metric_report(pts)
-        stats = metrics.axis_stats(pts)  # the array as it is, uncopied
-        assert shared.diversity == metrics.diversity(stats)
-        assert shared.density == metrics.density(stats).value
+        # Both calls hand the per-axis spread the array as it is, uncopied.
+        assert len(seen) == 2 and all(arr is pts for arr in seen)
 
 
 def _random_subsets(rng, m, count):
@@ -487,12 +512,12 @@ def test_metric_reports_compute_every_axis_stats_before_the_pass(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(metrics, "axis_stats", record("axis_stats", metrics.axis_stats))
+    monkeypatch.setattr(metrics, "_axis_stds", record("_axis_stds", metrics._axis_stds))
     monkeypatch.setattr(metrics, "_chains", record("_chains", metrics._chains))
     pts = np.random.default_rng(59).normal(size=(30, 4))
     subsets = [np.arange(30), np.arange(0, 30, 2), np.arange(2), np.arange(5, 20)]
     metrics.metric_reports(pts, subsets)
-    assert calls == ["axis_stats"] * len(subsets) + ["_chains"]
+    assert calls == ["_axis_stds"] * len(subsets) + ["_chains"]
 
 
 def test_metric_reports_degenerate_subsets_get_metric_report_reasons():
@@ -539,7 +564,7 @@ def test_shared_pass_copy_pairs_across_strips_match_brute_force(monkeypatch, blo
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
         _bump_copy_norms(patch)
-        chains = metrics._chains(metrics.as_cluster(pts), subsets)
+        chains = metrics._chains(pts, subsets)
     for idx, chain in zip(subsets, chains):
         assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
         stationary = power_iteration_stationary(pts[idx])
@@ -571,7 +596,7 @@ def test_tiles_copy_pairs_match_brute_force(monkeypatch, block):
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     with monkeypatch.context() as patch:
         _bump_copy_norms(patch)
-        chains = metrics._chains(metrics.as_cluster(pts), subsets)
+        chains = metrics._chains(pts, subsets)
     for idx, chain in zip(subsets, chains):
         assert abs(chain.entropy_rate - brute_entropy_rate(pts[idx])) <= 1e-12
         stationary = power_iteration_stationary(pts[idx])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conftest import spread_report
 from textchar import simulation as sim
 from textchar.errors import EmptyResult
-from textchar.metrics import MetricReport, axis_stats, diversity, metric_report
+from textchar.metrics import MetricReport, metric_report
 
 
 def test_blob_is_deterministic_per_seed():
@@ -15,14 +16,13 @@ def test_blob_is_deterministic_per_seed():
 
 def test_blob_sample_statistics():
     pts = sim.gaussian_blob(10_000, 2, 42)
-    stats = axis_stats(pts)
-    assert np.abs(stats.stds - 1.0).max() <= 0.03
+    assert np.abs(pts.std(axis=0) - 1.0).max() <= 0.03
     assert np.abs(pts.mean(axis=0)).max() <= 0.05
 
 
 def test_blob_diversity_in_768_dims():
     pts = sim.gaussian_blob(10_000, 768, 42)
-    assert diversity(axis_stats(pts)) == pytest.approx(1.0, rel=0.03)
+    assert spread_report(pts).diversity == pytest.approx(1.0, rel=0.03)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -243,8 +243,7 @@ def test_down_sampling_rows_reuse_base_blob():
                                sweep=(1.0, 0.5))
     base = sim.gaussian_blob(120, 3, 5)
     manual = sim.down_sample(base, 0.5, np.random.SeedSequence([5, 1]))
-    expected = axis_stats(manual)
-    assert reports[1].diversity == diversity(expected)
+    assert reports[1].diversity == metric_report(manual).diversity
 
 
 def test_down_sampling_rows_match_per_row_reports():
@@ -268,7 +267,7 @@ def test_spread_rows_use_per_row_streams():
                                sweep=(1.0, 4.0))
     rng = np.random.default_rng(np.random.SeedSequence([9, 1]))
     manual = rng.normal(0.0, 4.0, size=(150, 2))
-    assert reports[1].diversity == diversity(axis_stats(manual))
+    assert reports[1].diversity == metric_report(manual).diversity
 
 
 def test_outlier_radius_defaults_to_ten_sigma():
