@@ -38,12 +38,12 @@ def main():
     OUT_DIR.mkdir(exist_ok=True)
 
     print("== down-sampling: keep a fraction of the blob " + "=" * 20)
-    show("down_sampling", "fraction kept", OUT_DIR / "down_sampling.svg", dim=DIM)
+    show("downsample", "fraction kept", OUT_DIR / "down_sampling.svg", dim=DIM)
     print("-> diversity and homogeneity barely move; density tracks the")
     print("   sample count almost exactly.\n")
 
     print("== varying spread: same blob shape, bigger radius " + "=" * 16)
-    show("varying_spread", "per-axis std", OUT_DIR / "varying_spread.svg", dim=DIM)
+    show("spread", "per-axis std", OUT_DIR / "varying_spread.svg", dim=DIM)
     print("-> diversity grows linearly with the spread, density shrinks,")
     print("   homogeneity stays put (it is scale-invariant).\n")
 
@@ -56,7 +56,7 @@ def main():
     print("   itself is populous the walk evens out again.\n")
 
     print("== sub-clusters: split the mass into k islands " + "=" * 20)
-    show("sub_clusters", "sub-cluster count", OUT_DIR / "sub_clusters.svg", dim=768)
+    show("subclusters", "sub-cluster count", OUT_DIR / "sub_clusters.svg", dim=768)
     print("-> in high dimension homogeneity falls steadily as the mass")
     print("   fragments. (In 2-D the same sweep is not monotone: after a")
     print("   dip at k=2 the many nearby islands blend back together.)\n")

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateCluster,
     DegenerateInput,
     DimensionMismatch,
-    EmptyClass,
     EmptyResult,
     InconsistentClassSize,
     NonFiniteValue,
@@ -44,8 +43,6 @@ from .metrics import (
     metric_reports,
 )
 from .simulation import (
-    add_outliers,
-    down_sample,
     gaussian_blob,
     run_scenario,
     sphere_points,
@@ -61,7 +58,6 @@ __all__ = [
     "DegenerateCluster",
     "DegenerateInput",
     "DimensionMismatch",
-    "EmptyClass",
     "EmptyResult",
     "InconsistentClassSize",
     "LabeledEmbeddings",
@@ -72,9 +68,7 @@ __all__ = [
     "SweepRow",
     "TextcharError",
     "TooFewSamples",
-    "add_outliers",
     "correlation_report",
-    "down_sample",
     "downsample_sweep",
     "entropy_rate",
     "gaussian_blob",

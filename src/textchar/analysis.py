@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    EmptyClass,
-    EmptyResult,
-    InconsistentClassSize,
-)
+from .errors import DegenerateInput, EmptyResult, InconsistentClassSize
 from .metrics import MetricReport, metric_reports
 from .simulation import _sample_rows, _sorted_draw
 
@@ -223,7 +218,7 @@ def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
         try:
             kept[units[_sample_rows(len(units), fraction, rng)]] = True
         except EmptyResult:
-            raise EmptyClass(
+            raise EmptyResult(
                 f"class {label!r} has no members left at fraction {fraction}") from None
     return kept
 

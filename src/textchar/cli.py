@@ -28,14 +28,6 @@ __all__ = [
     "main",
 ]
 
-# CLI spellings of the scenario kinds.
-_SCENARIOS = {
-    "downsample": "down_sampling",
-    "spread": "varying_spread",
-    "outliers": "outliers",
-    "subclusters": "sub_clusters",
-}
-
 _SIM_COLUMNS = ("parameter", "diversity", "density", "density_log", "homogeneity")
 _CORRELATE_COLUMNS = ("metric", "score", "pearson_r", "n", "note")
 
@@ -92,12 +84,11 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    kind = _SCENARIOS[args.scenario]
     reports = simulation.run_scenario(
-        kind, dim=args.dims, points=args.points, seed=args.seed,
+        args.scenario, dim=args.dims, points=args.points, seed=args.seed,
         outlier_radius=args.radius, spacing=args.spacing,
     )
-    xs = [float(value) for value in simulation.SWEEPS[kind]]
+    xs = [float(value) for value in simulation.SWEEPS[args.scenario]]
     cells = [
         [_num(x), _num(rep.diversity), _num(rep.density), _num(rep.density_log),
          _num(rep.homogeneity)]
@@ -177,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser(
         "simulate", help="run a synthetic sweep and emit metric-vs-parameter CSV")
-    sim.add_argument("--scenario", required=True, choices=sorted(_SCENARIOS),
+    sim.add_argument("--scenario", required=True, choices=sorted(simulation.SWEEPS),
                      help="which synthetic sweep to run")
     sim.add_argument("--dims", required=True, type=int,
                      help="dimensionality of the synthetic points")

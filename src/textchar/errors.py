@@ -23,10 +23,6 @@ class EmptyResult(TextcharError):
     """A sampling operation would return zero points."""
 
 
-class EmptyClass(TextcharError):
-    """A class lost all of its members during down-sampling."""
-
-
 class DegenerateInput(TextcharError):
     """Correlation input is too short or has zero variance."""
 

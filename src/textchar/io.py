@@ -10,6 +10,8 @@ on-disk formats:
 * ``csv`` -- header row with a ``label`` column, optional ``id`` and
   ``layer`` columns, and the remaining columns as numeric axes in order;
   columns may come in any order. The writer emits ``id,label,layer,d0,...``.
+  A cell with a ``_`` digit separator, such as ``1_5``, is not a number,
+  here and in the score table.
 * ``binary`` -- magic ``CMET``, version byte 1, float width byte (4 or 8),
   two reserved zero bytes, little-endian uint32 ``m`` and ``H``, then
   ``m * H`` little-endian floats row-major. Ids, labels, and layers live in
@@ -234,6 +236,14 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(path, f"unreadable csv: {exc}", line=lines.line_num) from exc
 
 
+def _cell_float(cell: str) -> float:
+    """``float(cell)``, except that a ``_`` digit separator, which no JSON
+    reader accepts, makes the cell non-numeric too."""
+    if "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None:
     for name in names:
         if header.count(name) > 1:
@@ -256,7 +266,8 @@ def _csv_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
                              line=lineno)
         rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
         try:
-            vector = np.array([float(row[i]) for i in axis_cols], dtype=np.float64)
+            vector = np.array([_cell_float(row[i]) for i in axis_cols],
+                              dtype=np.float64)
         except ValueError as exc:
             raise ParseError(path, f"non-numeric axis value: {exc}", line=lineno) from exc
         yield (rec_id, row[named["label"]],
@@ -468,7 +479,7 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     first_line: dict[float, int] = {}
     for lineno, row in rows:
         try:
-            values = {name: float(cell) for name, cell in zip(header, row)}
+            values = {name: _cell_float(cell) for name, cell in zip(header, row)}
         except ValueError as exc:
             raise ParseError(path, f"non-numeric cell: {exc}", line=lineno) from exc
         fraction = values.pop("fraction")

@@ -3,16 +3,16 @@
 Four scenarios probe how the metrics respond to controlled changes of an
 isotropic Gaussian blob:
 
-* ``down_sampling`` -- keep a random fraction of the points.
-* ``varying_spread`` -- regenerate the blob with a larger per-axis spread.
+* ``downsample`` -- keep a random fraction of the points.
+* ``spread`` -- regenerate the blob with a larger per-axis spread.
 * ``outliers`` -- add points drawn uniformly from a far sphere shell.
-* ``sub_clusters`` -- split the budget into k blobs spaced along axis 0.
+* ``subclusters`` -- split the budget into k blobs spaced along axis 0.
 
-``run_scenario`` walks one sweep and returns one metric report per sweep
-value, raising at the first row that cannot be built. Every down-sampling
-row is a subset of one base blob, so all of them are reported from one
-shared pairwise pass (``metrics.metric_reports``); the other kinds build a
-new cluster per row.
+``run_scenario`` walks the sweep ``SWEEPS[kind]`` and returns one metric
+report per sweep value, raising at the first row that cannot be built.
+Every down-sampling row is a subset of one base blob, so all of them are
+reported from one shared pairwise pass (``metrics.metric_reports``); the
+other kinds build a new cluster per row.
 
 Reproducibility contract: all draws use numpy's PCG64 ``default_rng``. A
 generator seeded with ``s`` fills its matrix with one row-major ``normal``
@@ -31,21 +31,19 @@ from .metrics import MetricReport, metric_report, metric_reports
 
 __all__ = [
     "SWEEPS",
-    "add_outliers",
-    "down_sample",
     "gaussian_blob",
     "run_scenario",
     "sphere_points",
     "sub_clusters",
 ]
 
-# Default sweep of each scenario kind, base value first so every row can be
+# The sweep of each scenario kind, base value first so every row can be
 # compared against the unmodified blob.
 SWEEPS = {
-    "down_sampling": (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
-    "varying_spread": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
+    "downsample": (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+    "spread": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
     "outliers": (0, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500),
-    "sub_clusters": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    "subclusters": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
 }
 
 # Outlier shell radius and sub-cluster spacing both default to this multiple
@@ -81,23 +79,12 @@ def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
 
 def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
     """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m``
-    rows; ``seed`` may also be a Generator, which is drawn from as it is."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    rows, half up, for a ``fraction`` in (0, 1]; ``seed`` may also be a
+    Generator, which is drawn from as it is. Fraction 1.0 keeps every row."""
     keep = int(math.floor(fraction * m + 0.5))
     if keep == 0:
         raise EmptyResult(f"fraction {fraction} of {m} points rounds to 0")
     return _sorted_draw(np.random.default_rng(seed), m, keep)
-
-
-def down_sample(cluster, fraction: float, seed) -> np.ndarray:
-    """Uniform subset without replacement of ``round(fraction * m)`` points.
-
-    Selected indices are re-sorted, so fraction 1.0 returns the cluster
-    unchanged and any subset preserves the original row order.
-    """
-    arr = np.asarray(cluster, dtype=np.float64)
-    return arr[_sample_rows(arr.shape[0], fraction, seed)]
 
 
 def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
@@ -119,16 +106,6 @@ def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
         points[bad] = rng.normal(size=(int(bad.sum()), dim))
         norms = np.linalg.norm(points, axis=1)
     return points * (radius / norms)[:, None]
-
-
-def add_outliers(base, count: int, radius: float, seed) -> np.ndarray:
-    """Append ``count`` shell points to the base cluster."""
-    arr = np.asarray(base, dtype=np.float64)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return arr.copy()
-    return np.vstack([arr, sphere_points(count, arr.shape[1], radius, seed)])
 
 
 def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarray:
@@ -155,41 +132,37 @@ def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarr
     return np.vstack(parts)
 
 
-def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0, sweep=None,
+def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
                  outlier_radius: float = DEFAULT_SCALE_FACTOR,
                  spacing: float = DEFAULT_SCALE_FACTOR) -> tuple[MetricReport, ...]:
-    """One metric report per value of the sweep, in sweep order.
+    """One metric report per value of ``SWEEPS[kind]``, in sweep order.
 
-    ``kind`` is a key of ``SWEEPS``, and ``sweep`` (default ``SWEEPS[kind]``)
-    must be non-empty and strictly monotone. The base blob of ``points``
-    points is generated once for the kinds that modify it, down-sampling
-    and outliers; down-sampling rows share one pairwise pass over it. The
-    first row that cannot be built raises.
+    ``kind`` is a key of ``SWEEPS``. The base blob of ``points`` points is
+    generated once for the kinds that modify it, down-sampling and
+    outliers; down-sampling rows share one pairwise pass over it, and an
+    outlier row appends its shell points to it. The first row that cannot
+    be built raises.
     """
     if kind not in SWEEPS:
         raise ValueError(f"unknown scenario kind {kind!r}")
-    sweep = SWEEPS[kind] if sweep is None else tuple(sweep)
-    if len(sweep) == 0:
-        raise ValueError("sweep must not be empty")
-    diffs = np.diff(np.asarray(sweep, dtype=np.float64))
-    if len(diffs) and not ((diffs > 0).all() or (diffs < 0).all()):
-        raise ValueError("sweep values must be strictly monotone")
+    sweep = SWEEPS[kind]
     _check_shape(points, dim)
-    if kind in ("down_sampling", "outliers"):
+    if kind in ("downsample", "outliers"):
         base = gaussian_blob(points, dim, seed)
     streams = [np.random.SeedSequence([seed, index]) for index in range(len(sweep))]
-    if kind == "down_sampling":
-        subsets = [_sample_rows(points, float(value), stream)
+    if kind == "downsample":
+        subsets = [_sample_rows(points, value, stream)
                    for value, stream in zip(sweep, streams)]
         return tuple(metric_reports(base, subsets))
     reports = []
     for value, stream in zip(sweep, streams):
-        if kind == "varying_spread":
+        if kind == "spread":
             rng = np.random.default_rng(stream)
-            cluster = rng.normal(0.0, float(value), size=(points, dim))
+            cluster = rng.normal(0.0, value, size=(points, dim))
         elif kind == "outliers":
-            cluster = add_outliers(base, int(value), outlier_radius, stream)
+            cluster = base if value == 0 else np.vstack(
+                [base, sphere_points(value, dim, outlier_radius, stream)])
         else:
-            cluster = sub_clusters(int(value), points, dim, spacing, stream)
+            cluster = sub_clusters(value, points, dim, spacing, stream)
         reports.append(metric_report(cluster))
     return tuple(reports)

@@ -116,6 +116,16 @@ def random_cluster(rng: np.random.Generator, max_m: int = 64,
     return rng.normal(scale=scale, size=(m, dim)) + offset
 
 
+def drawn_rows(m: int, fraction: float, seed) -> np.ndarray:
+    """The rows a down-sampling draw keeps, from the documented contract
+    with numpy alone: ``floor(fraction * m + 0.5)`` of ``m`` rows, chosen
+    without replacement by ``default_rng(seed).choice`` and sorted."""
+    keep = math.floor(fraction * m + 0.5)
+    rows = np.random.default_rng(seed).choice(m, keep, replace=False)
+    rows.sort()
+    return rows
+
+
 def spread_report(points) -> MetricReport:
     """``metric_report(points)`` without its O(m^2 H) pairwise pass:
     diversity, density and degenerate axes come out bitwise the same, and

@@ -22,6 +22,7 @@ from conftest import (
     SST2_REFERENCE,
     brute_entropy_rate,
     brute_weights,
+    drawn_rows,
     homogeneity_of,
     power_iteration_stationary,
     random_cluster,
@@ -170,8 +171,8 @@ def test_criterion_2_diversity_flat_under_down_sampling():
         pts = _blob_10k(dim)
         full = spread_report(pts).diversity
         for i, fraction in enumerate(_FRACTIONS):
-            sample = simulation.down_sample(
-                pts, fraction, np.random.SeedSequence([202, dim, i]))
+            sample = pts[drawn_rows(
+                len(pts), fraction, np.random.SeedSequence([202, dim, i]))]
             value = spread_report(sample).diversity
             worst = max(worst, abs(value - full) / full)
     elapsed = time.perf_counter() - start
@@ -206,8 +207,8 @@ def test_criterion_4_density_linear_in_sample_count():
         pts = _blob_10k(dim)
         full = spread_report(pts).density
         for i, fraction in enumerate(_FRACTIONS):
-            sample = simulation.down_sample(
-                pts, fraction, np.random.SeedSequence([404, dim, i]))
+            sample = pts[drawn_rows(
+                len(pts), fraction, np.random.SeedSequence([404, dim, i]))]
             value = spread_report(sample).density
             expected = fraction * full
             worst = max(worst, abs(value - expected) / expected)
@@ -241,8 +242,8 @@ def test_criterion_5_homogeneity_stability_and_trends():
         bases[dim] = base
         h_full = h_of(base)
         for i, fraction in enumerate(_FRACTIONS):
-            sample = simulation.down_sample(
-                base, fraction, np.random.SeedSequence([11, dim, i]))
+            sample = base[drawn_rows(
+                len(base), fraction, np.random.SeedSequence([11, dim, i]))]
             down_worst = max(down_worst, abs(h_of(sample) - h_full))
 
     # (b) stability across spreads 2-10 (homogeneity is scale-invariant, so
@@ -250,7 +251,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
     spread_range = 0.0
     for dim in (2, 768):
         values = []
-        for i, spread in enumerate(simulation.SWEEPS["varying_spread"]):
+        for i, spread in enumerate(simulation.SWEEPS["spread"]):
             rng = np.random.default_rng(np.random.SeedSequence([12, dim, i]))
             values.append(h_of(rng.normal(0.0, spread, size=(2000, dim))))
         spread_range = max(spread_range, max(values) - min(values))
@@ -260,17 +261,17 @@ def test_criterion_5_homogeneity_stability_and_trends():
     outlier_notes = []
     for dim in (2, 768):
         h0 = h_of(bases[dim])
-        h50 = h_of(simulation.add_outliers(
-            bases[dim], 50, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 1])))
-        h500 = h_of(simulation.add_outliers(
-            bases[dim], 500, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 2])))
+        h50 = h_of(np.vstack([bases[dim], simulation.sphere_points(
+            50, dim, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 1]))]))
+        h500 = h_of(np.vstack([bases[dim], simulation.sphere_points(
+            500, dim, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 2]))]))
         dip_rise &= h50 < h0 < 1.0 and h500 > h50
         outlier_notes.append(
             f"outliers at H={dim}: h(0)={h0:.4f}, h(+50)={h50:.4f}, "
             f"h(+500)={h500:.4f}")
 
     # (d) monotone decrease over sub-cluster counts, high-dimensional regime.
-    counts = simulation.SWEEPS["sub_clusters"]
+    counts = simulation.SWEEPS["subclusters"]
     hs_768 = [
         h_of(simulation.sub_clusters(
             k, 2000, 768, 10.0, np.random.SeedSequence([14, k])))

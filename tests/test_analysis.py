@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SNIPS_REFERENCE, SST2_REFERENCE, assert_same_report
 from textchar import analysis, io
-from textchar.errors import DegenerateInput, EmptyClass, InconsistentClassSize
+from textchar.errors import DegenerateInput, EmptyResult, InconsistentClassSize
 from textchar.metrics import MetricReport, metric_report
 
 SST2_ROWS = SST2_REFERENCE
@@ -262,7 +262,7 @@ def test_sweep_is_deterministic_per_seed():
 
 def test_sweep_raises_when_class_empties():
     emb = two_class_embeddings(np.random.default_rng(12), n_per_class=2)
-    with pytest.raises(EmptyClass):
+    with pytest.raises(EmptyResult, match="^class 'pos' has no members left at fraction 0.1$"):
         analysis.downsample_sweep(emb, [0.1], seed=0)
 
 
@@ -332,7 +332,7 @@ def test_sweep_matches_per_fraction_reports(cap):
     assert any(capped) == (cap is not None) and not all(capped)
 
 
-@pytest.mark.parametrize("fractions", [[], [0.5, 0.5], [0.5, 0.9], [1.2], [0.0]])
+@pytest.mark.parametrize("fractions", [[], [0.5, 0.5], [0.5, 0.9], [1.2], [0.0], [-0.5]])
 def test_sweep_validates_fractions(fractions):
     emb = two_class_embeddings(np.random.default_rng(13))
     with pytest.raises(ValueError):

@@ -21,7 +21,9 @@ size, a fraction outside (0, 1] (NaN and inf too), a
 holding a carriage return; it must still read an infinite metric value.
 ``profile`` must reject, with the file and the line or offset, records
 whose vectors have no values, while the empty collection still
-round-trips, and a sidecar row without ``label``; ``pool`` must reject,
+round-trips, a sidecar row without ``label`` and a csv axis cell that
+holds a ``_`` digit separator (``correlate`` a score cell that holds one,
+too); ``pool`` must reject,
 with the file and the line, a sequence with no tokens or with tokens of no
 values. Both must reject, with the file and the line, a jsonl, sidecar or
 token record whose ``label``, ``id`` or ``layer`` is not a JSON string.
@@ -41,7 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textchar import analysis, cli
+from textchar import analysis, cli, simulation
 from textchar import io as textchar_io
 from textchar.errors import TextcharError
 
@@ -188,7 +190,7 @@ def _collection(scale: float, records: str) -> textchar_io.LabeledEmbeddings:
 
 
 @MUTATION
-@given(scenario=st.sampled_from(sorted(cli._SCENARIOS)),
+@given(scenario=st.sampled_from(sorted(simulation.SWEEPS)),
        dims=st.integers(0, 8), points=st.integers(0, 60), seed=st.integers(-1, 3),
        radius=st.none() | st.sampled_from(BAD_SCALES),
        spacing=st.none() | st.sampled_from(BAD_SCALES), chart=st.booleans())
@@ -412,6 +414,10 @@ def _with(path, value):
      "fraction,acc\n1.0,0.9\n0.5,0.8\n",
      "sweep.json: row 2: 'homogeneity_skipped' is not a list of strings")
     for skipped in ("abc", 5, None, True, {"a/b": "x"}, ["a/b", 1], [["a/b"]])
+] + [
+    # float() reads 0_9 as 9.0; no JSON reader reads it at all.
+    (_SWEEP_ROWS, "fraction,acc\n1.0,0_9\n0.5,0.8\n",
+     "scores.csv, line 2: non-numeric cell: could not convert string to float: '0_9'"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     with tempfile.TemporaryDirectory() as tmp:
@@ -523,3 +529,16 @@ def test_profile_rejects_zero_width_records(fmt, where):
         code, err = _run(["profile", "--input", str(src), "--format", fmt,
                           "--out", str(out)], [out])
         assert code == 1 and err == [f"textchar: error: {src}, {where}"], err
+
+
+def test_profile_rejects_digit_separators():
+    # float() reads 1_5 as 15.0; no JSON reader reads it at all, so a csv
+    # axis cell that holds it is non-numeric too.
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.csv", Path(tmp) / "out.json"
+        src.write_text("label,d0,d1\na,1_5,0.3\na,0.9,0.2\na,1.1,0.7\n")
+        code, err = _run(["profile", "--input", str(src), "--format", "csv",
+                          "--out", str(out)], [out])
+        assert code == 1 and err == [
+            f"textchar: error: {src}, line 2: non-numeric axis value: "
+            "could not convert string to float: '1_5'"], err

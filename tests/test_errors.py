@@ -10,7 +10,6 @@ EXAMPLES = [
     errors.DegenerateCluster("all 3 points coincide"),
     errors.TooFewSamples("need at least 2 points"),
     errors.EmptyResult("no points left"),
-    errors.EmptyClass("class 'a' is empty"),
     errors.DegenerateInput("zero variance"),
     errors.InconsistentClassSize("label 'a' differs across layers"),
     errors.ParseError("in.csv", "bad cell", line=3),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import spread_report
+from conftest import drawn_rows, spread_report
 from textchar import simulation as sim
 from textchar.errors import EmptyResult
 from textchar.metrics import MetricReport, metric_report
@@ -36,49 +36,57 @@ def test_gaussian_blob_validation(kwargs):
 
 # --- down-sampling ---------------------------------------------------------
 
-def test_down_sample_exact_size():
-    pts = np.arange(20_000, dtype=np.float64).reshape(10_000, 2)
-    assert sim.down_sample(pts, 0.5, seed=0).shape == (5_000, 2)
+def _downsample_draws(monkeypatch, points, seed):
+    """The base blob and the row subsets that the downsample scenario hands
+    to its one shared pass, in sweep order."""
+    calls = []
+
+    def record(base, subsets):
+        calls.append((base, subsets))
+        return []
+
+    monkeypatch.setattr(sim, "metric_reports", record)
+    sim.run_scenario("downsample", dim=2, points=points, seed=seed)
+    (base, subsets), = calls
+    return base, subsets
 
 
-def test_down_sample_rounds_half_up():
-    pts = np.zeros((10, 2))
-    pts[:, 0] = np.arange(10)
-    assert sim.down_sample(pts, 0.25, seed=0).shape[0] == 3  # 2.5 rounds up
-    assert sim.down_sample(pts, 0.15, seed=0).shape[0] == 2  # 1.5 rounds up
-    assert sim.down_sample(pts, 0.24, seed=0).shape[0] == 2  # 2.4 rounds down
+def test_down_sample_exact_size(monkeypatch):
+    _, subsets = _downsample_draws(monkeypatch, 10_000, seed=0)
+    assert [len(rows) for rows in subsets] == list(range(10_000, 0, -1_000))
 
 
-def test_down_sample_full_fraction_is_identity():
-    pts = np.random.default_rng(2).normal(size=(50, 3))
-    assert np.array_equal(sim.down_sample(pts, 1.0, seed=9), pts)
+def test_down_sample_rounds_half_up(monkeypatch):
+    # 0.5 x 5 = 2.5 and 0.3 x 5 = 1.5 round up; 0.9 x 7 = 6.3 rounds down.
+    _, subsets = _downsample_draws(monkeypatch, 5, seed=0)
+    assert [len(rows) for rows in subsets] == [5, 5, 4, 4, 3, 3, 2, 2, 1, 1]
+    _, subsets = _downsample_draws(monkeypatch, 7, seed=0)
+    assert [len(rows) for rows in subsets] == [7, 6, 6, 5, 4, 4, 3, 2, 1, 1]
 
 
-def test_down_sample_returns_subset_in_original_order():
-    pts = np.arange(100, dtype=np.float64).reshape(50, 2)
-    sub = sim.down_sample(pts, 0.3, seed=4)
-    rows = {tuple(r) for r in pts}
-    assert all(tuple(r) in rows for r in sub)
-    assert np.array_equal(sub[:, 0], np.sort(sub[:, 0]))
+def test_down_sample_full_fraction_is_identity(monkeypatch):
+    base, subsets = _downsample_draws(monkeypatch, 50, seed=9)
+    assert np.array_equal(subsets[0], np.arange(50))
+    assert np.array_equal(base, sim.gaussian_blob(50, 2, 9))
 
 
-def test_down_sample_is_deterministic():
-    pts = np.random.default_rng(3).normal(size=(40, 2))
-    assert np.array_equal(sim.down_sample(pts, 0.5, seed=7),
-                          sim.down_sample(pts, 0.5, seed=7))
-    assert not np.array_equal(sim.down_sample(pts, 0.5, seed=7),
-                              sim.down_sample(pts, 0.5, seed=8))
+def test_down_sample_returns_subset_in_original_order(monkeypatch):
+    _, subsets = _downsample_draws(monkeypatch, 50, seed=4)
+    for rows in subsets:
+        assert (np.diff(rows) > 0).all() and 0 <= rows[0] and rows[-1] < 50
+
+
+def test_down_sample_is_deterministic(monkeypatch):
+    def draws(seed):
+        return [rows.tolist() for rows in _downsample_draws(monkeypatch, 40, seed)[1]]
+
+    assert draws(7) == draws(7)
+    assert draws(7) != draws(8)
 
 
 def test_down_sample_empty_result():
-    with pytest.raises(EmptyResult):
-        sim.down_sample(np.zeros((3, 2)), 0.1, seed=0)
-
-
-@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
-def test_down_sample_rejects_bad_fraction(fraction):
-    with pytest.raises(ValueError):
-        sim.down_sample(np.zeros((5, 2)), fraction, seed=0)
+    with pytest.raises(EmptyResult, match="^fraction 0.1 of 4 points rounds to 0$"):
+        sim.run_scenario("downsample", dim=2, points=4, seed=0)
 
 
 # --- sphere points -----------------------------------------------------------
@@ -113,7 +121,7 @@ def test_sphere_points_determinism_and_validation():
         sim.sphere_points(0, 3, 1.0, seed=5)
     with pytest.raises(ValueError):
         sim.sphere_points(10, 3, 0.0, seed=5)
-    # add_outliers draws its shell through sphere_points.
+    # The outliers scenario draws its shell through sphere_points.
     for dim, radius, message in [
         (0, 1.0, "dim must be >= 1, got 0"),
         (2, float("inf"), "radius must be finite and > 0, got inf"),
@@ -122,24 +130,23 @@ def test_sphere_points_determinism_and_validation():
         with pytest.raises(ValueError, match=f"^{message}$"):
             sim.sphere_points(3, dim, radius, seed=0)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            sim.add_outliers(np.zeros((4, dim)), 2, radius, seed=0)
+            sim.run_scenario("outliers", dim, points=4, outlier_radius=radius)
 
 
 # --- outliers and sub-clusters ---------------------------------------------
 
-def test_add_outliers_appends_shell_points():
-    base = np.random.default_rng(19).normal(size=(100, 2))
-    grown = sim.add_outliers(base, 25, radius=10.0, seed=19)
-    assert grown.shape == (125, 2)
-    assert np.array_equal(grown[:100], base)
-    assert np.abs(np.linalg.norm(grown[100:], axis=1) - 10.0).max() <= 1e-9
-
-
-def test_add_outliers_zero_count_copies():
-    base = np.random.default_rng(19).normal(size=(10, 2))
-    out = sim.add_outliers(base, 0, radius=10.0, seed=19)
-    assert np.array_equal(out, base)
-    assert out is not base
+def test_add_outliers_appends_shell_points(monkeypatch):
+    # Each row is the base blob, then its count of shell points; row 0 adds none.
+    clusters = []
+    monkeypatch.setattr(sim, "metric_report", clusters.append)
+    sim.run_scenario("outliers", dim=2, points=100, seed=19)
+    base = sim.gaussian_blob(100, 2, 19)
+    assert len(clusters) == len(sim.SWEEPS["outliers"])
+    for count, grown in zip(sim.SWEEPS["outliers"], clusters):
+        assert grown.shape == (100 + count, 2)
+        assert np.array_equal(grown[:100], base)
+        norms = np.linalg.norm(grown[100:], axis=1)
+        assert np.abs(norms - 10.0).max(initial=0.0) <= 1e-9
 
 
 def test_sub_clusters_sizes_and_centers():
@@ -184,30 +191,28 @@ def test_sub_clusters_validation():
 # --- scenario runs -----------------------------------------------------------
 
 def test_run_scenario_validation():
-    with pytest.raises(ValueError, match="^unknown scenario kind 'nonsense'$"):
-        sim.run_scenario("nonsense", dim=2, points=10, sweep=(1.0,))
-    with pytest.raises(ValueError, match="^sweep must not be empty$"):
-        sim.run_scenario("outliers", dim=2, points=10, sweep=())
-    with pytest.raises(ValueError, match="^sweep values must be strictly monotone$"):
-        sim.run_scenario("outliers", dim=2, points=10, sweep=(1.0, 3.0, 2.0))
+    # The kinds are the CLI's spellings; the library's old names are gone.
+    for kind in ("nonsense", "down_sampling", "varying_spread", "sub_clusters"):
+        with pytest.raises(ValueError, match=f"^unknown scenario kind {kind!r}$"):
+            sim.run_scenario(kind, dim=2, points=10)
 
 
 def test_default_sweeps():
     assert {kind: len(sweep) for kind, sweep in sim.SWEEPS.items()} == {
-        "down_sampling": 10, "varying_spread": 10, "outliers": 11, "sub_clusters": 10}
+        "downsample": 10, "spread": 10, "outliers": 11, "subclusters": 10}
     for kind, sweep in sim.SWEEPS.items():
         assert len(sim.run_scenario(kind, dim=2, points=40)) == len(sweep)
 
 
 def test_run_scenario_row_per_sweep_value():
-    reports = sim.run_scenario("down_sampling", dim=2, points=300, seed=7)
-    assert len(reports) == len(sim.SWEEPS["down_sampling"])
+    reports = sim.run_scenario("downsample", dim=2, points=300, seed=7)
+    assert len(reports) == len(sim.SWEEPS["downsample"])
     assert all(isinstance(report, MetricReport) for report in reports)
 
 
 def test_run_scenario_is_deterministic():
-    a = sim.run_scenario("outliers", dim=2, points=200, seed=3, sweep=(0, 50, 100))
-    b = sim.run_scenario("outliers", dim=2, points=200, seed=3, sweep=(0, 50, 100))
+    a = sim.run_scenario("outliers", dim=2, points=50, seed=3)
+    b = sim.run_scenario("outliers", dim=2, points=50, seed=3)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
@@ -219,7 +224,7 @@ def test_run_scenario_raises_before_the_pass(monkeypatch):
 
     monkeypatch.setattr(sim, "metric_reports", never)
     with pytest.raises(EmptyResult, match="rounds to 0"):
-        sim.run_scenario("down_sampling", dim=2, points=3, seed=1, sweep=(1.0, 0.1))
+        sim.run_scenario("downsample", dim=2, points=3, seed=1)
 
 
 def test_run_scenario_draws_no_base_blob_it_does_not_read(monkeypatch):
@@ -227,8 +232,8 @@ def test_run_scenario_draws_no_base_blob_it_does_not_read(monkeypatch):
         raise AssertionError("gaussian_blob called")
 
     monkeypatch.setattr(sim, "gaussian_blob", never)
-    for kind in ("varying_spread", "sub_clusters"):
-        assert len(sim.run_scenario(kind, dim=2, points=30, sweep=(1, 2))) == 2
+    for kind in ("spread", "subclusters"):
+        assert len(sim.run_scenario(kind, dim=2, points=30)) == len(sim.SWEEPS[kind])
     # Every kind checks the sizes before it draws anything.
     for kind in sim.SWEEPS:
         with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
@@ -237,24 +242,27 @@ def test_run_scenario_draws_no_base_blob_it_does_not_read(monkeypatch):
             sim.run_scenario(kind, dim=0, points=10)
 
 
-def test_down_sampling_rows_reuse_base_blob():
-    # Row i must equal down_sample(base, f_i, SeedSequence([seed, i])).
-    reports = sim.run_scenario("down_sampling", dim=3, points=120, seed=5,
-                               sweep=(1.0, 0.5))
-    base = sim.gaussian_blob(120, 3, 5)
-    manual = sim.down_sample(base, 0.5, np.random.SeedSequence([5, 1]))
-    assert reports[1].diversity == metric_report(manual).diversity
+def test_down_sampling_rows_reuse_base_blob(monkeypatch):
+    # The generator contract, rebuilt with numpy alone: one row-major normal
+    # fill seeded with the seed, and row i drawn from SeedSequence([seed, i]).
+    base, subsets = _downsample_draws(monkeypatch, 120, seed=5)
+    assert np.array_equal(base, np.random.default_rng(5).normal(0.0, 1.0, size=(120, 2)))
+    sweep = sim.SWEEPS["downsample"]
+    assert len(subsets) == len(sweep)
+    for index, (fraction, rows) in enumerate(zip(sweep, subsets)):
+        want = drawn_rows(120, fraction, np.random.SeedSequence([5, index]))
+        assert np.array_equal(rows, want)
 
 
 def test_down_sampling_rows_match_per_row_reports():
     # The shared pass must reproduce metric_report on each row's subset.
-    reports = sim.run_scenario("down_sampling", dim=5, points=400, seed=13)
-    base = sim.gaussian_blob(400, 5, 13)
-    sweep = sim.SWEEPS["down_sampling"]
+    reports = sim.run_scenario("downsample", dim=5, points=400, seed=13)
+    base = np.random.default_rng(13).normal(0.0, 1.0, size=(400, 5))
+    sweep = sim.SWEEPS["downsample"]
     assert len(reports) == len(sweep)
     for index, (value, report) in enumerate(zip(sweep, reports)):
-        alone = metric_report(sim.down_sample(
-            base, value, np.random.SeedSequence([13, index])))
+        rows = drawn_rows(400, value, np.random.SeedSequence([13, index]))
+        alone = metric_report(base[rows])
         assert report.diversity == alone.diversity
         assert report.density == alone.density
         assert report.density_log == alone.density_log
@@ -263,26 +271,24 @@ def test_down_sampling_rows_match_per_row_reports():
 
 
 def test_spread_rows_use_per_row_streams():
-    reports = sim.run_scenario("varying_spread", dim=2, points=150, seed=9,
-                               sweep=(1.0, 4.0))
-    rng = np.random.default_rng(np.random.SeedSequence([9, 1]))
+    reports = sim.run_scenario("spread", dim=2, points=150, seed=9)
+    assert sim.SWEEPS["spread"][3] == 4.0
+    rng = np.random.default_rng(np.random.SeedSequence([9, 3]))
     manual = rng.normal(0.0, 4.0, size=(150, 2))
-    assert reports[1].diversity == metric_report(manual).diversity
+    assert reports[3].diversity == metric_report(manual).diversity
 
 
 def test_outlier_radius_defaults_to_ten_sigma():
-    implicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, sweep=(0, 20))
-    explicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, sweep=(0, 20),
-                                outlier_radius=10.0)
+    implicit = sim.run_scenario("outliers", dim=2, points=50, seed=13)
+    explicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, outlier_radius=10.0)
     assert [r.to_dict() for r in implicit] == [r.to_dict() for r in explicit]
     # and the defaulted cluster is reproducible by hand
     base = sim.gaussian_blob(50, 2, 13)
-    manual = sim.add_outliers(base, 20, 10.0, np.random.SeedSequence([13, 1]))
-    assert implicit[1].to_dict() == metric_report(manual).to_dict()
+    shell = sim.sphere_points(50, 2, 10.0, np.random.SeedSequence([13, 1]))
+    assert implicit[1].to_dict() == metric_report(np.vstack([base, shell])).to_dict()
 
 
 def test_sub_cluster_spacing_defaults_to_ten_sigma():
-    implicit = sim.run_scenario("sub_clusters", dim=2, points=60, seed=17, sweep=(2, 3))
-    explicit = sim.run_scenario("sub_clusters", dim=2, points=60, seed=17, sweep=(2, 3),
-                                spacing=10.0)
+    implicit = sim.run_scenario("subclusters", dim=2, points=60, seed=17)
+    explicit = sim.run_scenario("subclusters", dim=2, points=60, seed=17, spacing=10.0)
     assert [r.to_dict() for r in implicit] == [r.to_dict() for r in explicit]
