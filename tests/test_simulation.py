@@ -149,6 +149,16 @@ def test_add_outliers_appends_shell_points(monkeypatch):
         assert np.abs(norms - 10.0).max(initial=0.0) <= 1e-9
 
 
+def test_add_outliers_zero_count_copies(monkeypatch):
+    # The 0-outlier row reports the base blob unchanged, with no shell points.
+    clusters = []
+    monkeypatch.setattr(sim, "metric_report", clusters.append)
+    sim.run_scenario("outliers", dim=2, points=10, seed=19)
+    assert sim.SWEEPS["outliers"][0] == 0
+    assert clusters[0].shape == (10, 2)
+    assert np.array_equal(clusters[0], sim.gaussian_blob(10, 2, 19))
+
+
 def test_sub_clusters_sizes_and_centers():
     pts = sim.sub_clusters(3, 10, dim=2, spacing=1e6, seed=23)
     assert pts.shape == (10, 2)
