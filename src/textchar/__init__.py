@@ -21,10 +21,8 @@ from .analysis import (
 from .errors import (
     DegenerateCluster,
     DegenerateInput,
-    DimensionMismatch,
     EmptyResult,
     InconsistentClassSize,
-    NonFiniteValue,
     ParseError,
     TextcharError,
     TooFewSamples,
@@ -57,13 +55,11 @@ __all__ = [
     "DatasetProfile",
     "DegenerateCluster",
     "DegenerateInput",
-    "DimensionMismatch",
     "EmptyResult",
     "InconsistentClassSize",
     "LabeledEmbeddings",
     "MarkovChainSummary",
     "MetricReport",
-    "NonFiniteValue",
     "ParseError",
     "SweepRow",
     "TextcharError",

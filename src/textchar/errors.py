@@ -32,7 +32,8 @@ class InconsistentClassSize(TextcharError):
 
 
 class ParseError(TextcharError):
-    """A file could not be parsed.
+    """A file could not be parsed, or a record in it is faulty: of the wrong
+    width or with a non-finite value, say.
 
     Carries the path and, when known, the 1-based line number (text formats)
     or byte offset (binary format) of the failure.
@@ -49,24 +50,3 @@ class ParseError(TextcharError):
         self.path = path
         self.line = line
         self.offset = offset
-
-
-class DimensionMismatch(TextcharError):
-    """A record's vector length differs from the collection's dimensionality."""
-
-    def __init__(self, record_id: str, expected: int, got: int):
-        super().__init__(
-            f"record {record_id!r} has {got} dimensions, expected {expected}"
-        )
-        self.record_id = record_id
-        self.expected = expected
-        self.got = got
-
-
-class NonFiniteValue(TextcharError):
-    """A record contains a NaN or infinite coordinate."""
-
-    def __init__(self, record_id: str, axis: int):
-        super().__init__(f"record {record_id!r} has a non-finite value on axis {axis}")
-        self.record_id = record_id
-        self.axis = axis

@@ -10,8 +10,8 @@ on-disk formats:
 * ``csv`` -- header row with a ``label`` column, optional ``id`` and
   ``layer`` columns, and the remaining columns as numeric axes in order;
   columns may come in any order. The writer emits ``id,label,layer,d0,...``.
-  A cell with a ``_`` digit separator, such as ``1_5``, is not a number,
-  here and in the score table.
+  A number in an axis cell, or in a score table cell, is an ASCII decimal
+  with no leading ``+`` and no ``_``, or ``nan``, ``inf`` or ``-inf``.
 * ``binary`` -- magic ``CMET``, version byte 1, float width byte (4 or 8),
   two reserved zero bytes, little-endian uint32 ``m`` and ``H``, then
   ``m * H`` little-endian floats row-major. Ids, labels, and layers live in
@@ -22,8 +22,14 @@ Every JSON-lines record, a sidecar row too, needs a ``label``; a missing
 ``id`` is ``"row-<n>"`` with ``n`` the 1-based record ordinal, and a
 missing ``layer`` is ``"default"``. The ``label``, ``id`` and ``layer``
 present must be JSON strings: ``null`` and ``"None"``, or ``1`` and
-``"1"``, are never read as one key. A faulty record is a ParseError naming
-its file and line.
+``"1"``, are never read as one key. A ``vector`` or ``tokens`` holds JSON
+numbers only, never a string or ``true``.
+
+Every fault inside a record is a ParseError naming its file and line: a key
+or value of the wrong type, a cell that is not a number, a width other than
+the first record's, a NaN or infinity, or the id, label and layer of an
+earlier record. In a binary payload, a non-finite value is named at its byte
+offset instead.
 
 The binary format round-trips float64 payloads bitwise; the text formats
 round-trip exactly as well because every float is written with enough
@@ -35,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -43,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AggregateMetrics, SweepRow, _check_numbers
-from .errors import DimensionMismatch, NonFiniteValue, ParseError
+from .errors import ParseError
 
 __all__ = [
     "FORMATS",
@@ -86,20 +93,24 @@ class LabeledEmbeddings:
         return len(self.ids)
 
 
-def _columns(records: Iterable[tuple[str, str, str, np.ndarray]]) -> LabeledEmbeddings:
-    """Collect ``(id, label, layer, vector)`` records into columns.
+def _columns(path: Path, records: Iterable[tuple[int, str, str, str, np.ndarray]]
+             ) -> LabeledEmbeddings:
+    """Collect ``(line, id, label, layer, vector)`` records of ``path`` into
+    columns.
 
     The first record fixes the dimensionality. Records are checked in the
-    order they arrive, so the first one of another width (DimensionMismatch)
-    or with a non-finite value (NonFiniteValue) is the one named.
+    order they arrive, so the first one of another width, with a non-finite
+    value or with the id, label and layer of an earlier one is the one
+    named, at its line.
     """
     ids, labels, layers, rows = [], [], [], []
-    for rec_id, label, layer, vector in records:
+    seen: set[tuple[str, str, str]] = set()
+    for line, rec_id, label, layer, vector in records:
         if rows and vector.shape[0] != rows[0].shape[0]:
-            raise DimensionMismatch(rec_id, rows[0].shape[0], vector.shape[0])
-        finite = np.isfinite(vector)
-        if not finite.all():
-            raise NonFiniteValue(rec_id, int(np.argmin(finite)))
+            raise ParseError(path, f"record {rec_id!r} has {vector.shape[0]} dimensions, "
+                                   f"expected {rows[0].shape[0]}", line=line)
+        _check_finite(path, rec_id, vector, line)
+        _check_new(path, seen, rec_id, label, layer, line)
         ids.append(rec_id)
         labels.append(label)
         layers.append(layer)
@@ -108,14 +119,24 @@ def _columns(records: Iterable[tuple[str, str, str, np.ndarray]]) -> LabeledEmbe
                              ids, labels, layers)
 
 
-def _check_unique(path, embeddings: LabeledEmbeddings) -> None:
-    seen = set()
-    for key in zip(embeddings.labels, embeddings.layers, embeddings.ids):
-        if key in seen:
-            label, layer, rec_id = key
-            raise ParseError(path, f"duplicate id {rec_id!r} for label "
-                                   f"{label!r}, layer {layer!r}")
-        seen.add(key)
+def _check_finite(path, rec_id: str, values: np.ndarray, line: int) -> None:
+    """ParseError at ``line`` for the first NaN or infinity of a record's
+    ``values``, a vector or a matrix of token rows, naming its axis."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        axis = np.argwhere(~finite)[0][-1]
+        raise ParseError(path, f"record {rec_id!r} has a non-finite value on axis {axis}",
+                         line=line)
+
+
+def _check_new(path, seen: set, rec_id: str, label: str, layer: str, line: int) -> None:
+    """ParseError at ``line`` when an earlier record of ``seen`` has the same
+    id, label and layer; adds this record's to ``seen`` otherwise."""
+    key = (rec_id, label, layer)
+    if key in seen:
+        raise ParseError(path, f"duplicate id {rec_id!r} for label {label!r}, "
+                               f"layer {layer!r}", line=line)
+    seen.add(key)
 
 
 def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
@@ -133,11 +154,13 @@ def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
 
 
 def _json_records(path: Path, payload: str | None
-                  ) -> Iterator[tuple[int, str, str, str, object]]:
-    """Yield ``(line number, id, label, layer, payload value)`` for each
+                  ) -> Iterator[tuple[int, str, str, str, np.ndarray | None]]:
+    """Yield ``(line number, id, label, layer, payload array)`` for each
     non-blank line of a JSONL file, by the record rule of this module. Each
-    line must also hold the ``payload`` key, unless that is None; the value
-    is None then."""
+    line must also hold the ``payload`` key, unless that is None (the array
+    is None then), and its value must be numbers in nested lists: it is read
+    as a float64 array, and a JSON string or boolean in it is a ParseError
+    at the line, not ``"2.5"`` read as 2.5 or ``true`` as 1.0."""
     required = ("label",) if payload is None else ("label", payload)
     expected = "expected an object with " + " and ".join(repr(key) for key in required)
     ordinal = 0
@@ -150,6 +173,8 @@ def _json_records(path: Path, payload: str | None
             raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
         except ValueError as exc:  # an integer longer than int() accepts
             raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
+        except RecursionError as exc:
+            raise ParseError(path, "invalid JSON: nested too deeply", line=lineno) from exc
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise ParseError(path, expected, line=lineno)
         ordinal += 1
@@ -158,7 +183,36 @@ def _json_records(path: Path, payload: str | None
         for name, value in zip(("id", "label", "layer"), keys):
             if not isinstance(value, str):
                 raise ParseError(path, f"{name!r} is not a string", line=lineno)
-        yield (lineno, *keys, None if payload is None else obj[payload])
+        if payload is None:
+            yield lineno, *keys, None
+            continue
+        try:
+            values = _floats(obj[payload], line)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(path, f"{payload!r} is not numeric: {exc}",
+                             line=lineno) from exc
+        yield lineno, *keys, values
+
+
+def _floats(value, line: str) -> np.ndarray:
+    """``np.asarray(value, float64)``, with its bits for every JSON number,
+    but TypeError for a string or boolean in ``value``, which numpy would
+    read as a number. Dtype inference finds a string; only a ``line`` that
+    holds ``true`` or ``false`` is scanned for a boolean."""
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind == "U" or kind == "O" and any(isinstance(v, str) for v in array.flat):
+        raise TypeError("a JSON string is not a number")
+    # A one-letter search is a memchr, and no key name holds "u" or "f".
+    if ("u" in line and "true" in line or "f" in line and "false" in line) \
+            and _holds_bool(value):
+        raise TypeError("a JSON boolean is not a number")
+    # An object array holds an integer beyond int64, a null or an object.
+    return np.asarray(value if kind == "O" else array, dtype=np.float64)
+
+
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
 
 
 def read_vectors(path, format: str) -> LabeledEmbeddings:
@@ -171,12 +225,9 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     if format == "binary":
-        embeddings = _read_binary(Path(path))
-    else:
-        records = {"jsonl": _jsonl_records, "csv": _csv_records}[format]
-        embeddings = _columns(records(Path(path)))
-    _check_unique(path, embeddings)
-    return embeddings
+        return _read_binary(Path(path))
+    records = {"jsonl": _jsonl_records, "csv": _csv_records}[format]
+    return _columns(Path(path), records(Path(path)))
 
 
 def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
@@ -189,19 +240,14 @@ def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
 
 # --- jsonl ------------------------------------------------------------------
 
-def _jsonl_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
-    for lineno, rec_id, label, layer, value in _json_records(path, "vector"):
-        try:
-            vector = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(path, f"'vector' is not numeric: {exc}",
-                             line=lineno) from exc
+def _jsonl_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
+    for lineno, rec_id, label, layer, vector in _json_records(path, "vector"):
         if vector.ndim != 1:
             raise ParseError(path, "'vector' must be a flat list of numbers",
                              line=lineno)
         if not vector.size:
             raise ParseError(path, "'vector' is empty", line=lineno)
-        yield rec_id, label, layer, vector
+        yield lineno, rec_id, label, layer, vector
 
 
 def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -236,10 +282,17 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(path, f"unreadable csv: {exc}", line=lines.line_num) from exc
 
 
+# A number in a csv cell: an ASCII decimal with no leading "+" and no "_", or
+# nan, inf or -inf in any case, with ASCII spaces around it. float() reads
+# more: "+2.5", "1_5" and the digits of every script.
+_DECIMAL = re.compile(r"\s*(-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:nan|-?inf(inity)?))\s*",
+                      re.ASCII)
+
+
 def _cell_float(cell: str) -> float:
-    """``float(cell)``, except that a ``_`` digit separator, which no JSON
-    reader accepts, makes the cell non-numeric too."""
-    if "_" in cell:
+    """``float(cell)`` for a cell that holds a ``_DECIMAL``; ValueError for
+    any other."""
+    if not _DECIMAL.fullmatch(cell):
         raise ValueError(f"could not convert string to float: {cell!r}")
     return float(cell)
 
@@ -250,7 +303,7 @@ def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None
             raise ParseError(path, f"header repeats the {name!r} column", line=1)
 
 
-def _csv_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
+def _csv_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
     if header is None:
@@ -270,7 +323,7 @@ def _csv_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
                               dtype=np.float64)
         except ValueError as exc:
             raise ParseError(path, f"non-numeric axis value: {exc}", line=lineno) from exc
-        yield (rec_id, row[named["label"]],
+        yield (lineno, rec_id, row[named["label"]],
                row[named["layer"]] if "layer" in named else DEFAULT_LAYER, vector)
 
 
@@ -320,8 +373,9 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise ParseError(path, f"missing metadata sidecar {sidecar.name!r}")
-    ids, labels, layers = [], [], []
-    for _, rec_id, label, layer, _ in _json_records(sidecar, None):
+    ids, labels, layers, seen = [], [], [], set()
+    for line, rec_id, label, layer, _ in _json_records(sidecar, None):
+        _check_new(sidecar, seen, rec_id, label, layer, line)
         ids.append(rec_id)
         labels.append(label)
         layers.append(layer)
@@ -330,8 +384,9 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
 
     finite = np.isfinite(vectors)
     if not finite.all():
-        row, axis = np.argwhere(~finite)[0]
-        raise NonFiniteValue(ids[row], int(axis))
+        row, axis = (int(i) for i in np.argwhere(~finite)[0])
+        raise ParseError(path, f"record {ids[row]!r} has a non-finite value on axis {axis}",
+                         offset=_HEADER.size + (row * dim + axis) * width)
     return LabeledEmbeddings(vectors, ids, labels, layers)
 
 
@@ -351,31 +406,25 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
 
 # --- pooling ----------------------------------------------------------------
 
-def _pooled_records(path: Path) -> Iterator[tuple[str, str, str, np.ndarray]]:
+def _pooled_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
     """Mean-pool each sequence of a token-level file (``tokens`` instead of
     ``vector``) as it is read."""
-    for lineno, rec_id, label, layer, tokens in _json_records(path, "tokens"):
-        if not isinstance(tokens, list):
-            raise ParseError(path, "'tokens' must be a list of vectors", line=lineno)
-        try:
-            matrix = np.asarray(tokens, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(path, f"'tokens' is not a numeric matrix: {exc}",
-                             line=lineno) from exc
-        if tokens and matrix.ndim != 2:
-            raise ParseError(path, "'tokens' rows must all have the same length",
+    for lineno, rec_id, label, layer, matrix in _json_records(path, "tokens"):
+        if matrix.shape == (0,):
+            raise ParseError(path, f"sequence {rec_id!r} has no tokens", line=lineno)
+        if matrix.ndim != 2:
+            raise ParseError(path, "'tokens' must be a list of vectors of the same "
+                                   "length", line=lineno)
+        if not matrix.size:
+            raise ParseError(path, f"sequence {rec_id!r} has tokens with no values",
                              line=lineno)
-        finite = np.isfinite(matrix)
-        if not finite.all():
-            raise NonFiniteValue(rec_id, int(np.argwhere(~finite)[0][1]))
-        if matrix.size == 0:
-            fault = "has no tokens" if not tokens else "has tokens with no values"
-            raise ParseError(path, f"sequence {rec_id!r} {fault}", line=lineno)
-        # A mean that overflows stays inf, without numpy's warning, for
-        # _columns to name as a NonFiniteValue.
+        _check_finite(path, rec_id, matrix, lineno)
+        # np.mean's bits, a sum and one division, without its overhead. A
+        # mean that overflows stays inf, without numpy's warning, for
+        # _columns to name at its line.
         with np.errstate(over="ignore"):
-            vector = matrix.mean(axis=0)
-        yield rec_id, label, layer, vector
+            vector = matrix.sum(axis=0) / matrix.shape[0]
+        yield lineno, rec_id, label, layer, vector
 
 
 def pool_token_file(in_path, out_path) -> int:
@@ -385,13 +434,13 @@ def pool_token_file(in_path, out_path) -> int:
     marker tokens must already be left out. Ids, labels, and layers are
     preserved. Returns the number of sequences written. Sequences are pooled
     one at a time as they are read, and the first faulty one in file order
-    is named: unparsable tokens, no tokens, or tokens with no values
-    (ParseError at its line), a non-finite token value or mean
-    (NonFiniteValue), or a width other than the first sequence's
-    (DimensionMismatch). Nothing is written then.
+    is a ParseError at its line: unparsable or ragged tokens, a token value
+    that is a string or boolean, no tokens, tokens with no values, a
+    non-finite token value or mean, a width other than the first
+    sequence's, or the id, label and layer of an earlier sequence. Nothing
+    is written then.
     """
-    pooled = _columns(_pooled_records(Path(in_path)))
-    _check_unique(in_path, pooled)
+    pooled = _columns(Path(in_path), _pooled_records(Path(in_path)))
     write_vectors(pooled, out_path, "jsonl")
     return len(pooled)
 
@@ -420,6 +469,8 @@ def read_sweep(path) -> list[SweepRow]:
         raise ParseError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except ValueError as exc:  # an integer longer than int() accepts
         raise ParseError(path, f"unreadable integer: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(path, "invalid JSON: nested too deeply") from exc
     raw_rows = doc.get("rows") if isinstance(doc, dict) else doc
     if not isinstance(raw_rows, list):
         raise ParseError(path, "expected a list of sweep rows or an object with 'rows'")

@@ -21,12 +21,15 @@ size, a fraction outside (0, 1] (NaN and inf too), a
 holding a carriage return; it must still read an infinite metric value.
 ``profile`` must reject, with the file and the line or offset, records
 whose vectors have no values, while the empty collection still
-round-trips, a sidecar row without ``label`` and a csv axis cell that
-holds a ``_`` digit separator (``correlate`` a score cell that holds one,
-too); ``pool`` must reject,
-with the file and the line, a sequence with no tokens or with tokens of no
-values. Both must reject, with the file and the line, a jsonl, sidecar or
-token record whose ``label``, ``id`` or ``layer`` is not a JSON string.
+round-trips, a sidecar row without ``label`` and a csv axis cell that is
+not an ASCII decimal (``1_5``, ``+2.5``, ``１５``), or is not finite
+(``correlate`` a score cell that is not an ASCII decimal, too); ``pool``
+must reject, with the file and the line, a sequence with no tokens or with
+tokens of no values. Both must reject, with the file and the line, a jsonl,
+sidecar or token record whose ``label``, ``id`` or ``layer`` is not a JSON
+string or repeats an earlier record's, a line nested past json's limit, and
+a vector or token whose width differs from the first record's or that holds
+``NaN``, ``1e400``, ``true`` or a string such as ``"2.5"``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -55,7 +59,12 @@ BAD_VALUES = (HUGE_INT, "-" + HUGE_INT, "1e400", "-1e400", "NaN", "Infinity",
               "{}", "[[]]", '[1.0, "a"]', "[[1.0], [2.0, 3.0]]", "[[[1.0]]]")
 # Texts that replace one csv cell or are added as an extra one.
 BAD_CELLS = (HUGE_INT, "1e400", "nan", "inf", "-inf", "1e308", "", "x", "fraction",
-             "label")
+             "label", "+2.5", "１５", "٣")
+# What the csv readers take as a number: an ASCII decimal with no leading "+"
+# and no "_", or nan, inf or -inf. Python's float() reads all of BAD_CELLS but
+# "", "x", "fraction" and "label".
+DECIMAL = re.compile(r"\s*(-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:nan|-?inf(inity)?))\s*",
+                     re.ASCII)
 # Flag values of simulate's --radius and --spacing.
 BAD_SCALES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "2.5")
 
@@ -148,6 +157,44 @@ def _key_fault(changed, payload: str | None) -> str | None:
     for key in ("id", "label", "layer"):
         if key in record and not isinstance(record[key], str):
             return f"line {line}: {key!r} is not a string"
+    return None
+
+
+def _bad_element(value) -> bool:
+    """Whether a JSON value holds, in a list at any depth, a boolean, a
+    string, NaN or an infinity: an element that is not a finite number."""
+    if isinstance(value, list):
+        return any(map(_bad_element, value))
+    return isinstance(value, (bool, str)) or (isinstance(value, float)
+                                              and not math.isfinite(value))
+
+
+def _element_fault(changed, payload: str) -> int | None:
+    """The line of the one mutated JSON-lines record, when its ``payload``
+    is a list that holds an element that is not a finite number."""
+    if changed is None:
+        return None
+    line, record = changed
+    if isinstance(record, dict) and isinstance(record.get(payload), list) \
+            and _bad_element(record[payload]):
+        return line
+    return None
+
+
+def _cell_fault(before: str, after: str, numbers_from: int, finite: bool) -> int | None:
+    """The line of the one csv data row that a mutation broke: a cell
+    dropped or added, or a cell at index ``numbers_from`` or later that is
+    not a number (or, with ``finite``, not a finite one). None otherwise."""
+    old, new = before.splitlines(), after.splitlines()
+    changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    if len(old) != len(new) or len(changed) != 1 or changed[0] == 0 \
+            or not new[changed[0]]:
+        return None
+    cells = new[changed[0]].split(",")
+    if len(cells) != len(old[changed[0]].split(",")) or not all(
+            DECIMAL.fullmatch(cell) and (not finite or math.isfinite(float(cell)))
+            for cell in cells[numbers_from:]):
+        return changed[0] + 1
     return None
 
 
@@ -244,6 +291,7 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         textchar_io.write_vectors(_collection(scale, records), src, fmt)
         mutate = mutate and records != "none"  # no line to break
         fault = bad = None  # the message for a JSON line rejected for its keys, its file
+        line = None  # the line of a record rejected for a number or cell in it
         if mutate and fmt == "binary":
             sidecar = Path(str(src) + ".meta.jsonl")
             if data.draw(st.booleans()):
@@ -257,10 +305,15 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         elif mutate:
             structured = _mutate_json_line if fmt == "jsonl" else _mutate_csv
             text = src.read_text()
-            src.write_text(_mutate(data, text, structured))
+            mutated = _mutate(data, text, structured)
+            src.write_text(mutated, encoding="utf-8")
+            bad = src
             if fmt == "jsonl":
-                bad = src
-                fault = _key_fault(_changed_record(text, bad.read_text()), "vector")
+                changed = _changed_record(text, mutated)
+                fault = _key_fault(changed, "vector")
+                line = _element_fault(changed, "vector")
+            else:
+                line = _cell_fault(text, mutated, 3, finite=True)
         argv = ["profile", "--input", str(src), "--format", fmt, "--out", str(out),
                 f"--seed={seed}"]
         if fractions is not None:
@@ -270,6 +323,9 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         code, err = _run(argv, [out])
         if fault is not None and code != 2:
             assert err == [f"textchar: error: {bad}, {fault}"], err
+        elif line is not None and code != 2:
+            assert code == 1 and err[0].startswith(
+                f"textchar: error: {bad}, line {line}: "), err
         if seed == "-1":
             assert code == 2 and err[-1].endswith(
                 "argument --seed: must be >= 0, got -1"), err
@@ -308,8 +364,12 @@ def test_pool_on_mutated_files(data):
         _, err = _run(["pool", "--input", str(src), "--out", str(out)], [out])
     changed = _changed_record(text, mutated)
     fault = _key_fault(changed, "tokens")
+    line = _element_fault(changed, "tokens")
     if fault is not None:
         assert err == [f"textchar: error: {src}, {fault}"], err
+    elif line is not None:
+        assert len(err) == 1 and err[0].startswith(
+            f"textchar: error: {src}, line {line}: "), err
     elif changed:
         tokens = changed[1].get("tokens")
         if isinstance(tokens, list) and all(token == [] for token in tokens):
@@ -327,17 +387,22 @@ def test_correlate_on_mutated_files(data, which):
             for k, f in enumerate((1.0, 0.5, 0.25))]
     sweep = json.dumps({"kind": "sweep", "seed": 0, "rows": rows}) + "\n"
     scores = "fraction,acc,f1\n1.0,0.93,0.9\n0.5,0.91,0.85\n0.25,0.88,0.86\n"
+    line = None  # the line of a score row with a cell missing, added or not a number
     if which == "metrics":
         sweep = _mutate(data, sweep, _mutate_json_line)
     else:
-        scores = _mutate(data, scores, _mutate_csv)
+        before, scores = scores, _mutate(data, scores, _mutate_csv)
+        line = _cell_fault(before, scores, 0, finite=False)
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
         metrics_path.write_text(sweep)
-        scores_path.write_text(scores)
+        scores_path.write_text(scores, encoding="utf-8")
         out = Path(tmp) / "corr.csv"
-        _, err = _run(["correlate", "--metrics", str(metrics_path),
+        code, err = _run(["correlate", "--metrics", str(metrics_path),
                        "--scores", str(scores_path), "--out", str(out)], [out])
+    if line is not None:
+        assert code == 1 and err[0].startswith(
+            f"textchar: error: {scores_path}, line {line}: "), err
     row = _bad_skipped_row(sweep)
     if row is not None:
         assert err == [f"textchar: error: {metrics_path}: row {row}: "
@@ -418,12 +483,17 @@ def _with(path, value):
     # float() reads 0_9 as 9.0; no JSON reader reads it at all.
     (_SWEEP_ROWS, "fraction,acc\n1.0,0_9\n0.5,0.8\n",
      "scores.csv, line 2: non-numeric cell: could not convert string to float: '0_9'"),
+] + [
+    # float() reads a leading "+" and the digits of every script too.
+    (_SWEEP_ROWS, f"fraction,acc\n1.0,0.9\n0.5,{cell}\n",
+     f"scores.csv, line 3: non-numeric cell: could not convert string to float: {cell!r}")
+    for cell in ("+2.5", "１５", "٣")
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
         metrics_path.write_text(json.dumps({"kind": "sweep", "rows": sweep_rows}))
-        scores_path.write_text(scores)
+        scores_path.write_text(scores, encoding="utf-8")
         out = Path(tmp) / "corr.csv"
         code, err = _run(["correlate", "--metrics", str(metrics_path),
                           "--scores", str(scores_path), "--out", str(out)], [out])
@@ -472,14 +542,17 @@ def _broken_input(tmp: Path, kind: str, change) -> tuple[list[str], Path]:
     ("tokens", [], "line 2: sequence 's1' has no tokens"),
     ("tokens", [[]], "line 2: sequence 's1' has tokens with no values"),
     ("tokens", [[], []], "line 2: sequence 's1' has tokens with no values"),
-], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens"])
+    ("jsonl", [0.1, 0.2, 0.3, 0.4], "line 2: record 'pos0' has 4 dimensions, expected 3"),
+    ("tokens", [[0.1, 0.2, 0.3]], "line 2: record 's1' has 3 dimensions, expected 2"),
+], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens",
+        "vector-width", "token-width"])
 def test_record_faults_name_file_and_line(kind, value, message):
-    # Line 2 loses its sidecar label, or gets the tokens given.
+    # Line 2 loses its sidecar label, or gets the vector or tokens given.
     def change(record):
         if kind == "sidecar":
             del record["label"]
             return record
-        return {**record, "tokens": value}
+        return {**record, "tokens" if kind == "tokens" else "vector": value}
 
     with tempfile.TemporaryDirectory() as tmp:
         argv, bad = _broken_input(Path(tmp), kind, change)
@@ -542,3 +615,74 @@ def test_profile_rejects_digit_separators():
         assert code == 1 and err == [
             f"textchar: error: {src}, line 2: non-numeric axis value: "
             "could not convert string to float: '1_5'"], err
+
+
+@pytest.mark.parametrize("cell, fault", [
+    ("+2.5", "non-numeric axis value: could not convert string to float: '+2.5'"),
+    ("１５", "non-numeric axis value: could not convert string to float: '１５'"),
+    ("٣", "non-numeric axis value: could not convert string to float: '٣'"),
+    ("nan", "record 'row-1' has a non-finite value on axis 0"),
+    ("1e400", "record 'row-1' has a non-finite value on axis 0"),
+], ids=["plus", "fullwidth", "arabic-indic", "nan", "1e400"])
+def test_csv_cell_faults_name_file_and_line(cell, fault):
+    # float() reads all five; the first three are not ASCII decimals, and
+    # the last two are not finite.
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.csv", Path(tmp) / "out.json"
+        src.write_text(f"label,d0,d1\na,{cell},0.3\na,0.9,0.2\na,1.1,0.7\n",
+                       encoding="utf-8")
+        code, err = _run(["profile", "--input", str(src), "--format", "csv",
+                          "--out", str(out)], [out])
+        assert code == 1 and err == [f"textchar: error: {src}, line 2: {fault}"], err
+
+
+@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"'],
+                         ids=["nan", "1e400", "true", "x", "numeric-string"])
+@pytest.mark.parametrize("kind", ["jsonl", "tokens"])
+def test_element_faults_name_file_and_line(kind, raw):
+    # Element 1 of line 2's vector, or of its first token, becomes ``raw``:
+    # not a number, or not a finite one. numpy reads true as 1.0 and "2.5"
+    # as 2.5.
+    key, rec_id = ("tokens", "s1") if kind == "tokens" else ("vector", "pos0")
+
+    def change(record):
+        (record[key][0] if kind == "tokens" else record[key])[1] = _PLACEHOLDER
+        return record
+
+    if raw in ("NaN", "1e400"):
+        fault = f"record {rec_id!r} has a non-finite value on axis 1"
+    else:
+        fault = (f"{key!r} is not numeric: a JSON "
+                 f"{'boolean' if raw == 'true' else 'string'} is not a number")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, bad = _broken_input(Path(tmp), kind, change)
+        bad.write_text(bad.read_text().replace(json.dumps(_PLACEHOLDER), raw))
+        code, err = _run(argv, [Path(tmp) / "out.json"])
+        assert code == 1 and err == [f"textchar: error: {bad}, line 2: {fault}"], err
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
+def test_deep_nesting_names_file_and_line(kind):
+    # Past its nesting limit json raises RecursionError, not a decode error.
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, bad = _broken_input(Path(tmp), kind,
+                                  lambda record: {**record, "note": _PLACEHOLDER})
+        bad.write_text(bad.read_text().replace(json.dumps(_PLACEHOLDER),
+                                               "[" * 100000 + "]" * 100000))
+        code, err = _run(argv, [Path(tmp) / "out.json"])
+        assert code == 1 and err == [
+            f"textchar: error: {bad}, line 2: invalid JSON: nested too deeply"], err
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
+def test_duplicate_records_name_file_and_line(kind):
+    # Line 2 takes the id, label and layer of line 1.
+    if kind == "tokens":
+        keys, fault = {"id": "s0", "label": "a"}, "'s0' for label 'a', layer 'default'"
+    else:
+        keys, fault = {"layer": "l0"}, "'pos0' for label 'pos', layer 'l0'"
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, bad = _broken_input(Path(tmp), kind, lambda record: {**record, **keys})
+        code, err = _run(argv, [Path(tmp) / "out.json"])
+        assert code == 1 and err == [
+            f"textchar: error: {bad}, line 2: duplicate id {fault}"], err

@@ -14,8 +14,6 @@ EXAMPLES = [
     errors.InconsistentClassSize("label 'a' differs across layers"),
     errors.ParseError("in.csv", "bad cell", line=3),
     errors.ParseError("in.bin", "bad magic", offset=0),
-    errors.DimensionMismatch("r1", 3, 4),
-    errors.NonFiniteValue("r1", 2),
 ]
 
 

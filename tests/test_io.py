@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textchar import io
-from textchar.errors import DimensionMismatch, NonFiniteValue, ParseError
+from textchar.errors import ParseError
 
 
 def make_collection(rng, n=12, dim=4, labels=("pos", "neg"), layers=("L1", "L2")):
@@ -104,23 +104,49 @@ def test_jsonl_dimension_mismatch_names_record(tmp_path):
     path = tmp_path / "dims.jsonl"
     path.write_text('{"id": "a", "label": "x", "vector": [1.0, 2.0]}\n'
                     '{"id": "b", "label": "x", "vector": [3.0]}\n')
-    with pytest.raises(DimensionMismatch, match="'b'"):
+    with pytest.raises(ParseError) as exc:
         io.read_vectors(path, "jsonl")
+    assert str(exc.value) == f"{path}, line 2: record 'b' has 1 dimensions, expected 2"
 
 
 def test_jsonl_non_finite_value_names_axis(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"id": "a", "label": "x", "vector": [1.0, NaN, 2.0]}\n')
-    with pytest.raises(NonFiniteValue, match="axis 1"):
+    with pytest.raises(ParseError) as exc:
         io.read_vectors(path, "jsonl")
+    assert str(exc.value) == f"{path}, line 1: record 'a' has a non-finite value on axis 1"
+
+
+@pytest.mark.parametrize("width", [8, 4])
+def test_binary_non_finite_value_names_its_offset(tmp_path, width):
+    # Row 1, axis 2 of a 3 x 4 payload: 16 + (1 * 4 + 2) * width bytes in.
+    vectors = np.arange(12.0).reshape(3, 4)
+    vectors[1, 2], vectors[2, 0] = np.inf, np.nan
+    path = tmp_path / "vectors.bin"
+    io._write_binary(io.LabeledEmbeddings(vectors, ["a", "b", "c"], ["x"] * 3,
+                                          ["L"] * 3), path, float_width=width)
+    with pytest.raises(ParseError) as exc:
+        io.read_vectors(path, "binary")
+    assert str(exc.value) == (f"{path}, offset {16 + 6 * width}: "
+                              "record 'b' has a non-finite value on axis 2")
+    assert exc.value.offset == 16 + 6 * width and exc.value.line is None
+
+
+def test_read_sweep_names_deep_nesting(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError) as exc:
+        io.read_sweep(path)
+    assert str(exc.value) == f"{path}: invalid JSON: nested too deeply"
 
 
 def test_duplicate_records_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     line = '{"id": "a", "label": "x", "layer": "L", "vector": [1.0]}\n'
     path.write_text(line + line)
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError) as exc:
         io.read_vectors(path, "jsonl")
+    assert str(exc.value) == f"{path}, line 2: duplicate id 'a' for label 'x', layer 'L'"
 
 
 def test_csv_missing_label_column(tmp_path):
@@ -291,9 +317,11 @@ def test_pool_token_file_rejects_ragged(tmp_path):
     (['{"id": "ok", "label": "x", "tokens": [[1.0]]}',
       '{"id": "w", "label": "x", "tokens": [[], []]}'], ParseError,
      "line 2: sequence 'w' has tokens with no values"),
-    (['{"id": "n", "label": "x", "tokens": [[1.0, NaN]]}'], NonFiniteValue, "'n'"),
+    (['{"id": "n", "label": "x", "tokens": [[1.0, NaN]]}'], ParseError,
+     "line 1: record 'n' has a non-finite value on axis 1"),
     (['{"id": "a", "label": "x", "tokens": [[1.0]]}',
-      '{"id": "b", "label": "x", "tokens": [[1.0, 2.0]]}'], DimensionMismatch, "'b'"),
+      '{"id": "b", "label": "x", "tokens": [[1.0, 2.0]]}'], ParseError,
+     "line 2: record 'b' has 2 dimensions, expected 1"),
 ], ids=["empty", "zero-width", "zero-width-rows", "non-finite", "width"])
 def test_pool_token_file_names_first_fault_in_file_order(tmp_path, lines, error, match):
     # Each sequence is pooled as it is read, so the first faulty sequence is
@@ -347,6 +375,6 @@ def test_pool_token_file_rejects_mixed_widths_before_writing(tmp_path):
     src.write_text('{"id": "a", "label": "x", "tokens": [[1.0, 2.0]]}\n'
                    '{"id": "b", "label": "x", "tokens": [[1.0, 2.0, 3.0]]}\n')
     out = tmp_path / "out.jsonl"
-    with pytest.raises(DimensionMismatch, match="'b'"):
+    with pytest.raises(ParseError, match="line 2: record 'b' has 3 dimensions, expected 2"):
         io.pool_token_file(src, out)
     assert not out.exists()
