@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import struct
@@ -510,8 +511,9 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
     Returns the score names in header order and each fraction's scores. A
     malformed table, a score name holding a carriage return (which a csv
     writer may leave unquoted), a fraction outside ``(0, 1]`` (``nan``
-    too), or a fraction that an earlier row holds, raises ParseError naming
-    the file and line.
+    too), a score that is not finite (``nan``, ``inf``, ``-inf`` or
+    ``1e400``), or a fraction that an earlier row holds, raises ParseError
+    naming the file and line.
     """
     path = Path(path)
     rows = _csv_rows(path)
@@ -536,6 +538,10 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
         fraction = values.pop("fraction")
         if not 0.0 < fraction <= 1.0:
             raise ParseError(path, f"fraction {fraction:g} is not in (0, 1]", line=lineno)
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ParseError(path, f"score {name!r} is {value:g}, not a finite number",
+                                 line=lineno)
         first = first_line.setdefault(fraction, lineno)
         if first != lineno:
             raise ParseError(path, f"repeats fraction {fraction:g} of line {first}",

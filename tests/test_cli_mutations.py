@@ -1,35 +1,10 @@
-"""Every CLI subcommand on mutated inputs: an exit code, never a traceback.
-
-Hypothesis breaks valid inputs the way real files break: truncated, dropped
-or repeated lines, JSON values of the wrong type or deleted keys, numbers
-beyond float64 (400-digit integers, ``1e400``) or not numbers (``NaN``),
-csv rows with a cell missing or one too many, and repeated header names.
-``simulate`` gets small sizes with non-finite or negative ``--radius`` and
-``--spacing``; a non-finite ``--radius`` of ``outliers`` or ``--spacing`` of
-``subclusters`` must fail with a line that names the argument. Whatever the
-input, ``cli.main`` must exit 0, 1 or 2; exit 1 prints exactly one
-``textchar: error:`` line on stderr; no exception or warning escapes (pytest
-turns warnings into errors); and a failed run leaves no output file behind. A negative ``--seed`` of ``simulate`` or ``profile``
-must exit 2 with argparse's line naming the flag. ``profile`` without
-``--fractions`` must also fail with the line, or succeed with the document,
-that the one-fraction sweep ``downsample_sweep(read_vectors(...), [1.0])``
-gives on the same file. ``correlate`` must reject, with the file and the
-line or row, a fraction that an earlier score line or sweep row holds, a
-JSON boolean or string where the sweep needs a number, a fractional sweep
-size, a fraction outside (0, 1] (NaN and inf too), a
-``homogeneity_skipped`` that is not a list of strings and a score name
-holding a carriage return; it must still read an infinite metric value.
-``profile`` must reject, with the file and the line or offset, records
-whose vectors have no values, while the empty collection still
-round-trips, a sidecar row without ``label`` and a csv axis cell that is
-not an ASCII decimal (``1_5``, ``+2.5``, ``１５``), or is not finite
-(``correlate`` a score cell that is not an ASCII decimal, too); ``pool``
-must reject, with the file and the line, a sequence with no tokens or with
-tokens of no values. Both must reject, with the file and the line, a jsonl,
-sidecar or token record whose ``label``, ``id`` or ``layer`` is not a JSON
-string or repeats an earlier record's, a line nested past json's limit, and
-a vector or token whose width differs from the first record's or that holds
-``NaN``, ``1e400``, ``true`` or a string such as ``"2.5"``.
+"""CLI fault cases. Every run goes through ``_run``, which checks what any
+input must give: ``cli.main`` exits 0, 1 or 2; exit 0 prints nothing on
+stderr; exit 1 prints exactly one ``textchar: error:`` line; a run that
+fails leaves none of its output files behind; and no exception or warning
+escapes (pytest turns warnings into errors). The hypothesis tests break
+valid inputs the way real files break, and the parametrized tables name
+the faults that must fail at a given file and line.
 """
 
 from __future__ import annotations
@@ -52,6 +27,8 @@ from textchar import io as textchar_io
 from textchar.errors import TextcharError
 
 HUGE_INT = "1" + "0" * 399  # 400 digits: beyond the float64 range
+LONG_INT = "1" * 4301  # one digit past the limit of int() on a decimal string
+LATIN1 = "café".encode("latin-1")  # a byte that is not UTF-8
 
 # Raw JSON texts that replace one value of a valid document.
 BAD_VALUES = (HUGE_INT, "-" + HUGE_INT, "1e400", "-1e400", "NaN", "Infinity",
@@ -181,10 +158,10 @@ def _element_fault(changed, payload: str) -> int | None:
     return None
 
 
-def _cell_fault(before: str, after: str, numbers_from: int, finite: bool) -> int | None:
+def _cell_fault(before: str, after: str, numbers_from: int) -> int | None:
     """The line of the one csv data row that a mutation broke: a cell
     dropped or added, or a cell at index ``numbers_from`` or later that is
-    not a number (or, with ``finite``, not a finite one). None otherwise."""
+    not a finite number. None otherwise."""
     old, new = before.splitlines(), after.splitlines()
     changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     if len(old) != len(new) or len(changed) != 1 or changed[0] == 0 \
@@ -192,10 +169,20 @@ def _cell_fault(before: str, after: str, numbers_from: int, finite: bool) -> int
         return None
     cells = new[changed[0]].split(",")
     if len(cells) != len(old[changed[0]].split(",")) or not all(
-            DECIMAL.fullmatch(cell) and (not finite or math.isfinite(float(cell)))
+            DECIMAL.fullmatch(cell) and math.isfinite(float(cell))
             for cell in cells[numbers_from:]):
         return changed[0] + 1
     return None
+
+
+def _unreadable(digits: str) -> str:
+    """The readers' message for an integer that int() refuses, whose words
+    differ across Python versions."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return f"unreadable integer: {exc}"
+    raise AssertionError(f"int() reads {len(digits)} digits")
 
 
 def _mutate(data, text: str, structured) -> str:
@@ -313,7 +300,7 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
                 fault = _key_fault(changed, "vector")
                 line = _element_fault(changed, "vector")
             else:
-                line = _cell_fault(text, mutated, 3, finite=True)
+                line = _cell_fault(text, mutated, 3)
         argv = ["profile", "--input", str(src), "--format", fmt, "--out", str(out),
                 f"--seed={seed}"]
         if fractions is not None:
@@ -392,7 +379,7 @@ def test_correlate_on_mutated_files(data, which):
         sweep = _mutate(data, sweep, _mutate_json_line)
     else:
         before, scores = scores, _mutate(data, scores, _mutate_csv)
-        line = _cell_fault(before, scores, 0, finite=False)
+        line = _cell_fault(before, scores, 0)
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
         metrics_path.write_text(sweep)
@@ -428,6 +415,7 @@ def _bad_skipped_row(text: str) -> int | None:
 _SWEEP_ROWS = [{"fraction": f, "size": int(100 * f),
                 "final": {"diversity": 0.3 - 0.1 * f, "density": 40.0 * f}}
                for f in (1.0, 0.5)]
+_SCORES = "fraction,acc\n1.0,0.9\n0.5,0.8\n"  # one score per row of _SWEEP_ROWS
 
 
 def _with(path, value):
@@ -444,19 +432,19 @@ def _with(path, value):
 @pytest.mark.parametrize("sweep_rows, scores, message", [
     (_SWEEP_ROWS, "fraction,acc\n0.5,0.8\n1.0,0.9\n0.5,0.1\n",
      "scores.csv, line 4: repeats fraction 0.5 of line 2"),
-    (_SWEEP_ROWS + _SWEEP_ROWS[:1], "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_SWEEP_ROWS + _SWEEP_ROWS[:1], _SCORES,
      "sweep.json: row 3: repeats fraction 1 of row 1"),
-    (_with((1, "fraction"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((1, "fraction"), True), _SCORES,
      "sweep.json: row 2: 'fraction' is a boolean, not a number"),
-    (_with((0, "size"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((0, "size"), True), _SCORES,
      "sweep.json: row 1: 'size' is a boolean, not a number"),
-    (_with((1, "final", "diversity"), True), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((1, "final", "diversity"), True), _SCORES,
      "sweep.json: row 2: 'diversity' is a boolean, not a number"),
-    (_with((0, "fraction"), "1.0"), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((0, "fraction"), "1.0"), _SCORES,
      "sweep.json: row 1: 'fraction' is a string, not a number"),
-    (_with((1, "final", "density"), "2"), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((1, "final", "density"), "2"), _SCORES,
      "sweep.json: row 2: 'density' is a string, not a number"),
-    (_with((0, "size"), 2.7), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((0, "size"), 2.7), _SCORES,
      "sweep.json: row 1: 'size' is 2.7, not a whole number"),
     (_SWEEP_ROWS, 'fraction,"a\rb"\n1.0,0.9\n0.5,0.8\n',
      "scores.csv, line 1: score column 'a\\rb' holds a carriage return"),
@@ -466,7 +454,7 @@ def _with(path, value):
      "sweep.json: row 2: fraction -3 is not in (0, 1]"),
     (_with((0, "fraction"), float("nan")), "fraction,acc\nnan,0.9\n0.5,0.8\n",
      "sweep.json: row 1: fraction nan is not in (0, 1]"),
-    (_with((1, "fraction"), float("inf")), "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((1, "fraction"), float("inf")), _SCORES,
      "sweep.json: row 2: fraction inf is not in (0, 1]"),
     (_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.5,0.8\nnan,0.7\n",
      "scores.csv, line 4: fraction nan is not in (0, 1]"),
@@ -475,8 +463,7 @@ def _with(path, value):
     (_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0,0.8\n",
      "scores.csv, line 3: fraction 0 is not in (0, 1]"),
 ] + [
-    (_with((1, "final", "homogeneity_skipped"), skipped),
-     "fraction,acc\n1.0,0.9\n0.5,0.8\n",
+    (_with((1, "final", "homogeneity_skipped"), skipped), _SCORES,
      "sweep.json: row 2: 'homogeneity_skipped' is not a list of strings")
     for skipped in ("abc", 5, None, True, {"a/b": "x"}, ["a/b", 1], [["a/b"]])
 ] + [
@@ -488,16 +475,56 @@ def _with(path, value):
     (_SWEEP_ROWS, f"fraction,acc\n1.0,0.9\n0.5,{cell}\n",
      f"scores.csv, line 3: non-numeric cell: could not convert string to float: {cell!r}")
     for cell in ("+2.5", "１５", "٣")
+] + [
+    pytest.param("5", _SCORES, "sweep.json: expected a list of sweep rows or an object "
+                 "with 'rows'", id="not-a-row-list"),
+    pytest.param(_SWEEP_ROWS[:1] + [{"fraction": 0.5, "size": 50}], _SCORES,
+                 "sweep.json: row 2: expected an object with 'fraction' and a 'final' "
+                 "object", id="no-final"),
+    pytest.param(_with((1, "final"), 5), _SCORES, "sweep.json: row 2: expected an "
+                 "object with 'fraction' and a 'final' object", id="final-not-an-object"),
+    pytest.param(_with((1, "final"), {"density": 2.0}), _SCORES,
+                 "sweep.json: row 2: 'final' has no 'diversity'", id="final-without-diversity"),
+    pytest.param(_with((1, "final", "diversity"), int(HUGE_INT)), _SCORES,
+                 "sweep.json: row 2: int too large to convert to float", id="400-digit-metric"),
+    pytest.param(_with((0, "size"), math.inf), _SCORES,
+                 "sweep.json: row 1: 'size' is inf, not a whole number", id="infinite-size"),
+    pytest.param(json.dumps(_with((1, "final", "diversity"), _PLACEHOLDER)).replace(
+                     json.dumps(_PLACEHOLDER), LONG_INT), _SCORES,
+                 f"sweep.json: {_unreadable(LONG_INT)}", id="4301-digit-metric"),
+    pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.5\n",
+                 "scores.csv, line 3: expected 2 cells, got 1", id="short-score-row"),
+    pytest.param(_SWEEP_ROWS, _SCORES + '0.25,"' + "1" * 200_000 + '"\n',
+                 "scores.csv, line 4: unreadable csv: field larger than field limit (131072)",
+                 id="cell-past-field-limit"),
+] + [
+    pytest.param(_SWEEP_ROWS, f"fraction,acc,{name}\n1.0,0.9,0.9\n0.5,0.8,0.5\n",
+                 f"scores.csv, line 1: header repeats the {name!r} column",
+                 id=f"repeated-{name}-column")
+    for name in ("acc", "fraction")
+] + [
+    pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.25,0.8\n",
+                 "fractions do not join: 0.25, 0.5", id="unmatched-fractions"),
+] + [
+    pytest.param(_SWEEP_ROWS, f"fraction,acc\n1.0,0.9\n0.5,{cell}\n",
+                 f"scores.csv, line 3: score 'acc' is {value}, not a finite number",
+                 id=f"{cell}-score")
+    for cell, value in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf"))
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
+    # A string is the sweep document's raw text. A message names the file it
+    # blames by its name in the temporary directory.
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path, scores_path = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
-        metrics_path.write_text(json.dumps({"kind": "sweep", "rows": sweep_rows}))
+        metrics_path.write_text(sweep_rows if isinstance(sweep_rows, str)
+                                else json.dumps({"kind": "sweep", "rows": sweep_rows}))
         scores_path.write_text(scores, encoding="utf-8")
         out = Path(tmp) / "corr.csv"
         code, err = _run(["correlate", "--metrics", str(metrics_path),
                           "--scores", str(scores_path), "--out", str(out)], [out])
-        assert code == 1 and err == [f"textchar: error: {Path(tmp) / message}"], err
+        if message.startswith((metrics_path.name, scores_path.name)):
+            message = str(Path(tmp) / message)
+        assert code == 1 and err == [f"textchar: error: {message}"], err
 
 
 def test_correlate_reads_infinite_metric_values():
@@ -538,20 +565,22 @@ def _broken_input(tmp: Path, kind: str, change) -> tuple[list[str], Path]:
 
 
 @pytest.mark.parametrize("kind, value, message", [
-    ("sidecar", None, "line 2: expected an object with 'label'"),
+    ("sidecar", {"id": "pos0", "layer": "l1"}, "line 2: expected an object with 'label'"),
     ("tokens", [], "line 2: sequence 's1' has no tokens"),
     ("tokens", [[]], "line 2: sequence 's1' has tokens with no values"),
     ("tokens", [[], []], "line 2: sequence 's1' has tokens with no values"),
     ("jsonl", [0.1, 0.2, 0.3, 0.4], "line 2: record 'pos0' has 4 dimensions, expected 3"),
     ("tokens", [[0.1, 0.2, 0.3]], "line 2: record 's1' has 3 dimensions, expected 2"),
+    ("sidecar", [1], "line 2: expected an object with 'label'"),
+    ("tokens", [[1e308, 0.5], [1e308, 0.5]],
+     "line 2: record 's1' has a non-finite value on axis 0"),
 ], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens",
-        "vector-width", "token-width"])
+        "vector-width", "token-width", "sidecar-not-an-object", "overflowing-mean"])
 def test_record_faults_name_file_and_line(kind, value, message):
-    # Line 2 loses its sidecar label, or gets the vector or tokens given.
+    # Line 2 becomes the sidecar row given, or gets the vector or tokens given.
     def change(record):
         if kind == "sidecar":
-            del record["label"]
-            return record
+            return value
         return {**record, "tokens" if kind == "tokens" else "vector": value}
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -604,29 +633,19 @@ def test_profile_rejects_zero_width_records(fmt, where):
         assert code == 1 and err == [f"textchar: error: {src}, {where}"], err
 
 
-def test_profile_rejects_digit_separators():
-    # float() reads 1_5 as 15.0; no JSON reader reads it at all, so a csv
-    # axis cell that holds it is non-numeric too.
-    with tempfile.TemporaryDirectory() as tmp:
-        src, out = Path(tmp) / "in.csv", Path(tmp) / "out.json"
-        src.write_text("label,d0,d1\na,1_5,0.3\na,0.9,0.2\na,1.1,0.7\n")
-        code, err = _run(["profile", "--input", str(src), "--format", "csv",
-                          "--out", str(out)], [out])
-        assert code == 1 and err == [
-            f"textchar: error: {src}, line 2: non-numeric axis value: "
-            "could not convert string to float: '1_5'"], err
-
-
 @pytest.mark.parametrize("cell, fault", [
     ("+2.5", "non-numeric axis value: could not convert string to float: '+2.5'"),
     ("１５", "non-numeric axis value: could not convert string to float: '１５'"),
     ("٣", "non-numeric axis value: could not convert string to float: '٣'"),
     ("nan", "record 'row-1' has a non-finite value on axis 0"),
     ("1e400", "record 'row-1' has a non-finite value on axis 0"),
-], ids=["plus", "fullwidth", "arabic-indic", "nan", "1e400"])
+    ("1_5", "non-numeric axis value: could not convert string to float: '1_5'"),
+    ('"' + "1" * 200_000 + '"', "unreadable csv: field larger than field limit (131072)"),
+], ids=["plus", "fullwidth", "arabic-indic", "nan", "1e400", "separator", "field-limit"])
 def test_csv_cell_faults_name_file_and_line(cell, fault):
-    # float() reads all five; the first three are not ASCII decimals, and
-    # the last two are not finite.
+    # float() reads the first six; "+2.5", "１５", "٣" and "1_5" are not
+    # ASCII decimals, and nan and 1e400 are not finite. The last cell is
+    # longer than csv.field_size_limit().
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.csv", Path(tmp) / "out.json"
         src.write_text(f"label,d0,d1\na,{cell},0.3\na,0.9,0.2\na,1.1,0.7\n",
@@ -636,13 +655,13 @@ def test_csv_cell_faults_name_file_and_line(cell, fault):
         assert code == 1 and err == [f"textchar: error: {src}, line 2: {fault}"], err
 
 
-@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"'],
-                         ids=["nan", "1e400", "true", "x", "numeric-string"])
+@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"', HUGE_INT],
+                         ids=["nan", "1e400", "true", "x", "numeric-string", "400-digits"])
 @pytest.mark.parametrize("kind", ["jsonl", "tokens"])
 def test_element_faults_name_file_and_line(kind, raw):
     # Element 1 of line 2's vector, or of its first token, becomes ``raw``:
     # not a number, or not a finite one. numpy reads true as 1.0 and "2.5"
-    # as 2.5.
+    # as 2.5; json reads a 400-digit integer, which float64 cannot hold.
     key, rec_id = ("tokens", "s1") if kind == "tokens" else ("vector", "pos0")
 
     def change(record):
@@ -651,6 +670,8 @@ def test_element_faults_name_file_and_line(kind, raw):
 
     if raw in ("NaN", "1e400"):
         fault = f"record {rec_id!r} has a non-finite value on axis 1"
+    elif raw == HUGE_INT:
+        fault = f"{key!r} is not numeric: int too large to convert to float"
     else:
         fault = (f"{key!r} is not numeric: a JSON "
                  f"{'boolean' if raw == 'true' else 'string'} is not a number")
@@ -661,17 +682,22 @@ def test_element_faults_name_file_and_line(kind, raw):
         assert code == 1 and err == [f"textchar: error: {bad}, line 2: {fault}"], err
 
 
+@pytest.mark.parametrize("raw, fault", [
+    ("[" * 100000 + "]" * 100000, "invalid JSON: nested too deeply"),
+    (LONG_INT, _unreadable(LONG_INT)),
+    ("not json", "invalid JSON: Expecting value"),
+], ids=["deep-nesting", "4301-digits", "not-json"])
 @pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
-def test_deep_nesting_names_file_and_line(kind):
-    # Past its nesting limit json raises RecursionError, not a decode error.
+def test_unreadable_json_names_file_and_line(kind, raw, fault):
+    # Line 2 gets a "note" that json cannot read. Past its nesting limit json
+    # raises RecursionError, and past int()'s digit limit ValueError, not a
+    # decode error.
     with tempfile.TemporaryDirectory() as tmp:
         argv, bad = _broken_input(Path(tmp), kind,
                                   lambda record: {**record, "note": _PLACEHOLDER})
-        bad.write_text(bad.read_text().replace(json.dumps(_PLACEHOLDER),
-                                               "[" * 100000 + "]" * 100000))
+        bad.write_text(bad.read_text().replace(json.dumps(_PLACEHOLDER), raw))
         code, err = _run(argv, [Path(tmp) / "out.json"])
-        assert code == 1 and err == [
-            f"textchar: error: {bad}, line 2: invalid JSON: nested too deeply"], err
+        assert code == 1 and err == [f"textchar: error: {bad}, line 2: {fault}"], err
 
 
 @pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
@@ -686,3 +712,59 @@ def test_duplicate_records_name_file_and_line(kind):
         code, err = _run(argv, [Path(tmp) / "out.json"])
         assert code == 1 and err == [
             f"textchar: error: {bad}, line 2: duplicate id {fault}"], err
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "csv", "tokens", "sidecar", "sweep", "scores"])
+def test_text_that_is_not_utf8_names_file_and_line(kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep, scores = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
+        sweep.write_text(json.dumps(_SWEEP_ROWS))
+        scores.write_text(_SCORES)
+        if kind == "sidecar":
+            src = Path(tmp) / "vectors.bin"
+            src.write_bytes(b"CMET\x01\x08\x00\x00" + (2).to_bytes(4, "little")
+                            + (1).to_bytes(4, "little") + np.float64(1.0).tobytes() * 2)
+            bad = Path(tmp) / "vectors.bin.meta.jsonl"
+            bad.write_bytes(b'{"label": "a"}\n{"label": "' + LATIN1 + b'"}\n')
+            argv = ["profile", "--format", "binary", "--input", str(src)]
+        elif kind in ("sweep", "scores"):
+            bad = sweep if kind == "sweep" else scores
+            bad.write_bytes({"sweep": b'[\n{"fraction": "' + LATIN1 + b'"}]\n',
+                             "scores": b"fraction,acc\n1.0," + LATIN1 + b"\n"}[kind])
+            argv = ["correlate", "--metrics", str(sweep), "--scores", str(scores)]
+        else:
+            bad = Path(tmp) / f"in.{kind}"
+            bad.write_bytes({
+                "jsonl": b'{"label": "a", "vector": [1.0]}\n{"label": "' + LATIN1
+                         + b'", "vector": [2.0]}\n',
+                "csv": b"label,d0\na,1.0\n" + LATIN1 + b",2.0\n",
+                "tokens": b'{"label": "a", "tokens": [[1.0]]}\n{"label": "' + LATIN1
+                          + b'", "tokens": [[2.0]]}\n',
+            }[kind])
+            argv = (["pool"] if kind == "tokens" else ["profile", "--format", kind]) \
+                + ["--input", str(bad)]
+        out = Path(tmp) / "out"
+        code, err = _run(argv + ["--out", str(out)], [out])
+        line = 3 if kind == "csv" else 2
+        assert code == 1 and err[0].startswith(
+            f"textchar: error: {bad}, line {line}: not UTF-8 text: "), err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--scenario", "bogus", "--dims", "2"], 2,
+     "textchar simulate: error: argument --scenario: invalid choice: 'bogus'"),
+] + [
+    (["profile", "--input", "in.jsonl", "--format", "jsonl", "--cap", cap], 2,
+     f"textchar profile: error: argument --cap: must be at least 3, got {cap}")
+    for cap in ("2", "0", "-3")
+] + [
+    (["simulate", "--scenario", "downsample", "--dims", "0"], 1,
+     "textchar: error: dim must be >= 1, got 0"),
+    (["profile", "--input", "nope.jsonl", "--format", "jsonl"], 1,
+     "textchar: error: input path does not exist: nope.jsonl"),
+], ids=["bogus-scenario", "cap-2", "cap-0", "cap--3", "dims-0", "missing-input"])
+def test_bad_arguments_name_the_fault(argv, code, message, tmp_path, monkeypatch):
+    # The paths name files of an empty directory.
+    monkeypatch.chdir(tmp_path)
+    got, err = _run(argv + ["--out", "out"], [Path("out")])
+    assert got == code and err[-1].startswith(message), err
