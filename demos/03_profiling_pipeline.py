@@ -55,7 +55,7 @@ def main():
 
     embeddings = io.read_vectors(vectors_path, "jsonl")
     # The profile of the whole collection is the sweep of the one fraction 1.0.
-    profile = analysis.downsample_sweep(embeddings, [1.0], seed=0)[0].profile
+    profile = analysis.downsample_sweep(embeddings, [1.0], seed=0)[0]
     print(f"{len(embeddings)} records in {len(profile.per_group)} (class, layer) groups\n")
 
     print("per (class, layer):")
@@ -74,9 +74,9 @@ def main():
     sweep = analysis.downsample_sweep(
         embeddings, fractions=(1.0, 0.75, 0.5, 0.25), seed=0)
     print("down-sampling sweep (stratified by class):")
-    for row in sweep:
-        print(f"  fraction {row.fraction:>4}: {row.size:>3} texts", end="")
-        show(row.final, indent="   ->  ")
+    for p in sweep:
+        print(f"  fraction {p.fraction:>4}: {p.size:>3} texts", end="")
+        show(p.final, indent="   ->  ")
 
     out = OUT_DIR / "profile.json"
     out.write_text(json.dumps(profile.to_dict(), indent=2))

@@ -39,17 +39,15 @@ def main():
     fractions = (1.0, 0.8, 0.6, 0.4, 0.2)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=9)
 
-    # Synthetic scores per fraction: one genuinely tied to the sample size,
-    # one pure noise, so the contrast shows up in r.
+    # Synthetic score columns, one value per fraction: one genuinely tied to
+    # the sample size, one pure noise, so the contrast shows up in r.
     rng = np.random.default_rng(77)
-    scores = {}
+    scores = {"accuracy": [], "noise": []}
     for fraction in fractions:
-        scores[fraction] = {
-            "accuracy": 0.7 + 0.25 * fraction + rng.normal(0.0, 0.005),
-            "noise": float(rng.uniform()),
-        }
+        scores["accuracy"].append(0.7 + 0.25 * fraction + rng.normal(0.0, 0.005))
+        scores["noise"].append(float(rng.uniform()))
 
-    entries = analysis.correlation_report(sweep, ("accuracy", "noise"), scores)
+    entries = analysis.correlation_report([p.final for p in sweep], scores)
     print(f"{'metric':>12} {'score':>9} {'r':>8}  n  note")
     for entry in entries:
         r = "" if entry.r is None else f"{entry.r:+.3f}"
@@ -62,11 +60,12 @@ def main():
     sweep_path = OUT_DIR / "sweep.json"
     sweep_path.write_text(json.dumps({
         "kind": "sweep",
-        "rows": [{"fraction": row.fraction, "final": row.final.to_dict()}
-                 for row in sweep]}))
+        "rows": [{"fraction": p.fraction, "final": p.final.to_dict()}
+                 for p in sweep]}))
     scores_path = OUT_DIR / "scores.csv"
     scores_path.write_text("fraction,accuracy\n" + "".join(
-        f"{fraction},{scores[fraction]['accuracy']}\n" for fraction in fractions))
+        f"{fraction},{accuracy}\n"
+        for fraction, accuracy in zip(fractions, scores["accuracy"])))
     corr_path = OUT_DIR / "correlations.csv"
     subprocess.run(
         [sys.executable, "-m", "textchar.cli", "correlate",

@@ -13,7 +13,6 @@ from .analysis import (
     AggregateMetrics,
     CorrelationEntry,
     DatasetProfile,
-    SweepRow,
     correlation_report,
     downsample_sweep,
     pearson,
@@ -61,7 +60,6 @@ __all__ = [
     "MarkovChainSummary",
     "MetricReport",
     "ParseError",
-    "SweepRow",
     "TextcharError",
     "TooFewSamples",
     "correlation_report",

@@ -4,8 +4,8 @@ A dataset profile rolls per-(label, layer) metric reports up to one value
 per metric: layer reports are averaged per class, then class values are
 averaged weighted by class size. A sweep makes that profile at each of a
 list of sample fractions; the profile of a whole collection is the sweep of
-the one fraction 1.0. A correlation report relates the sweep's final metric
-values to externally supplied model scores.
+the one fraction 1.0. A correlation report relates the final metric values
+of a sweep to externally supplied model scores, one column per score.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "CorrelationEntry",
     "DatasetProfile",
     "METRIC_NAMES",
-    "SweepRow",
     "average_reports",
     "correlation_report",
     "downsample_sweep",
@@ -91,13 +90,16 @@ class AggregateMetrics:
 
 @dataclass(eq=False)
 class DatasetProfile:
-    """Per-group reports plus the class-level and final aggregates."""
+    """The profile of the ``size`` sampling units kept at ``fraction``:
+    per-group reports plus the class-level and final aggregates."""
 
+    fraction: float
+    size: int
     per_group: dict[tuple[str, str], MetricReport]
     per_class: dict[str, AggregateMetrics]
     final: AggregateMetrics
     class_sizes: dict[str, int]
-    homogeneity_cap: int | None = None
+    homogeneity_cap: int | None
 
     def to_dict(self) -> dict:
         return {
@@ -111,14 +113,6 @@ class DatasetProfile:
                           for label, agg in self.per_class.items()},
             "final": self.final.to_dict(),
         }
-
-
-@dataclass(eq=False)
-class SweepRow:
-    fraction: float
-    size: int
-    final: AggregateMetrics
-    profile: DatasetProfile | None = None
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ def average_reports(
                             homogeneity=hom, homogeneity_skipped=skipped)
 
 
-def _profile(per_group: dict[tuple[str, str], MetricReport],
+def _profile(fraction: float, size: int, per_group: dict[tuple[str, str], MetricReport],
              class_sizes: dict[str, int], cap: int | None) -> DatasetProfile:
     """Average layer reports per class, then classes weighted by size."""
     layer_reports: dict[str, list[tuple[str, MetricReport]]] = {
@@ -174,8 +168,9 @@ def _profile(per_group: dict[tuple[str, str], MetricReport],
     total = sum(class_sizes.values())
     final = average_reports(list(per_class.items()),
                             [class_sizes[label] / total for label in per_class])
-    return DatasetProfile(per_group=per_group, per_class=per_class, final=final,
-                          class_sizes=class_sizes, homogeneity_cap=cap)
+    return DatasetProfile(fraction=fraction, size=size, per_group=per_group,
+                          per_class=per_class, final=final, class_sizes=class_sizes,
+                          homogeneity_cap=cap)
 
 
 class _Plan(NamedTuple):
@@ -224,15 +219,15 @@ def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
 
 
 def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
-                     homogeneity_cap: int | None = None) -> list[SweepRow]:
+                     homogeneity_cap: int | None = None) -> list[DatasetProfile]:
     """Profile the collection at each fraction of its sampling units, one
-    row per fraction in the order given. The profile of the collection is
-    the one-fraction sweep ``downsample_sweep(embeddings, [1.0])[0].profile``.
+    profile per fraction in the order given. The profile of the collection
+    is the one-fraction sweep ``downsample_sweep(embeddings, [1.0])[0]``.
 
     The sampling unit is the distinct (label, id) pair, so a text embedded
     at several layers is kept or dropped as a whole and layer sizes stay
-    consistent. Units are sampled within each class, which preserves the
-    class proportions.
+    consistent; a profile's ``size`` counts its kept units. Units are
+    sampled within each class, which preserves the class proportions.
 
     Every fraction is planned first. Fraction ``i`` draws its units from
     ``SeedSequence([seed, i])``, class by class, so fraction 1.0 keeps them
@@ -299,11 +294,9 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
         reports.update(zip([(i, key) for i in at], metric_reports(
             embeddings.vectors[rows], subsets, homogeneity_subsets=hom_subsets)))
-    profiles = [_profile({key: reports[i, key] for key in plan.groups},
-                         plan.class_sizes, homogeneity_cap)
-                for i, plan in enumerate(plans)]
-    return [SweepRow(fraction=fraction, size=size, final=profile.final, profile=profile)
-            for fraction, size, profile in zip(fractions, sizes, profiles)]
+    return [_profile(fraction, size, {key: reports[i, key] for key in plan.groups},
+                     plan.class_sizes, homogeneity_cap)
+            for i, (fraction, size, plan) in enumerate(zip(fractions, sizes, plans))]
 
 
 def pearson(x, y) -> float:
@@ -332,26 +325,26 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def correlation_report(sweep: list[SweepRow], score_names,
-                       scores: dict[float, dict[str, float]]) -> list[CorrelationEntry]:
-    """Correlate each final metric with each named score across sweep rows.
+def correlation_report(finals: list[AggregateMetrics],
+                       scores: dict[str, list[float]]) -> list[CorrelationEntry]:
+    """Correlate each final metric with each score column across sweep rows.
 
-    ``scores`` maps each fraction to its scores by name, as ``io.read_scores``
-    returns them. Its fractions must be exactly the sweep's, or ValueError
-    names those that do not join. A degenerate pair (constant column,
-    missing homogeneity) is recorded on its entry without aborting the rest.
+    ``finals`` holds the final aggregate of each sweep row, and ``scores``
+    each score column by name with one value per row, in the same order, as
+    ``io.read_scores`` returns them; a column of another length is a
+    ValueError. Entries run metric by metric, then column by column. A
+    degenerate pair (constant column, missing homogeneity) is recorded on
+    its entry without aborting the rest.
     """
-    unmatched = sorted({row.fraction for row in sweep}.symmetric_difference(scores))
-    if unmatched:
-        raise ValueError(
-            "fractions do not join: " + ", ".join(format(f, "g") for f in unmatched)
-        )
+    for score, column in scores.items():
+        if len(column) != len(finals):
+            raise ValueError(f"score {score!r} has {len(column)} values "
+                             f"for {len(finals)} sweep rows")
 
     entries = []
     for metric in METRIC_NAMES:
-        values = [getattr(row.final, metric) for row in sweep]
-        for score in score_names:
-            column = [scores[row.fraction][score] for row in sweep]
+        values = [getattr(final, metric) for final in finals]
+        for score, column in scores.items():
             if any(v is None for v in values):
                 entry = CorrelationEntry(metric, score, None, len(values),
                                          error=f"{metric} missing in some rows")

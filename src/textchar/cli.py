@@ -116,26 +116,26 @@ def _parse_fractions(raw: str) -> list[float]:
 
 
 def cmd_profile(args) -> int:
-    # Without --fractions, the profile is the sweep's one row at fraction 1.0.
+    # Without --fractions, the profile is the one-fraction sweep at 1.0.
     _require_inputs(args.input)
     embeddings = io.read_vectors(args.input, args.format)
     fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
                                       homogeneity_cap=args.cap)
     if args.fractions is None:
-        doc = {"kind": "profile", **sweep[0].profile.to_dict()}
+        doc = {"kind": "profile", **sweep[0].to_dict()}
     else:
         doc = {
             "kind": "sweep",
             "seed": args.seed,
             "rows": [
                 {
-                    "fraction": row.fraction,
-                    "size": row.size,
-                    "final": row.final.to_dict(),
-                    "profile": row.profile.to_dict(),
+                    "fraction": profile.fraction,
+                    "size": profile.size,
+                    "final": profile.final.to_dict(),
+                    "profile": profile.to_dict(),
                 }
-                for row in sweep
+                for profile in sweep
             ],
         }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -150,10 +150,10 @@ def cmd_pool(args) -> int:
 
 def cmd_correlate(args) -> int:
     _require_inputs(args.metrics, args.scores)
-    sweep = io.read_sweep(args.metrics)
-    names, table = io.read_scores(args.scores)
+    finals = io.read_sweep(args.metrics)
+    scores = io.read_scores(args.scores, finals)
     cells = [[entry.metric, entry.score, _num(entry.r), str(entry.n), entry.error or ""]
-             for entry in analysis.correlation_report(sweep, names, table)]
+             for entry in analysis.correlation_report(list(finals.values()), scores)]
     _write_text(args.out, _csv_text(_CORRELATE_COLUMNS, cells))
     return 0
 

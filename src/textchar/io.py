@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AggregateMetrics, SweepRow, _check_numbers
+from .analysis import AggregateMetrics, _check_numbers
 from .errors import ParseError
 
 __all__ = [
@@ -154,6 +154,20 @@ def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
             raise ParseError(path, f"not UTF-8 text: {exc.reason}", line=line) from exc
 
 
+def _json(path: Path, text: str, line: int | None = None):
+    """``json.loads(text)``, the text of ``path`` or of its line ``line``; a
+    ParseError at ``line``, or at a decode error's line if that is None."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, f"invalid JSON: {exc.msg}",
+                         line=exc.lineno if line is None else line) from exc
+    except ValueError as exc:  # an integer longer than int() accepts
+        raise ParseError(path, f"unreadable integer: {exc}", line=line) from exc
+    except RecursionError as exc:
+        raise ParseError(path, "invalid JSON: nested too deeply", line=line) from exc
+
+
 def _json_records(path: Path, payload: str | None
                   ) -> Iterator[tuple[int, str, str, str, np.ndarray | None]]:
     """Yield ``(line number, id, label, layer, payload array)`` for each
@@ -168,14 +182,7 @@ def _json_records(path: Path, payload: str | None
     for lineno, line in enumerate(_text_lines(path), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, f"invalid JSON: {exc.msg}", line=lineno) from exc
-        except ValueError as exc:  # an integer longer than int() accepts
-            raise ParseError(path, f"unreadable integer: {exc}", line=lineno) from exc
-        except RecursionError as exc:
-            raise ParseError(path, "invalid JSON: nested too deeply", line=lineno) from exc
+        obj = _json(path, line, lineno)
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise ParseError(path, expected, line=lineno)
         ordinal += 1
@@ -448,37 +455,29 @@ def pool_token_file(in_path, out_path) -> int:
 
 # --- sweep tables and scores for correlate ----------------------------------
 
-def read_sweep(path) -> list[SweepRow]:
-    """Load sweep rows for ``correlate``.
+def read_sweep(path) -> dict[float, AggregateMetrics]:
+    """Load the ``final`` aggregate of each sweep row for ``correlate``,
+    keyed by the row's fraction, in row order.
 
     Accepts either a full ``profile --fractions`` document or a bare list of
     rows, each an object with ``fraction`` and a ``final`` object that
-    ``AggregateMetrics.from_dict`` reads; ``size`` is optional. A malformed
-    document, a ``fraction``, ``size`` or metric value that is not a JSON
-    number (a string or a boolean, say), a ``size`` that is not a whole
-    number, a ``homogeneity_skipped`` that is not a list of strings, a
-    fraction outside ``(0, 1]`` (NaN too), or a fraction that an earlier row
-    holds raises ParseError naming the file and the 1-based row.
-    A metric value may be ``Infinity``, as ``profile`` writes for a density
-    beyond the float64 range.
+    ``AggregateMetrics.from_dict`` reads; ``size`` is optional and checked
+    but not kept. A malformed document, a ``fraction``, ``size`` or metric
+    value that is not a JSON number (a string or a boolean, say), a ``size``
+    that is not a whole number, a ``homogeneity_skipped`` that is not a list
+    of strings, a fraction outside ``(0, 1]`` (NaN too), or a fraction that
+    an earlier row holds raises ParseError naming the file and the 1-based
+    row. A metric value may be ``Infinity``, as ``profile`` writes for a
+    density beyond the float64 range.
     """
     path = Path(path)
-    text = "".join(_text_lines(path))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except ValueError as exc:  # an integer longer than int() accepts
-        raise ParseError(path, f"unreadable integer: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(path, "invalid JSON: nested too deeply") from exc
+    doc = _json(path, "".join(_text_lines(path)))
     raw_rows = doc.get("rows") if isinstance(doc, dict) else doc
     if not isinstance(raw_rows, list):
         raise ParseError(path, "expected a list of sweep rows or an object with 'rows'")
     if not raw_rows:
         raise ParseError(path, "no sweep rows")
-    rows = []
-    first_row: dict[float, int] = {}
+    finals: dict[float, AggregateMetrics] = {}
     for number, raw in enumerate(raw_rows, start=1):
         if not (isinstance(raw, dict) and "fraction" in raw
                 and isinstance(raw.get("final"), dict)):
@@ -486,34 +485,35 @@ def read_sweep(path) -> list[SweepRow]:
                                    "'fraction' and a 'final' object")
         try:
             _check_numbers(raw, ("fraction", "size"), whole=("size",))
-            row = SweepRow(fraction=float(raw["fraction"]),
-                           size=int(raw.get("size", 0)),
-                           final=AggregateMetrics.from_dict(raw["final"]))
+            fraction = float(raw["fraction"])
+            final = AggregateMetrics.from_dict(raw["final"])
         except KeyError as exc:
             raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, f"row {number}: {exc}") from exc
-        if not 0.0 < row.fraction <= 1.0:
-            raise ParseError(path, f"row {number}: fraction {row.fraction:g} "
-                                   "is not in (0, 1]")
-        first = first_row.setdefault(row.fraction, number)
-        if first != number:
-            raise ParseError(path, f"row {number}: repeats fraction {row.fraction:g} "
-                                   f"of row {first}")
-        rows.append(row)
-    return rows
+        if not 0.0 < fraction <= 1.0:
+            raise ParseError(path, f"row {number}: fraction {fraction:g} is not in (0, 1]")
+        if fraction in finals:
+            # Every earlier row is in ``finals``, so its position is its row.
+            raise ParseError(path, f"row {number}: repeats fraction {fraction:g} "
+                                   f"of row {list(finals).index(fraction) + 1}")
+        finals[fraction] = final
+    return finals
 
 
-def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
-    """Load a score table: a csv header with a ``fraction`` column and at
-    least one score column, then one numeric row per fraction.
+def read_scores(path, fractions) -> dict[str, list[float]]:
+    """Load a score table and join it to the sweep of ``fractions`` (the
+    keys of ``read_sweep``'s dict, say): a csv header with a ``fraction``
+    column and at least one score column, then one numeric row for each
+    sweep fraction, in any order.
 
-    Returns the score names in header order and each fraction's scores. A
-    malformed table, a score name holding a carriage return (which a csv
-    writer may leave unquoted), a fraction outside ``(0, 1]`` (``nan``
-    too), a score that is not finite (``nan``, ``inf``, ``-inf`` or
-    ``1e400``), or a fraction that an earlier row holds, raises ParseError
-    naming the file and line.
+    Returns each score column by name, in header order, with one value per
+    sweep fraction, in the order of ``fractions``. A malformed table, a
+    score name holding a carriage return (which a csv writer may leave
+    unquoted), a fraction outside ``(0, 1]`` (``nan`` too), a score that is
+    not finite (``nan``, ``inf``, ``-inf`` or ``1e400``), a fraction that an
+    earlier row holds, or one not in the sweep, raises ParseError naming the
+    file and line; a sweep fraction with no row, one naming the file.
     """
     path = Path(path)
     rows = _csv_rows(path)
@@ -546,5 +546,10 @@ def read_scores(path) -> tuple[list[str], dict[float, dict[str, float]]]:
         if first != lineno:
             raise ParseError(path, f"repeats fraction {fraction:g} of line {first}",
                              line=lineno)
+        if fraction not in fractions:
+            raise ParseError(path, f"fraction {fraction:g} is not in the sweep", line=lineno)
         table[fraction] = values
-    return names, table
+    for fraction in fractions:
+        if fraction not in table:
+            raise ParseError(path, f"no row for sweep fraction {fraction:g}")
+    return {name: [table[fraction][name] for fraction in fractions] for name in names}

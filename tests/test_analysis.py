@@ -93,7 +93,7 @@ def profile_of(groups, seed=0, cap=None):
     ids, labels, layers = (list(column) for column in zip(*keys)) if keys else ([], [], [])
     vectors = np.concatenate(list(groups.values())) if groups else np.empty((0, 0))
     emb = io.LabeledEmbeddings(vectors, ids, labels, layers)
-    return analysis.downsample_sweep(emb, [1.0], seed, cap)[0].profile
+    return analysis.downsample_sweep(emb, [1.0], seed, cap)[0]
 
 
 def test_profile_single_group_is_identity():
@@ -186,7 +186,7 @@ def test_profile_aggregation_grows_linearly_in_the_class_count():
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()
-            analysis._profile(per_group, class_sizes, None)
+            analysis._profile(1.0, n, per_group, class_sizes, None)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -215,12 +215,12 @@ def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
     emb = io.LabeledEmbeddings(rng.normal(size=(len(keys), 3)), ids, labels, layer_tags)
     sweep = analysis.downsample_sweep(emb, [1.0], seed=seed, homogeneity_cap=cap)
     [(size, reports)] = _reference_sweep(emb, [1.0], seed, cap)
-    profile = sweep[0].profile
+    profile = sweep[0]
     assert list(profile.per_group) == list(reports)
     for key, want in reports.items():
         assert_same_report(profile.per_group[key], want)
     assert profile.class_sizes == {f"class{c}": n for c, n in enumerate(sizes)}
-    assert sweep[0].size == size == sum(sizes)
+    assert profile.size == size == sum(sizes)
 
 
 def test_sweep_sizes_track_fractions():
@@ -234,7 +234,7 @@ def test_sweep_preserves_class_proportions():
     emb = two_class_embeddings(np.random.default_rng(8), n_per_class=40)
     sweep = analysis.downsample_sweep(emb, [0.9, 0.5, 0.2], seed=1)
     for row in sweep:
-        sizes = row.profile.class_sizes
+        sizes = row.class_sizes
         expected = int(math.floor(row.fraction * 40 + 0.5))
         assert abs(sizes["pos"] - expected) <= 1
         assert abs(sizes["neg"] - expected) <= 1
@@ -245,8 +245,7 @@ def test_sweep_keeps_layers_aligned():
     # consistent across layers and profiling cannot fail.
     emb = two_class_embeddings(np.random.default_rng(9), n_per_class=30,
                                layers=("L1", "L2", "L3"))
-    sweep = analysis.downsample_sweep(emb, [0.5], seed=2)
-    profile = sweep[0].profile
+    profile = analysis.downsample_sweep(emb, [0.5], seed=2)[0]
     assert len(profile.per_group) == 6
     assert profile.class_sizes == {"pos": 15, "neg": 15}
 
@@ -258,6 +257,19 @@ def test_sweep_is_deterministic_per_seed():
     c = analysis.downsample_sweep(emb, [0.5], seed=6)
     assert a[0].final.to_dict() == b[0].final.to_dict()
     assert a[0].final.to_dict() != c[0].final.to_dict()
+
+
+def test_sweep_size_counts_units_not_class_rows():
+    # Unit u1 of class a is only in layer A and u2 only in layer B, so the
+    # sweep keeps 4 units while each layer of class a holds 3 rows.
+    keys = [("u0", "a", "A"), ("u1", "a", "A"), ("u3", "a", "A"),
+            ("u0", "a", "B"), ("u2", "a", "B"), ("u3", "a", "B")]
+    ids, labels, layers = (list(column) for column in zip(*keys))
+    emb = io.LabeledEmbeddings(np.random.default_rng(3).normal(size=(6, 2)),
+                               ids, labels, layers)
+    [profile] = analysis.downsample_sweep(emb, [1.0])
+    assert profile.size == 4
+    assert profile.class_sizes == {"a": 3}
 
 
 def test_sweep_raises_when_class_empties():
@@ -321,13 +333,13 @@ def test_sweep_matches_per_fraction_reports(cap):
 
     sweep = analysis.downsample_sweep(emb, fractions, seed=4, homogeneity_cap=cap)
     expected = _reference_sweep(emb, fractions, 4, cap)
-    orders = [list(row.profile.per_group) for row in sweep]
+    orders = [list(row.per_group) for row in sweep]
     assert any(order != orders[0] for order in orders)
     for row, (size, reports) in zip(sweep, expected):
         assert row.size == size
-        assert list(row.profile.per_group) == list(reports)
+        assert list(row.per_group) == list(reports)
         for key, want in reports.items():
-            assert_same_report(row.profile.per_group[key], want)
+            assert_same_report(row.per_group[key], want)
     capped = [bool(want.notes) for _, reports in expected for want in reports.values()]
     assert any(capped) == (cap is not None) and not all(capped)
 
@@ -408,35 +420,34 @@ def test_pearson_is_clamped():
 # --- correlation_report ---------------------------------------------------
 
 def sweep_and_scores(metric_rows):
-    rows, scores = [], {}
-    for fraction, div, den, hom, row_scores in metric_rows:
-        rows.append(analysis.SweepRow(
-            fraction=fraction, size=0,
-            final=analysis.AggregateMetrics(div, den, math.log(den), hom)))
-        scores[fraction] = row_scores
-    return rows, scores
+    """The finals and score columns of rows ``(div, den, hom, scores)``."""
+    finals, scores = [], {}
+    for div, den, hom, row_scores in metric_rows:
+        finals.append(analysis.AggregateMetrics(div, den, math.log(den), hom))
+        for name, value in row_scores.items():
+            scores.setdefault(name, []).append(value)
+    return finals, scores
 
 
 def test_correlation_report_cross_product():
-    table, scores = sweep_and_scores([
-        (1.0, 0.3, 10.0, 0.9, {"acc": 0.95, "f1": 0.91}),
-        (0.5, 0.2, 5.0, 0.8, {"acc": 0.90, "f1": 0.88}),
-        (0.1, 0.1, 1.0, 0.7, {"acc": 0.85, "f1": 0.80}),
+    finals, scores = sweep_and_scores([
+        (0.3, 10.0, 0.9, {"acc": 0.95, "f1": 0.91}),
+        (0.2, 5.0, 0.8, {"acc": 0.90, "f1": 0.88}),
+        (0.1, 1.0, 0.7, {"acc": 0.85, "f1": 0.80}),
     ])
-    entries = analysis.correlation_report(table, ["acc", "f1"], scores)
-    assert len(entries) == 6
-    assert {(e.metric, e.score) for e in entries} == {
+    entries = analysis.correlation_report(finals, scores)
+    assert [(e.metric, e.score) for e in entries] == [
         (m, s) for m in ("diversity", "density", "homogeneity")
-        for s in ("acc", "f1")}
+        for s in ("acc", "f1")]
     assert all(e.error is None and -1.0 <= e.r <= 1.0 for e in entries)
 
 
 def test_correlation_report_flags_degenerate_entries():
-    table, scores = sweep_and_scores([
-        (1.0, 0.3, 10.0, 0.9, {"acc": 0.95}),
-        (0.5, 0.3, 5.0, 0.8, {"acc": 0.90}),  # diversity column constant
+    finals, scores = sweep_and_scores([
+        (0.3, 10.0, 0.9, {"acc": 0.95}),
+        (0.3, 5.0, 0.8, {"acc": 0.90}),  # diversity column constant
     ])
-    entries = analysis.correlation_report(table, ["acc"], scores)
+    entries = analysis.correlation_report(finals, scores)
     by_metric = {e.metric: e for e in entries}
     assert by_metric["diversity"].r is None
     assert "degenerate" in by_metric["diversity"].error
@@ -445,27 +456,22 @@ def test_correlation_report_flags_degenerate_entries():
 
 
 def test_correlation_report_handles_missing_homogeneity():
-    table, scores = sweep_and_scores([
-        (1.0, 0.3, 10.0, None, {"acc": 0.95}),
-        (0.5, 0.2, 5.0, 0.8, {"acc": 0.90}),
+    finals, scores = sweep_and_scores([
+        (0.3, 10.0, None, {"acc": 0.95}),
+        (0.2, 5.0, 0.8, {"acc": 0.90}),
     ])
-    entries = analysis.correlation_report(table, ["acc"], scores)
+    entries = analysis.correlation_report(finals, scores)
     hom = next(e for e in entries if e.metric == "homogeneity")
     assert hom.r is None and "missing" in hom.error
 
 
-def test_correlation_report_requires_all_scores():
-    # Scores join the sweep by fraction, in sweep row order; a fraction on
-    # one side only, sweep or scores, is named in the error.
-    table, scores = sweep_and_scores([
-        (1.0, 0.3, 10.0, 0.9, {"acc": 0.95}),
-        (0.5, 0.2, 5.0, 0.8, {"acc": 0.90}),
-        (0.25, 0.1, 2.0, 0.7, {"acc": 0.80}),
+def test_correlation_report_needs_one_score_per_row():
+    # io.read_scores joins scores to the sweep; a column of another length
+    # than the sweep's is a caller's fault.
+    finals, scores = sweep_and_scores([
+        (0.3, 10.0, 0.9, {"acc": 0.95}),
+        (0.2, 5.0, 0.8, {"acc": 0.90}),
     ])
-    shuffled = {f: scores[f] for f in (0.25, 1.0, 0.5)}
-    assert ([e.r for e in analysis.correlation_report(table, ["acc"], shuffled)]
-            == [e.r for e in analysis.correlation_report(table, ["acc"], scores)])
-    del scores[0.5]
-    scores[0.75] = {"acc": 0.93}
-    with pytest.raises(ValueError, match=r"^fractions do not join: 0\.5, 0\.75$"):
-        analysis.correlation_report(table, ["acc"], scores)
+    scores["f1"] = [0.9, 0.8, 0.7]
+    with pytest.raises(ValueError, match=r"^score 'f1' has 3 values for 2 sweep rows$"):
+        analysis.correlation_report(finals, scores)

@@ -324,7 +324,7 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         try:
             profile = analysis.downsample_sweep(
                 textchar_io.read_vectors(src, fmt), [1.0], seed=int(seed),
-                homogeneity_cap=None if cap is None else int(cap))[0].profile
+                homogeneity_cap=None if cap is None else int(cap))[0]
         except (TextcharError, OSError, ValueError, RuntimeError, KeyError) as exc:
             assert err == [f"textchar: error: {str(exc) or type(exc).__name__}"]
         else:
@@ -503,13 +503,16 @@ def _with(path, value):
                  id=f"repeated-{name}-column")
     for name in ("acc", "fraction")
 ] + [
-    pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.25,0.8\n",
-                 "fractions do not join: 0.25, 0.5", id="unmatched-fractions"),
-] + [
     pytest.param(_SWEEP_ROWS, f"fraction,acc\n1.0,0.9\n0.5,{cell}\n",
                  f"scores.csv, line 3: score 'acc' is {value}, not a finite number",
                  id=f"{cell}-score")
     for cell, value in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf"))
+] + [
+    pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n0.25,0.8\n",
+                 "scores.csv, line 3: fraction 0.25 is not in the sweep",
+                 id="unmatched-fractions"),
+    pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n",
+                 "scores.csv: no row for sweep fraction 0.5", id="missing-fraction"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     # A string is the sweep document's raw text. A message names the file it
@@ -540,8 +543,8 @@ def test_correlate_reads_infinite_metric_values():
         code, _ = _run(["correlate", "--metrics", str(metrics_path),
                         "--scores", str(scores_path), "--out", str(out)], [out])
         assert code == 0
-        first, second = textchar_io.read_sweep(metrics_path)
-    assert first.final.density == math.inf and second.final.density_log == -math.inf
+        first, second = textchar_io.read_sweep(metrics_path).values()
+    assert first.density == math.inf and second.density_log == -math.inf
 
 
 def _broken_input(tmp: Path, kind: str, change) -> tuple[list[str], Path]:

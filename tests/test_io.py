@@ -140,6 +140,17 @@ def test_read_sweep_names_deep_nesting(tmp_path):
     assert str(exc.value) == f"{path}: invalid JSON: nested too deeply"
 
 
+def test_read_scores_aligns_rows_to_the_sweep(tmp_path):
+    # Score rows may come in any order; each column follows the sweep's.
+    path = tmp_path / "scores.csv"
+    path.write_text("fraction,acc,f1\n0.25,0.80,0.7\n1.0,0.95,0.9\n0.5,0.90,0.8\n")
+    sweep = {1.0: None, 0.5: None, 0.25: None}
+    assert io.read_scores(path, sweep) == {"acc": [0.95, 0.90, 0.80],
+                                           "f1": [0.9, 0.8, 0.7]}
+    assert io.read_scores(path, [0.25, 1.0, 0.5]) == {"acc": [0.80, 0.95, 0.90],
+                                                      "f1": [0.7, 0.9, 0.8]}
+
+
 def test_duplicate_records_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     line = '{"id": "a", "label": "x", "layer": "L", "vector": [1.0]}\n'
