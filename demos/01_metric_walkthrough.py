@@ -28,7 +28,7 @@ def main():
     chain = metrics.entropy_rate(pts)
     print("stationary distribution (strength-proportional):", chain.stationary)
     print("entropy rate:", chain.entropy_rate, "| upper bound ln(m-1):",
-          chain.upper_bound)
+          math.log(len(pts) - 1))
     print("homogeneity (rate / bound):", metrics.metric_report(pts).homogeneity)
     print("-> the far-away third point makes the walk lopsided, so the")
     print("   normalized entropy sits well below 1.")

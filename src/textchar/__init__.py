@@ -18,13 +18,10 @@ from .analysis import (
     pearson,
 )
 from .errors import (
-    DegenerateCluster,
     DegenerateInput,
-    EmptyResult,
     InconsistentClassSize,
     ParseError,
     TextcharError,
-    TooFewSamples,
 )
 from .io import (
     LabeledEmbeddings,
@@ -52,16 +49,13 @@ __all__ = [
     "AggregateMetrics",
     "CorrelationEntry",
     "DatasetProfile",
-    "DegenerateCluster",
     "DegenerateInput",
-    "EmptyResult",
     "InconsistentClassSize",
     "LabeledEmbeddings",
     "MarkovChainSummary",
     "MetricReport",
     "ParseError",
     "TextcharError",
-    "TooFewSamples",
     "correlation_report",
     "downsample_sweep",
     "entropy_rate",

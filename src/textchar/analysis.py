@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyResult, InconsistentClassSize
+from .errors import DegenerateInput, InconsistentClassSize
 from .metrics import MetricReport, metric_reports
 from .simulation import _sample_rows, _sorted_draw
 
@@ -212,8 +212,8 @@ def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
     for label, units in units_by_class.items():
         try:
             kept[units[_sample_rows(len(units), fraction, rng)]] = True
-        except EmptyResult:
-            raise EmptyResult(
+        except DegenerateInput:
+            raise DegenerateInput(
                 f"class {label!r} has no members left at fraction {fraction}") from None
     return kept
 

@@ -110,16 +110,16 @@ def cmd_simulate(args) -> int:
 
 def _parse_fractions(raw: str) -> list[float]:
     try:
-        return [float(part) for part in raw.split(",") if part.strip()]
+        return [float(part) for part in raw.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse fraction list {raw!r}") from None
 
 
 def cmd_profile(args) -> int:
     # Without --fractions, the profile is the one-fraction sweep at 1.0.
+    fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
     _require_inputs(args.input)
     embeddings = io.read_vectors(args.input, args.format)
-    fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
                                       homogeneity_cap=args.cap)
     if args.fractions is None:

@@ -1,4 +1,9 @@
-"""Exception types raised by the textchar library."""
+"""Exception types raised by the textchar library.
+
+``DegenerateInput`` says that a statistic is undefined on its input;
+``InconsistentClassSize`` and ``ParseError`` say that a collection or a
+record is malformed.
+"""
 
 from __future__ import annotations
 
@@ -11,20 +16,10 @@ class TextcharError(Exception):
         return Exception.__new__, (type(self), *self.args), self.__dict__
 
 
-class DegenerateCluster(TextcharError):
-    """All points of a cluster coincide, so the distance chain has no edges."""
-
-
-class TooFewSamples(TextcharError):
-    """An operation needs more samples than the cluster provides."""
-
-
-class EmptyResult(TextcharError):
-    """A sampling operation would return zero points."""
-
-
 class DegenerateInput(TextcharError):
-    """Correlation input is too short or has zero variance."""
+    """A statistic is undefined on this input: too few points, coincident
+    points, a constant, short or non-finite correlation input, or a sample
+    that keeps no point."""
 
 
 class InconsistentClassSize(TextcharError):

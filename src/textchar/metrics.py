@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateCluster, TooFewSamples
+from .errors import DegenerateInput
 
 __all__ = [
     "DEFAULT_STD_FLOOR",
@@ -65,11 +65,11 @@ def _as_cluster(vectors) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MarkovChainSummary:
-    """Stationary distribution and entropy rate of the distance chain."""
+    """Stationary distribution and entropy rate of the distance chain; the
+    rate is at most ``ln(m - 1)`` for ``m`` points."""
 
     stationary: np.ndarray
     entropy_rate: float
-    upper_bound: float
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.nd
     return strengths, w_log_w
 
 
-def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateCluster]:
+def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     """Chain summary of each row subset of a validated cluster.
 
     Each subset is a sorted index array of at least 2 rows. All subsets
@@ -218,7 +218,7 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
     rows no subset holds cost nothing and cannot spoil a sum. Rows equal
     under ``==`` go into it once, each subset counting its copies, so a
     copy pair never gets a weight. A subset whose chain is undefined gets
-    the ``DegenerateCluster`` that says why in place of its summary.
+    the reason why, as text, in place of its summary.
     """
     covered = np.zeros(arr.shape[0], dtype=bool)
     for idx in subsets:
@@ -234,9 +234,7 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
         # i.e. the whole subset is one repeated point. Detect that exactly
         # instead of trusting floating-point distance sums.
         if (slot[idx] == slot[idx[0]]).all():
-            chains[f] = DegenerateCluster(
-                f"all {len(idx)} points coincide; the distance chain has no edges"
-            )
+            chains[f] = f"all {len(idx)} points coincide; the distance chain has no edges"
         else:
             live.append(f)
     if not live:
@@ -264,43 +262,37 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | DegenerateClu
         sums = strengths[idx, col]
         if not (sums > 0.0).all():
             # Only reachable when every weight of a row underflowed to zero.
-            chains[f] = DegenerateCluster(
-                "a point has zero total edge weight; distances are below the "
-                "floating-point range"
-            )
+            chains[f] = ("a point has zero total edge weight; distances are below "
+                         "the floating-point range")
             continue
         entropies = np.log(sums) - w_log_w[idx, col] / sums
         stationary = sums / sums.sum()
         rate = float(stationary @ entropies)
-        chains[f] = MarkovChainSummary(
-            stationary=stationary,
-            entropy_rate=max(rate, 0.0),
-            upper_bound=math.log(len(idx) - 1),
-        )
+        chains[f] = MarkovChainSummary(stationary=stationary, entropy_rate=max(rate, 0.0))
     return chains
 
 
 def entropy_rate(cluster) -> MarkovChainSummary:
     """Entropy rate of the distance-weighted chain, in nats, with its
-    stationary distribution and its ``ln(m - 1)`` upper bound.
+    stationary distribution.
 
-    The chain-level call: unlike ``metric_report`` it raises, with
-    ``TooFewSamples`` below 2 points and ``DegenerateCluster`` when every
-    point coincides or a point's edge weights all underflow. One streaming
-    pass over upper-triangle tiles yields each point's row strength and
-    transition entropy; the rate is their stationary-weighted mean. The
+    The chain-level call: unlike ``metric_report`` it raises
+    ``DegenerateInput`` below 2 points, when every point coincides, or when
+    a point's edge weights all underflow. One streaming pass over
+    upper-triangle tiles yields each point's row strength and transition
+    entropy; the rate is their stationary-weighted mean. The
     weight matrix is symmetric, so the chain is reversible and a point's
     stationary probability is its row strength over the total strength; no
-    eigensolve is needed. ``metric_report`` reports the rate over its bound
-    as homogeneity.
+    eigensolve is needed. ``metric_report`` reports the rate over its
+    ``ln(m - 1)`` upper bound as homogeneity.
     """
     arr = _as_cluster(cluster)
     m = arr.shape[0]
     if m < 2:
-        raise TooFewSamples("need at least 2 points for a transition chain")
+        raise DegenerateInput("need at least 2 points for a transition chain")
     (chain,) = _chains(arr, [np.arange(m)])
-    if isinstance(chain, DegenerateCluster):
-        raise chain
+    if isinstance(chain, str):
+        raise DegenerateInput(chain)
     return chain
 
 
@@ -330,8 +322,7 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
         density_log = math.log(len(idx)) - np.sum(np.log(clamped)) / math.sqrt(len(stds))
         with np.errstate(over="ignore"):
             density = float(np.exp(density_log))
-        chain = (next(chains) if len(h) >= 3
-                 else TooFewSamples(f"fewer than 3 samples (m={len(h)})"))
+        chain = next(chains) if len(h) >= 3 else f"fewer than 3 samples (m={len(h)})"
         defined = isinstance(chain, MarkovChainSummary)
         notes: tuple[str, ...] = ()
         if len(stds) == 1:
@@ -344,10 +335,10 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
             density=density,
             density_log=float(density_log),
             # The rate provably cannot exceed the bound; roundoff in the last ulp can.
-            homogeneity=(min(chain.entropy_rate / chain.upper_bound, 1.0)
+            homogeneity=(min(chain.entropy_rate / math.log(len(h) - 1), 1.0)
                          if defined else None),
             degenerate_axes=floored,
-            homogeneity_skipped_reason=None if defined else str(chain),
+            homogeneity_skipped_reason=None if defined else chain,
             notes=notes,
         ))
     return reports

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyResult
+from .errors import DegenerateInput
 from .metrics import MetricReport, metric_report, metric_reports
 
 __all__ = [
@@ -80,10 +80,11 @@ def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
 def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
     """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m``
     rows, half up, for a ``fraction`` in (0, 1]; ``seed`` may also be a
-    Generator, which is drawn from as it is. Fraction 1.0 keeps every row."""
+    Generator, which is drawn from as it is. Fraction 1.0 keeps every row;
+    a fraction that keeps no row is a ``DegenerateInput``."""
     keep = int(math.floor(fraction * m + 0.5))
     if keep == 0:
-        raise EmptyResult(f"fraction {fraction} of {m} points rounds to 0")
+        raise DegenerateInput(f"fraction {fraction} of {m} points rounds to 0")
     return _sorted_draw(np.random.default_rng(seed), m, keep)
 
 

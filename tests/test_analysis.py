@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SNIPS_REFERENCE, SST2_REFERENCE, assert_same_report
 from textchar import analysis, io
-from textchar.errors import DegenerateInput, EmptyResult, InconsistentClassSize
+from textchar.errors import DegenerateInput, InconsistentClassSize
 from textchar.metrics import MetricReport, metric_report
 
 SST2_ROWS = SST2_REFERENCE
@@ -274,7 +274,7 @@ def test_sweep_size_counts_units_not_class_rows():
 
 def test_sweep_raises_when_class_empties():
     emb = two_class_embeddings(np.random.default_rng(12), n_per_class=2)
-    with pytest.raises(EmptyResult, match="^class 'pos' has no members left at fraction 0.1$"):
+    with pytest.raises(DegenerateInput, match="^class 'pos' has no members left at fraction 0.1$"):
         analysis.downsample_sweep(emb, [0.1], seed=0)
 
 

@@ -308,7 +308,10 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
         if cap is not None:
             argv.append(f"--cap={cap}")
         code, err = _run(argv, [out])
-        if fault is not None and code != 2:
+        if fractions in (",", "x") and code != 2:
+            # The fraction list is parsed before the input is read.
+            assert err == [f"textchar: error: cannot parse fraction list {fractions!r}"], err
+        elif fault is not None and code != 2:
             assert err == [f"textchar: error: {bad}, {fault}"], err
         elif line is not None and code != 2:
             assert code == 1 and err[0].startswith(
@@ -765,7 +768,13 @@ def test_text_that_is_not_utf8_names_file_and_line(kind):
      "textchar: error: dim must be >= 1, got 0"),
     (["profile", "--input", "nope.jsonl", "--format", "jsonl"], 1,
      "textchar: error: input path does not exist: nope.jsonl"),
-], ids=["bogus-scenario", "cap-2", "cap-0", "cap--3", "dims-0", "missing-input"])
+] + [
+    # The fraction list is parsed before the input is looked for.
+    (["profile", "--input", "nope.jsonl", "--format", "jsonl", "--fractions", raw], 1,
+     f"textchar: error: cannot parse fraction list {raw!r}")
+    for raw in ("1.0,,0.5", "1.0,0.5,", ",1.0")
+], ids=["bogus-scenario", "cap-2", "cap-0", "cap--3", "dims-0", "missing-input",
+        "fractions-empty-entry", "fractions-trailing-comma", "fractions-leading-comma"])
 def test_bad_arguments_name_the_fault(argv, code, message, tmp_path, monkeypatch):
     # The paths name files of an empty directory.
     monkeypatch.chdir(tmp_path)

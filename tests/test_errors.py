@@ -7,9 +7,6 @@ from textchar import errors
 
 EXAMPLES = [
     errors.TextcharError("something failed"),
-    errors.DegenerateCluster("all 3 points coincide"),
-    errors.TooFewSamples("need at least 2 points"),
-    errors.EmptyResult("no points left"),
     errors.DegenerateInput("zero variance"),
     errors.InconsistentClassSize("label 'a' differs across layers"),
     errors.ParseError("in.csv", "bad cell", line=3),

@@ -16,7 +16,7 @@ from conftest import (
     random_cluster,
 )
 from textchar import metrics
-from textchar.errors import DegenerateCluster, TooFewSamples
+from textchar.errors import DegenerateInput
 
 
 # --- input validation ---------------------------------------------------
@@ -214,12 +214,14 @@ def test_stationary_is_fixed_under_transitions():
 
 
 def test_stationary_rejects_single_point():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DegenerateInput,
+                       match="^need at least 2 points for a transition chain$"):
         metrics.entropy_rate([[1.0, 2.0]])
 
 
 def test_stationary_rejects_coincident_cluster():
-    with pytest.raises(DegenerateCluster):
+    with pytest.raises(DegenerateInput,
+                       match="^all 5 points coincide; the distance chain has no edges$"):
         metrics.entropy_rate([[3.0, 4.0]] * 5)
 
 
@@ -228,7 +230,6 @@ def test_stationary_rejects_coincident_cluster():
 def test_entropy_rate_three_point_hand_value():
     chain = metrics.entropy_rate(THREE_POINTS)
     assert chain.entropy_rate == pytest.approx(0.5660035753544241, abs=1e-15)
-    assert chain.upper_bound == math.log(2)
 
 
 def test_homogeneity_three_point_hand_value():
@@ -286,7 +287,7 @@ def test_metric_report_homogeneity_is_the_normalized_entropy_rate(monkeypatch, b
         monkeypatch.setattr(metrics, "_BLOCK_ROWS", block)
     for pts in clusters:
         chain = metrics.entropy_rate(pts)
-        want = min(chain.entropy_rate / chain.upper_bound, 1.0)
+        want = min(chain.entropy_rate / math.log(len(pts) - 1), 1.0)
         assert metrics.metric_report(pts).homogeneity == want
 
 
@@ -415,7 +416,7 @@ def test_metric_report_bundles_all_three():
     assert report.diversity == float(np.exp(np.mean(np.log(stds))))
     assert report.density == math.exp(math.log(25) - np.sum(np.log(stds)) / math.sqrt(3))
     chain = metrics.entropy_rate(pts)
-    assert report.homogeneity == min(chain.entropy_rate / chain.upper_bound, 1.0)
+    assert report.homogeneity == min(chain.entropy_rate / math.log(24), 1.0)
     assert report.homogeneity_skipped_reason is None
     assert report.degenerate_axes == 0
 
@@ -693,7 +694,7 @@ def test_homogeneity_is_scale_free_across_the_float64_range(pts, exponent):
         h = homogeneity_of(pts)
         shared = metrics.metric_reports(pts, subsets)
         assert abs(h - homogeneity_of(normal)) <= 1e-12
-        assert h == min(chain.entropy_rate / chain.upper_bound, 1.0)
+        assert h == min(chain.entropy_rate / math.log(len(pts) - 1), 1.0)
         for idx, got in zip(subsets, shared):
             assert_same_report(got, metrics.metric_report(pts[idx]))
             assert abs(got.homogeneity - homogeneity_of(normal[idx])) <= 1e-12

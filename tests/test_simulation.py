@@ -4,7 +4,7 @@ from scipy import stats as sps
 
 from conftest import drawn_rows, spread_report
 from textchar import simulation as sim
-from textchar.errors import EmptyResult
+from textchar.errors import DegenerateInput
 from textchar.metrics import MetricReport, metric_report
 
 
@@ -85,7 +85,7 @@ def test_down_sample_is_deterministic(monkeypatch):
 
 
 def test_down_sample_empty_result():
-    with pytest.raises(EmptyResult, match="^fraction 0.1 of 4 points rounds to 0$"):
+    with pytest.raises(DegenerateInput, match="^fraction 0.1 of 4 points rounds to 0$"):
         sim.run_scenario("downsample", dim=2, points=4, seed=0)
 
 
@@ -233,7 +233,7 @@ def test_run_scenario_raises_before_the_pass(monkeypatch):
         raise AssertionError("metric_reports called")
 
     monkeypatch.setattr(sim, "metric_reports", never)
-    with pytest.raises(EmptyResult, match="rounds to 0"):
+    with pytest.raises(DegenerateInput, match="rounds to 0"):
         sim.run_scenario("downsample", dim=2, points=3, seed=1)
 
 
