@@ -37,27 +37,12 @@ __all__ = [
 METRIC_NAMES = ("diversity", "density", "homogeneity")
 
 
-def _check_numbers(doc: dict, keys, whole=()) -> None:
-    """TypeError for the first of ``keys`` whose value in ``doc`` is not a
-    JSON number, an int or a float: ``float`` and ``int`` would read a
-    string or a boolean as one. An absent or null value passes. ValueError
-    for a value of one of ``whole`` that is not a whole number."""
-    for key in keys:
-        value = doc.get(key)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            kind = {bool: "a boolean", str: "a string"}.get(
-                type(value), f"a {type(value).__name__}")
-            raise TypeError(f"{key!r} is {kind}, not a number")
-        if key in whole and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{key!r} is {value!r}, not a whole number")
-
-
 @dataclass(frozen=True)
 class AggregateMetrics:
     """Averaged metric values; ``density_log`` is re-derived from ``density``
-    so the log stays consistent with the linear value after averaging."""
+    so the log stays consistent with the linear value after averaging.
+    ``to_dict`` writes the ``final`` object of a profile or sweep row, and
+    ``io.read_sweep`` reads it back."""
 
     diversity: float
     density: float
@@ -67,25 +52,6 @@ class AggregateMetrics:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "homogeneity_skipped": list(self.homogeneity_skipped)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> AggregateMetrics:
-        """Inverse of ``to_dict``. Only ``diversity`` and ``density`` are
-        required: a missing ``density_log`` reads as NaN, a missing or null
-        ``homogeneity`` as None. Raises KeyError, TypeError (for a value that
-        is not a JSON number, a string or a boolean too) or ValueError on a
-        malformed ``doc``; a ``homogeneity_skipped`` that is present must be a
-        list of strings (TypeError)."""
-        _check_numbers(doc, ("diversity", "density", "density_log", "homogeneity"))
-        hom = doc.get("homogeneity")
-        skipped = doc.get("homogeneity_skipped", [])
-        if not (isinstance(skipped, list) and all(isinstance(key, str) for key in skipped)):
-            raise TypeError("'homogeneity_skipped' is not a list of strings")
-        return cls(diversity=float(doc["diversity"]),
-                   density=float(doc["density"]),
-                   density_log=float(doc.get("density_log", math.nan)),
-                   homogeneity=None if hom is None else float(hom),
-                   homogeneity_skipped=tuple(skipped))
 
 
 @dataclass(eq=False)

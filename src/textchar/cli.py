@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TextcharError, OSError, ValueError, RuntimeError, KeyError) as exc:
+    except (TextcharError, OSError, ValueError) as exc:
         message = str(exc) or type(exc).__name__
         print(f"textchar: error: {message}", file=sys.stderr)
         return 1

@@ -31,6 +31,9 @@ the first record's, a NaN or infinity, or the id, label and layer of an
 earlier record. In a binary payload, a non-finite value is named at its byte
 offset instead.
 
+Every text file is read as UTF-8, and a byte-order mark at its start, as
+a spreadsheet's "CSV UTF-8" export writes, is skipped.
+
 The binary format round-trips float64 payloads bitwise; the text formats
 round-trip exactly as well because every float is written with enough
 decimal digits to be unambiguous.
@@ -50,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AggregateMetrics, _check_numbers
+from .analysis import AggregateMetrics
 from .errors import ParseError
 
 __all__ = [
@@ -141,9 +144,9 @@ def _check_new(path, seen: set, rec_id: str, label: str, layer: str, line: int) 
 
 
 def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a
-    ParseError naming its line."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """The lines of a UTF-8 text file, without a leading byte-order mark; a
+    byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -455,20 +458,40 @@ def pool_token_file(in_path, out_path) -> int:
 
 # --- sweep tables and scores for correlate ----------------------------------
 
+def _check_numbers(doc: dict, keys, whole=()) -> None:
+    """TypeError for the first of ``keys`` whose value in ``doc`` is not a
+    JSON number, an int or a float: ``float`` and ``int`` would read a
+    string or a boolean as one. An absent or null value passes. ValueError
+    for a value of one of ``whole`` that is not a whole number."""
+    for key in keys:
+        value = doc.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            kind = {bool: "a boolean", str: "a string"}.get(
+                type(value), f"a {type(value).__name__}")
+            raise TypeError(f"{key!r} is {kind}, not a number")
+        if key in whole and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key!r} is {value!r}, not a whole number")
+
+
 def read_sweep(path) -> dict[float, AggregateMetrics]:
     """Load the ``final`` aggregate of each sweep row for ``correlate``,
     keyed by the row's fraction, in row order.
 
     Accepts either a full ``profile --fractions`` document or a bare list of
-    rows, each an object with ``fraction`` and a ``final`` object that
-    ``AggregateMetrics.from_dict`` reads; ``size`` is optional and checked
-    but not kept. A malformed document, a ``fraction``, ``size`` or metric
-    value that is not a JSON number (a string or a boolean, say), a ``size``
-    that is not a whole number, a ``homogeneity_skipped`` that is not a list
-    of strings, a fraction outside ``(0, 1]`` (NaN too), or a fraction that
-    an earlier row holds raises ParseError naming the file and the 1-based
-    row. A metric value may be ``Infinity``, as ``profile`` writes for a
-    density beyond the float64 range.
+    rows, each an object with ``fraction`` and a ``final`` object as
+    ``AggregateMetrics.to_dict`` writes it; ``size`` is optional and checked
+    but not kept. Only ``diversity`` and ``density`` are required in
+    ``final``: a missing ``density_log`` reads as NaN, a missing or null
+    ``homogeneity`` as None, and a missing ``homogeneity_skipped`` as ``()``.
+    A malformed document, a ``fraction``, ``size`` or metric value that is
+    not a JSON number (a string or a boolean, say), a ``size`` that is not a
+    whole number, a ``homogeneity_skipped`` that is not a list of strings, a
+    fraction outside ``(0, 1]`` (NaN too), or a fraction that an earlier row
+    holds raises ParseError naming the file and the 1-based row. A metric
+    value may be ``Infinity``, as ``profile`` writes for a density beyond
+    the float64 range.
     """
     path = Path(path)
     doc = _json(path, "".join(_text_lines(path)))
@@ -486,7 +509,15 @@ def read_sweep(path) -> dict[float, AggregateMetrics]:
         try:
             _check_numbers(raw, ("fraction", "size"), whole=("size",))
             fraction = float(raw["fraction"])
-            final = AggregateMetrics.from_dict(raw["final"])
+            final = raw["final"]
+            _check_numbers(final, ("diversity", "density", "density_log", "homogeneity"))
+            skipped = final.get("homogeneity_skipped", [])
+            if not (isinstance(skipped, list) and all(isinstance(key, str) for key in skipped)):
+                raise TypeError("'homogeneity_skipped' is not a list of strings")
+            hom = final.get("homogeneity")
+            metrics = AggregateMetrics(float(final["diversity"]), float(final["density"]),
+                                       float(final.get("density_log", math.nan)),
+                                       None if hom is None else float(hom), tuple(skipped))
         except KeyError as exc:
             raise ParseError(path, f"row {number}: 'final' has no {exc.args[0]!r}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -497,7 +528,7 @@ def read_sweep(path) -> dict[float, AggregateMetrics]:
             # Every earlier row is in ``finals``, so its position is its row.
             raise ParseError(path, f"row {number}: repeats fraction {fraction:g} "
                                    f"of row {list(finals).index(fraction) + 1}")
-        finals[fraction] = final
+        finals[fraction] = metrics
     return finals
 
 
@@ -528,8 +559,7 @@ def read_scores(path, fractions) -> dict[str, list[float]]:
         if "\r" in name:
             raise ParseError(path, f"score column {name!r} holds a carriage return",
                              line=1)
-    table: dict[float, dict[str, float]] = {}
-    first_line: dict[float, int] = {}
+    table: dict[float, tuple[int, dict[str, float]]] = {}  # fraction: (line, scores)
     for lineno, row in rows:
         try:
             values = {name: _cell_float(cell) for name, cell in zip(header, row)}
@@ -542,14 +572,13 @@ def read_scores(path, fractions) -> dict[str, list[float]]:
             if not math.isfinite(value):
                 raise ParseError(path, f"score {name!r} is {value:g}, not a finite number",
                                  line=lineno)
-        first = first_line.setdefault(fraction, lineno)
-        if first != lineno:
-            raise ParseError(path, f"repeats fraction {fraction:g} of line {first}",
-                             line=lineno)
+        if fraction in table:
+            raise ParseError(path, f"repeats fraction {fraction:g} of line "
+                                   f"{table[fraction][0]}", line=lineno)
         if fraction not in fractions:
             raise ParseError(path, f"fraction {fraction:g} is not in the sweep", line=lineno)
-        table[fraction] = values
+        table[fraction] = lineno, values
     for fraction in fractions:
         if fraction not in table:
             raise ParseError(path, f"no row for sweep fraction {fraction:g}")
-    return {name: [table[fraction][name] for fraction in fractions] for name in names}
+    return {name: [table[fraction][1][name] for fraction in fractions] for name in names}

@@ -34,21 +34,6 @@ def two_class_embeddings(rng, n_per_class=20, dim=3, layers=("L1",)):
 
 # --- aggregation arithmetic ---------------------------------------------
 
-def test_aggregate_metrics_from_dict_inverts_to_dict():
-    for agg in (analysis.AggregateMetrics(0.25, 3.5, math.log(3.5), 0.875, ("L2",)),
-                analysis.AggregateMetrics(0.25, 3.5, math.log(3.5), None)):
-        assert analysis.AggregateMetrics.from_dict(agg.to_dict()) == agg
-    bare = analysis.AggregateMetrics.from_dict({"diversity": 1, "density": 2})
-    assert math.isnan(bare.density_log) and bare.homogeneity is None
-    for bad, error in (({"density": 2.0}, KeyError), ({"diversity": [1], "density": 2.0}, TypeError),
-                       ({"diversity": "x", "density": 2.0}, TypeError),
-                       ({"diversity": "0.5", "density": 2.0}, TypeError),
-                       ({"diversity": True, "density": False}, TypeError),
-                       ({"diversity": 1.0, "density": 2.0, "homogeneity": True}, TypeError)):
-        with pytest.raises(error):
-            analysis.AggregateMetrics.from_dict(bad)
-
-
 def test_average_reports_plain_mean():
     agg = analysis.average_reports([
         ("L1", fake_report(homogeneity=0.90)),

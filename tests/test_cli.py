@@ -139,21 +139,30 @@ def test_profile_is_the_one_fraction_sweep(tmp_path, cap):
     assert row["profile"]["homogeneity_cap"] == (None if cap is None else int(cap))
 
 
-def test_profile_is_the_same_in_every_format(tmp_path):
-    # Two classes of 6 ids, each id at two layers.
+def test_profile_is_byte_identical_from_every_format(tmp_path):
+    # Two sources: a hand-written jsonl with no ids or layers, and two
+    # classes of 6 ids, each id at two layers. The csv and binary copies the
+    # library writes of a source give its jsonl profile, byte for byte.
+    rows = [("a", "0.1, 1.0, 2.5"), ("a", "0.4, 0.7, 2.2"), ("a", "0.2, 1.3, 2.9"),
+            ("b", "3.1, -1.0, 0.5"), ("b", "2.6, -0.4, 0.1"), ("b", "3.5, -0.8, 0.9")]
+    (tmp_path / "hand.jsonl").write_text("".join(
+        f'{{"label": "{label}", "vector": [{vector}]}}\n' for label, vector in rows))
     keys = [(f"{label}{i}", label, layer) for label in ("pos", "neg")
             for i in range(6) for layer in ("L0", "L1")]
     ids, labels, layers = (list(column) for column in zip(*keys))
     vectors = np.random.default_rng(17).normal(size=(len(keys), 3))
-    collection = io.LabeledEmbeddings(vectors, ids, labels, layers)
-    docs = []
-    for fmt in io.FORMATS:
-        src, out = tmp_path / f"vecs.{fmt}", tmp_path / f"{fmt}.json"
-        io.write_vectors(collection, src, fmt)
-        assert cli.main(["profile", "--input", str(src), "--format", fmt,
-                         "--fractions", "1.0,0.5", "--cap", "3", "--out", str(out)]) == 0
-        docs.append(out.read_bytes())
-    assert docs[0] == docs[1] == docs[2]
+    sources = {"hand": io.read_vectors(tmp_path / "hand.jsonl", "jsonl"),
+               "layered": io.LabeledEmbeddings(vectors, ids, labels, layers)}
+    for name, collection in sources.items():
+        docs = []
+        for fmt in io.FORMATS:
+            src, out = tmp_path / f"{name}.{fmt}", tmp_path / f"{name}-{fmt}.json"
+            if not src.exists():  # the hand-written jsonl is read as written
+                io.write_vectors(collection, src, fmt)
+            assert cli.main(["profile", "--input", str(src), "--format", fmt,
+                             "--fractions", "1.0,0.5", "--cap", "3", "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1] == docs[2], name
 
 
 # --- pool ----------------------------------------------------------------

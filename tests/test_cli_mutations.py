@@ -328,7 +328,7 @@ def test_profile_on_mutated_files(data, fmt, scale, records, mutate, fractions, 
             profile = analysis.downsample_sweep(
                 textchar_io.read_vectors(src, fmt), [1.0], seed=int(seed),
                 homogeneity_cap=None if cap is None else int(cap))[0]
-        except (TextcharError, OSError, ValueError, RuntimeError, KeyError) as exc:
+        except (TextcharError, OSError, ValueError) as exc:
             assert err == [f"textchar: error: {str(exc) or type(exc).__name__}"]
         else:
             assert out.read_text() == json.dumps({"kind": "profile", **profile.to_dict()},
@@ -516,6 +516,11 @@ def _with(path, value):
                  id="unmatched-fractions"),
     pytest.param(_SWEEP_ROWS, "fraction,acc\n1.0,0.9\n",
                  "scores.csv: no row for sweep fraction 0.5", id="missing-fraction"),
+    pytest.param(_with((1, "final", "homogeneity"), True), _SCORES,
+                 "sweep.json: row 2: 'homogeneity' is a boolean, not a number",
+                 id="homogeneity-boolean"),
+    pytest.param(_with((1, "final", "diversity"), [1]), _SCORES,
+                 "sweep.json: row 2: 'diversity' is a list, not a number", id="diversity-list"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     # A string is the sweep document's raw text. A message names the file it

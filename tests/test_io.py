@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from textchar import io
+from textchar import analysis, cli, io
 from textchar.errors import ParseError
 
 
@@ -140,6 +141,23 @@ def test_read_sweep_names_deep_nesting(tmp_path):
     assert str(exc.value) == f"{path}: invalid JSON: nested too deeply"
 
 
+def test_read_sweep_reads_back_the_finals_of_profile(tmp_path):
+    collection = make_collection(np.random.default_rng(9), n=6, dim=3, labels=("a", "b"),
+                                 layers=("L",))
+    src, out = tmp_path / "vecs.jsonl", tmp_path / "sweep.json"
+    io.write_vectors(collection, src, "jsonl")
+    assert cli.main(["profile", "--input", str(src), "--format", "jsonl",
+                     "--fractions", "1.0,0.5", "--cap", "3", "--out", str(out)]) == 0
+    sweep = analysis.downsample_sweep(collection, [1.0, 0.5], homogeneity_cap=3)
+    assert list(io.read_sweep(out).items()) == [(p.fraction, p.final) for p in sweep]
+    assert sweep[0].final.homogeneity is not None and sweep[1].final.homogeneity_skipped
+    # Only diversity and density are required.
+    out.write_text(json.dumps([{"fraction": 1.0, "final": {"diversity": 1, "density": 2}}]))
+    (bare,) = io.read_sweep(out).values()
+    assert (bare.diversity, bare.density) == (1.0, 2.0) and math.isnan(bare.density_log)
+    assert bare.homogeneity is None and bare.homogeneity_skipped == ()
+
+
 def test_read_scores_aligns_rows_to_the_sweep(tmp_path):
     # Score rows may come in any order; each column follows the sweep's.
     path = tmp_path / "scores.csv"
@@ -149,6 +167,47 @@ def test_read_scores_aligns_rows_to_the_sweep(tmp_path):
                                            "f1": [0.9, 0.8, 0.7]}
     assert io.read_scores(path, [0.25, 1.0, 0.5]) == {"acc": [0.80, 0.95, 0.90],
                                                       "f1": [0.7, 0.9, 0.8]}
+
+
+_TEXTS = {
+    "tokens": '{"id": "s", "label": "x", "tokens": [[1.0, 2.0], [0.5, 0.25]]}\n',
+    "sweep": '[{"fraction": 1.0, "final": {"diversity": 0.5, "density": 2.0, '
+             '"density_log": 0.75, "homogeneity": 0.5}}]\n',
+    "scores": "fraction,acc\n1.0,0.9\n",
+}
+
+
+def _read_back(path, kind):
+    """The file of ``kind`` at ``path`` (for "sidecar", the binary file the
+    sidecar belongs to) read by its reader, as a comparable value."""
+    if kind == "tokens":
+        io.pool_token_file(path, path.with_suffix(".pooled"))
+        return path.with_suffix(".pooled").read_bytes()
+    if kind == "sweep":
+        return io.read_sweep(path)
+    if kind == "scores":
+        return io.read_scores(path, [1.0])
+    got = io.read_vectors(path, "binary" if kind == "sidecar" else kind)
+    return got.ids, got.labels, got.layers, got.vectors.tolist()
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "csv", "sidecar", "tokens", "sweep", "scores"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, kind):
+    # A spreadsheet's "CSV UTF-8" export starts its file with a UTF-8
+    # byte-order mark; every text reader reads it as the file without one.
+    read = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = text_file = tmp_path / name
+        if kind in _TEXTS:
+            path.write_text(_TEXTS[kind], encoding="utf-8")
+        else:
+            io.write_vectors(make_collection(np.random.default_rng(5)), path,
+                             "binary" if kind == "sidecar" else kind)
+            if kind == "sidecar":
+                text_file = tmp_path / f"{name}.meta.jsonl"
+        text_file.write_bytes(bom + text_file.read_bytes())
+        read.append(_read_back(path, kind))
+    assert read[0] == read[1]
 
 
 def test_duplicate_records_rejected(tmp_path):
