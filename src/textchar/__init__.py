@@ -36,12 +36,7 @@ from .metrics import (
     metric_report,
     metric_reports,
 )
-from .simulation import (
-    gaussian_blob,
-    run_scenario,
-    sphere_points,
-    sub_clusters,
-)
+from .simulation import run_scenario
 
 __version__ = "0.1.0"
 
@@ -59,15 +54,12 @@ __all__ = [
     "correlation_report",
     "downsample_sweep",
     "entropy_rate",
-    "gaussian_blob",
     "metric_report",
     "metric_reports",
     "pearson",
     "pool_token_file",
     "read_vectors",
     "run_scenario",
-    "sphere_points",
-    "sub_clusters",
     "write_vectors",
     "__version__",
 ]

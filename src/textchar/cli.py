@@ -101,10 +101,16 @@ def cmd_simulate(args) -> int:
             (name, [getattr(rep, name) for rep in reports])
             for name in ("diversity", "density", "homogeneity")
         ]
-        svg.write_line_chart(
-            args.svg, args.scenario, xs, panels,
-            title=f"{args.scenario}, {args.dims} dims, seed {args.seed}",
-        )
+        try:
+            svg.write_line_chart(
+                args.svg, args.scenario, xs, panels,
+                title=f"{args.scenario}, {args.dims} dims, seed {args.seed}",
+            )
+        except OSError:
+            # A failed run leaves no output file, so the CSV goes too.
+            if args.out is not None:
+                Path(args.out).unlink(missing_ok=True)
+            raise
     return 0
 
 

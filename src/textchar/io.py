@@ -461,14 +461,15 @@ def pool_token_file(in_path, out_path) -> int:
 def _check_numbers(doc: dict, keys, whole=()) -> None:
     """TypeError for the first of ``keys`` whose value in ``doc`` is not a
     JSON number, an int or a float: ``float`` and ``int`` would read a
-    string or a boolean as one. An absent or null value passes. ValueError
-    for a value of one of ``whole`` that is not a whole number."""
+    string or a boolean as one. An absent value passes, and a null one only
+    as ``homogeneity``, which a sweep row writes when it has none.
+    ValueError for a value of one of ``whole`` that is not a whole number."""
     for key in keys:
         value = doc.get(key)
-        if value is None:
+        if key not in doc or value is None and key == "homogeneity":
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            kind = {bool: "a boolean", str: "a string"}.get(
+            kind = {bool: "a boolean", str: "a string", type(None): "null"}.get(
                 type(value), f"a {type(value).__name__}")
             raise TypeError(f"{key!r} is {kind}, not a number")
         if key in whole and isinstance(value, float) and not value.is_integer():
@@ -486,10 +487,11 @@ def read_sweep(path) -> dict[float, AggregateMetrics]:
     ``final``: a missing ``density_log`` reads as NaN, a missing or null
     ``homogeneity`` as None, and a missing ``homogeneity_skipped`` as ``()``.
     A malformed document, a ``fraction``, ``size`` or metric value that is
-    not a JSON number (a string or a boolean, say), a ``size`` that is not a
-    whole number, a ``homogeneity_skipped`` that is not a list of strings, a
-    fraction outside ``(0, 1]`` (NaN too), or a fraction that an earlier row
-    holds raises ParseError naming the file and the 1-based row. A metric
+    not a JSON number (a string, a boolean, or a null anywhere but in
+    ``homogeneity``, say), a ``size`` that is not a whole number, a
+    ``homogeneity_skipped`` that is not a list of strings, a fraction
+    outside ``(0, 1]`` (NaN too), or a fraction that an earlier row holds
+    raises ParseError naming the file and the 1-based row. A metric
     value may be ``Infinity``, as ``profile`` writes for a density beyond
     the float64 range.
     """

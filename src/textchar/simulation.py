@@ -1,4 +1,4 @@
-"""Synthetic cluster generators and metric-vs-parameter sweeps.
+"""Synthetic metric-vs-parameter sweeps.
 
 Four scenarios probe how the metrics respond to controlled changes of an
 isotropic Gaussian blob:
@@ -8,11 +8,12 @@ isotropic Gaussian blob:
 * ``outliers`` -- add points drawn uniformly from a far sphere shell.
 * ``subclusters`` -- split the budget into k blobs spaced along axis 0.
 
-``run_scenario`` walks the sweep ``SWEEPS[kind]`` and returns one metric
-report per sweep value, raising at the first row that cannot be built.
-Every down-sampling row is a subset of one base blob, so all of them are
-reported from one shared pairwise pass (``metrics.metric_reports``); the
-other kinds build a new cluster per row.
+``run_scenario`` is the one public route to synthetic points. It checks
+its arguments before it draws anything, walks the sweep ``SWEEPS[kind]``
+and returns one metric report per sweep value. Every down-sampling row is
+a subset of one base blob, so all of them are reported from one shared
+pairwise pass (``metrics.metric_reports``); the other kinds build a new
+cluster per row.
 
 Reproducibility contract: all draws use numpy's PCG64 ``default_rng``. A
 generator seeded with ``s`` fills its matrix with one row-major ``normal``
@@ -29,13 +30,7 @@ import numpy as np
 from .errors import DegenerateInput
 from .metrics import MetricReport, metric_report, metric_reports
 
-__all__ = [
-    "SWEEPS",
-    "gaussian_blob",
-    "run_scenario",
-    "sphere_points",
-    "sub_clusters",
-]
+__all__ = ["SWEEPS", "run_scenario"]
 
 # The sweep of each scenario kind, base value first so every row can be
 # compared against the unmodified blob.
@@ -50,20 +45,6 @@ SWEEPS = {
 # of the blob's unit per-axis spread: far outside the 3-sigma shell in low
 # and high dimension alike, so the perturbations are unambiguous.
 DEFAULT_SCALE_FACTOR = 10.0
-
-
-def _check_shape(count: int, dim: int) -> None:
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-
-
-def gaussian_blob(count: int, dim: int, seed=0) -> np.ndarray:
-    """Isotropic standard Gaussian blob: ``count`` points in ``dim``
-    dimensions, unit spread on every axis; bitwise deterministic per seed."""
-    _check_shape(count, dim)
-    return np.random.default_rng(seed).normal(0.0, 1.0, size=(count, dim))
 
 
 def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
@@ -88,18 +69,12 @@ def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
     return _sorted_draw(np.random.default_rng(seed), m, keep)
 
 
-def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
+def _sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
     """``n`` points uniform on the sphere of the given radius.
 
     Gaussian draws normalized to the radius; rows that would have zero norm
     (astronomically rare) are redrawn.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, dim))
     norms = np.linalg.norm(points, axis=1)
@@ -109,20 +84,12 @@ def sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
     return points * (radius / norms)[:, None]
 
 
-def sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarray:
+def _sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarray:
     """``k`` equal unit-spread blobs with centers at ``(i * spacing, 0, ..., 0)``.
 
     When ``total`` is not divisible by ``k`` the first clusters take the
     remainder, one extra point each.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if total < k:
-        raise ValueError(f"total ({total}) must be >= k ({k})")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not math.isfinite(spacing):
-        raise ValueError(f"spacing must be finite, got {spacing}")
     rng = np.random.default_rng(seed)
     size, rem = divmod(total, k)
     parts = []
@@ -138,18 +105,37 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
                  spacing: float = DEFAULT_SCALE_FACTOR) -> tuple[MetricReport, ...]:
     """One metric report per value of ``SWEEPS[kind]``, in sweep order.
 
-    ``kind`` is a key of ``SWEEPS``. The base blob of ``points`` points is
-    generated once for the kinds that modify it, down-sampling and
-    outliers; down-sampling rows share one pairwise pass over it, and an
-    outlier row appends its shell points to it. The first row that cannot
-    be built raises.
+    ``kind`` is a key of ``SWEEPS``. Every argument is checked before
+    anything is drawn; these raise ValueError, in this order: ``points``
+    below 1 (``count must be >= 1``), ``dim`` below 1, the one scale that
+    the kind reads (an ``outlier_radius`` that is not finite and > 0 for
+    ``outliers``, a ``spacing`` that is not finite for ``subclusters``; the
+    other is ignored), and for ``subclusters`` fewer ``points`` than a
+    sub-cluster count of the sweep.
+
+    The base blob ``default_rng(seed).normal(0.0, 1.0, (points, dim))`` is
+    drawn once for the kinds that modify it, down-sampling and outliers:
+    down-sampling rows share one pairwise pass over it, and an outlier row
+    appends its shell points to it. A down-sampling fraction that keeps no
+    point raises ``DegenerateInput`` before the pass.
     """
     if kind not in SWEEPS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     sweep = SWEEPS[kind]
-    _check_shape(points, dim)
+    if points < 1:
+        raise ValueError(f"count must be >= 1, got {points}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if kind == "outliers" and not (math.isfinite(outlier_radius) and outlier_radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {outlier_radius}")
+    if kind == "subclusters":
+        if not math.isfinite(spacing):
+            raise ValueError(f"spacing must be finite, got {spacing}")
+        too_many = [k for k in sweep if k > points]
+        if too_many:
+            raise ValueError(f"total ({points}) must be >= k ({too_many[0]})")
     if kind in ("downsample", "outliers"):
-        base = gaussian_blob(points, dim, seed)
+        base = np.random.default_rng(seed).normal(0.0, 1.0, size=(points, dim))
     streams = [np.random.SeedSequence([seed, index]) for index in range(len(sweep))]
     if kind == "downsample":
         subsets = [_sample_rows(points, value, stream)
@@ -162,8 +148,8 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
             cluster = rng.normal(0.0, value, size=(points, dim))
         elif kind == "outliers":
             cluster = base if value == 0 else np.vstack(
-                [base, sphere_points(value, dim, outlier_radius, stream)])
+                [base, _sphere_points(value, dim, outlier_radius, stream)])
         else:
-            cluster = sub_clusters(value, points, dim, spacing, stream)
+            cluster = _sub_clusters(value, points, dim, spacing, stream)
         reports.append(metric_report(cluster))
     return tuple(reports)

@@ -160,7 +160,7 @@ _BLOBS: dict[int, np.ndarray] = {}
 
 def _blob_10k(dim: int) -> np.ndarray:
     if dim not in _BLOBS:
-        _BLOBS[dim] = simulation.gaussian_blob(10_000, dim, 101)
+        _BLOBS[dim] = np.random.default_rng(101).normal(0.0, 1.0, size=(10_000, dim))
     return _BLOBS[dim]
 
 
@@ -238,7 +238,7 @@ def test_criterion_5_homogeneity_stability_and_trends():
     down_worst = 0.0
     bases = {}
     for dim in (2, 768):
-        base = simulation.gaussian_blob(2000, dim, 11)
+        base = np.random.default_rng(11).normal(0.0, 1.0, size=(2000, dim))
         bases[dim] = base
         h_full = h_of(base)
         for i, fraction in enumerate(_FRACTIONS):
@@ -261,9 +261,9 @@ def test_criterion_5_homogeneity_stability_and_trends():
     outlier_notes = []
     for dim in (2, 768):
         h0 = h_of(bases[dim])
-        h50 = h_of(np.vstack([bases[dim], simulation.sphere_points(
+        h50 = h_of(np.vstack([bases[dim], simulation._sphere_points(
             50, dim, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 1]))]))
-        h500 = h_of(np.vstack([bases[dim], simulation.sphere_points(
+        h500 = h_of(np.vstack([bases[dim], simulation._sphere_points(
             500, dim, _OUTLIER_SHELL, np.random.SeedSequence([13, dim, 2]))]))
         dip_rise &= h50 < h0 < 1.0 and h500 > h50
         outlier_notes.append(
@@ -273,13 +273,13 @@ def test_criterion_5_homogeneity_stability_and_trends():
     # (d) monotone decrease over sub-cluster counts, high-dimensional regime.
     counts = simulation.SWEEPS["subclusters"]
     hs_768 = [
-        h_of(simulation.sub_clusters(
+        h_of(simulation._sub_clusters(
             k, 2000, 768, 10.0, np.random.SeedSequence([14, k])))
         for k in counts
     ]
     rho = float(sps.spearmanr(counts, hs_768)[0])
     hs_2 = [
-        h_of(simulation.sub_clusters(
+        h_of(simulation._sub_clusters(
             k, 2000, 2, 10.0, np.random.SeedSequence([15, k])))
         for k in counts
     ]

@@ -55,10 +55,14 @@ def test_simulate_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_writes_svg_chart(tmp_path):
+@pytest.mark.parametrize("scenario, flags", [
+    ("downsample", []), ("spread", []), ("outliers", ["--radius", "200"]),
+    ("subclusters", ["--spacing", "2.5"]),
+], ids=["downsample", "spread", "outliers", "subclusters"])
+def test_simulate_writes_svg_chart(tmp_path, scenario, flags):
     svg_path = tmp_path / "chart.svg"
-    assert cli.main(["simulate", "--scenario", "downsample", "--dims", "2",
-                     "--seed", "2", "--points", "80", "--out", str(tmp_path / "r.csv"),
+    assert cli.main(["simulate", "--scenario", scenario, "--dims", "4", "--points", "50",
+                     *flags, "--out", str(tmp_path / "r.csv"),
                      "--svg", str(svg_path)]) == 0
     text = svg_path.read_text()
     assert text.startswith("<svg ")

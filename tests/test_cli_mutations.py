@@ -521,6 +521,13 @@ def _with(path, value):
                  id="homogeneity-boolean"),
     pytest.param(_with((1, "final", "diversity"), [1]), _SCORES,
                  "sweep.json: row 2: 'diversity' is a list, not a number", id="diversity-list"),
+] + [
+    # Only homogeneity may be null; any other present key must be a number.
+    pytest.param(_with((1, *path), None), _SCORES,
+                 f"sweep.json: row 2: {path[-1]!r} is null, not a number",
+                 id=f"{path[-1]}-null")
+    for path in (("fraction",), ("size",), ("final", "diversity"), ("final", "density"),
+                 ("final", "density_log"))
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     # A string is the sweep document's raw text. A message names the file it
@@ -778,8 +785,15 @@ def test_text_that_is_not_utf8_names_file_and_line(kind):
     (["profile", "--input", "nope.jsonl", "--format", "jsonl", "--fractions", raw], 1,
      f"textchar: error: cannot parse fraction list {raw!r}")
     for raw in ("1.0,,0.5", "1.0,0.5,", ",1.0")
+] + [
+    # The chart is written after the CSV; a chart that cannot be written
+    # takes the CSV with it.
+    (["simulate", "--scenario", "downsample", "--dims", "2", "--points", "20",
+      "--svg", "nodir/chart.svg"], 1,
+     "textchar: error: [Errno 2] No such file or directory: 'nodir/chart.svg'"),
 ], ids=["bogus-scenario", "cap-2", "cap-0", "cap--3", "dims-0", "missing-input",
-        "fractions-empty-entry", "fractions-trailing-comma", "fractions-leading-comma"])
+        "fractions-empty-entry", "fractions-trailing-comma", "fractions-leading-comma",
+        "svg-in-missing-directory"])
 def test_bad_arguments_name_the_fault(argv, code, message, tmp_path, monkeypatch):
     # The paths name files of an empty directory.
     monkeypatch.chdir(tmp_path)

@@ -151,11 +151,13 @@ def test_read_sweep_reads_back_the_finals_of_profile(tmp_path):
     sweep = analysis.downsample_sweep(collection, [1.0, 0.5], homogeneity_cap=3)
     assert list(io.read_sweep(out).items()) == [(p.fraction, p.final) for p in sweep]
     assert sweep[0].final.homogeneity is not None and sweep[1].final.homogeneity_skipped
-    # Only diversity and density are required.
-    out.write_text(json.dumps([{"fraction": 1.0, "final": {"diversity": 1, "density": 2}}]))
-    (bare,) = io.read_sweep(out).values()
-    assert (bare.diversity, bare.density) == (1.0, 2.0) and math.isnan(bare.density_log)
-    assert bare.homogeneity is None and bare.homogeneity_skipped == ()
+    # Only diversity and density are required, and only homogeneity may be null.
+    for extra in ({}, {"homogeneity": None}):
+        final = {"diversity": 1, "density": 2, **extra}
+        out.write_text(json.dumps([{"fraction": 1.0, "final": final}]))
+        (bare,) = io.read_sweep(out).values()
+        assert (bare.diversity, bare.density) == (1.0, 2.0) and math.isnan(bare.density_log)
+        assert bare.homogeneity is None and bare.homogeneity_skipped == ()
 
 
 def test_read_scores_aligns_rows_to_the_sweep(tmp_path):

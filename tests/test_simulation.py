@@ -8,35 +8,7 @@ from textchar.errors import DegenerateInput
 from textchar.metrics import MetricReport, metric_report
 
 
-def test_blob_is_deterministic_per_seed():
-    assert np.array_equal(sim.gaussian_blob(500, 8, 123), sim.gaussian_blob(500, 8, 123))
-    assert not np.array_equal(sim.gaussian_blob(500, 8, 123),
-                              sim.gaussian_blob(500, 8, 124))
-
-
-def test_blob_sample_statistics():
-    pts = sim.gaussian_blob(10_000, 2, 42)
-    assert np.abs(pts.std(axis=0) - 1.0).max() <= 0.03
-    assert np.abs(pts.mean(axis=0)).max() <= 0.05
-
-
-def test_blob_diversity_in_768_dims():
-    pts = sim.gaussian_blob(10_000, 768, 42)
-    assert spread_report(pts).diversity == pytest.approx(1.0, rel=0.03)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(count=0, dim=2),
-    dict(count=10, dim=0),
-])
-def test_gaussian_blob_validation(kwargs):
-    with pytest.raises(ValueError, match="^(count|dim) must be >= 1, got 0$"):
-        sim.gaussian_blob(**kwargs)
-
-
-# --- down-sampling ---------------------------------------------------------
-
-def _downsample_draws(monkeypatch, points, seed):
+def _downsample_draws(monkeypatch, points, seed, dim=2):
     """The base blob and the row subsets that the downsample scenario hands
     to its one shared pass, in sweep order."""
     calls = []
@@ -46,10 +18,37 @@ def _downsample_draws(monkeypatch, points, seed):
         return []
 
     monkeypatch.setattr(sim, "metric_reports", record)
-    sim.run_scenario("downsample", dim=2, points=points, seed=seed)
+    sim.run_scenario("downsample", dim=dim, points=points, seed=seed)
     (base, subsets), = calls
     return base, subsets
 
+
+def _blob(points, dim, seed):
+    """The base blob of the generator contract: one row-major normal fill."""
+    return np.random.default_rng(seed).normal(0.0, 1.0, size=(points, dim))
+
+
+def test_blob_is_deterministic_per_seed(monkeypatch):
+    def base(seed):
+        return _downsample_draws(monkeypatch, 500, seed, dim=8)[0]
+
+    assert np.array_equal(base(123), base(123))
+    assert np.array_equal(base(123), _blob(500, 8, 123))
+    assert not np.array_equal(base(123), base(124))
+
+
+def test_blob_sample_statistics(monkeypatch):
+    pts, _ = _downsample_draws(monkeypatch, 10_000, 42)
+    assert np.abs(pts.std(axis=0) - 1.0).max() <= 0.03
+    assert np.abs(pts.mean(axis=0)).max() <= 0.05
+
+
+def test_blob_diversity_in_768_dims(monkeypatch):
+    pts, _ = _downsample_draws(monkeypatch, 10_000, 42, dim=768)
+    assert spread_report(pts).diversity == pytest.approx(1.0, rel=0.03)
+
+
+# --- down-sampling ---------------------------------------------------------
 
 def test_down_sample_exact_size(monkeypatch):
     _, subsets = _downsample_draws(monkeypatch, 10_000, seed=0)
@@ -67,7 +66,7 @@ def test_down_sample_rounds_half_up(monkeypatch):
 def test_down_sample_full_fraction_is_identity(monkeypatch):
     base, subsets = _downsample_draws(monkeypatch, 50, seed=9)
     assert np.array_equal(subsets[0], np.arange(50))
-    assert np.array_equal(base, sim.gaussian_blob(50, 2, 9))
+    assert np.array_equal(base, _blob(50, 2, 9))
 
 
 def test_down_sample_returns_subset_in_original_order(monkeypatch):
@@ -92,14 +91,14 @@ def test_down_sample_empty_result():
 # --- sphere points -----------------------------------------------------------
 
 def test_sphere_points_have_exact_radius():
-    pts = sim.sphere_points(500, 2, radius=3.5, seed=11)
+    pts = sim._sphere_points(500, 2, radius=3.5, seed=11)
     norms = np.linalg.norm(pts, axis=1)
     assert np.abs(norms / 3.5 - 1.0).max() <= 1e-9
 
 
 def test_sphere_points_angular_uniformity():
     # Chi-square over 16 angular bins; threshold is ppf(0.99, 15).
-    pts = sim.sphere_points(1000, 2, radius=1.0, seed=13)
+    pts = sim._sphere_points(1000, 2, radius=1.0, seed=13)
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     counts, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
     chi2 = ((counts - 62.5) ** 2 / 62.5).sum()
@@ -109,26 +108,21 @@ def test_sphere_points_angular_uniformity():
 
 
 def test_sphere_points_mean_concentrates_in_high_dims():
-    pts = sim.sphere_points(1000, 768, radius=10.0, seed=17)
+    pts = sim._sphere_points(1000, 768, radius=10.0, seed=17)
     # mean norm ~ radius / sqrt(n) ~ 0.32, far below the loose cap
     assert np.linalg.norm(pts.mean(axis=0)) < 1.5
 
 
 def test_sphere_points_determinism_and_validation():
-    assert np.array_equal(sim.sphere_points(10, 3, 1.0, seed=5),
-                          sim.sphere_points(10, 3, 1.0, seed=5))
-    with pytest.raises(ValueError):
-        sim.sphere_points(0, 3, 1.0, seed=5)
-    with pytest.raises(ValueError):
-        sim.sphere_points(10, 3, 0.0, seed=5)
-    # The outliers scenario draws its shell through sphere_points.
+    assert np.array_equal(sim._sphere_points(10, 3, 1.0, seed=5),
+                          sim._sphere_points(10, 3, 1.0, seed=5))
+    # The outliers scenario checks the width and radius of its shell first.
     for dim, radius, message in [
         (0, 1.0, "dim must be >= 1, got 0"),
+        (2, 0.0, "radius must be finite and > 0, got 0.0"),
         (2, float("inf"), "radius must be finite and > 0, got inf"),
         (2, float("nan"), "radius must be finite and > 0, got nan"),
     ]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            sim.sphere_points(3, dim, radius, seed=0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             sim.run_scenario("outliers", dim, points=4, outlier_radius=radius)
 
@@ -140,7 +134,7 @@ def test_add_outliers_appends_shell_points(monkeypatch):
     clusters = []
     monkeypatch.setattr(sim, "metric_report", clusters.append)
     sim.run_scenario("outliers", dim=2, points=100, seed=19)
-    base = sim.gaussian_blob(100, 2, 19)
+    base = _blob(100, 2, 19)
     assert len(clusters) == len(sim.SWEEPS["outliers"])
     for count, grown in zip(sim.SWEEPS["outliers"], clusters):
         assert grown.shape == (100 + count, 2)
@@ -156,11 +150,11 @@ def test_add_outliers_zero_count_copies(monkeypatch):
     sim.run_scenario("outliers", dim=2, points=10, seed=19)
     assert sim.SWEEPS["outliers"][0] == 0
     assert clusters[0].shape == (10, 2)
-    assert np.array_equal(clusters[0], sim.gaussian_blob(10, 2, 19))
+    assert np.array_equal(clusters[0], _blob(10, 2, 19))
 
 
 def test_sub_clusters_sizes_and_centers():
-    pts = sim.sub_clusters(3, 10, dim=2, spacing=1e6, seed=23)
+    pts = sim._sub_clusters(3, 10, dim=2, spacing=1e6, seed=23)
     assert pts.shape == (10, 2)
     # huge spacing makes assignment to the nearest center unambiguous
     assignment = np.round(pts[:, 0] / 1e6).astype(int)
@@ -168,34 +162,37 @@ def test_sub_clusters_sizes_and_centers():
 
 
 def test_sub_clusters_equal_split():
-    pts = sim.sub_clusters(10, 10_000, dim=2, spacing=1e6, seed=29)
+    pts = sim._sub_clusters(10, 10_000, dim=2, spacing=1e6, seed=29)
     assignment = np.round(pts[:, 0] / 1e6).astype(int)
     assert np.bincount(assignment, minlength=10).tolist() == [1000] * 10
 
 
 def test_sub_clusters_offsets_only_first_axis():
-    pts = sim.sub_clusters(4, 4000, dim=3, spacing=50.0, seed=31)
+    pts = sim._sub_clusters(4, 4000, dim=3, spacing=50.0, seed=31)
     means = pts.mean(axis=0)
     assert means[0] == pytest.approx(75.0, abs=1.0)   # mean of 0,50,100,150
     assert np.abs(means[1:]).max() <= 0.2
 
 
 def test_sub_clusters_single_is_plain_blob():
-    pts = sim.sub_clusters(1, 200, dim=2, spacing=10.0, seed=37)
+    pts = sim._sub_clusters(1, 200, dim=2, spacing=10.0, seed=37)
     assert pts.shape == (200, 2)
     assert np.abs(pts.mean(axis=0)).max() <= 0.3
 
 
 def test_sub_clusters_validation():
-    with pytest.raises(ValueError):
-        sim.sub_clusters(0, 10, 2, 10.0, seed=0)
-    with pytest.raises(ValueError):
-        sim.sub_clusters(5, 4, 2, 10.0, seed=0)
+    # The subclusters scenario checks its width, spacing and budget first.
     with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
-        sim.sub_clusters(2, 4, 0, 1.0, seed=0)
+        sim.run_scenario("subclusters", dim=0, points=4, spacing=1.0)
     for spacing in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match=f"^spacing must be finite, got {spacing}$"):
-            sim.sub_clusters(2, 4, 2, spacing, seed=0)
+            sim.run_scenario("subclusters", dim=2, points=4, spacing=spacing)
+    with pytest.raises(ValueError, match=r"^total \(4\) must be >= k \(5\)$"):
+        sim.run_scenario("subclusters", dim=2, points=4)
+    # A scale that the kind does not read is ignored.
+    nan = float("nan")
+    assert len(sim.run_scenario("subclusters", dim=2, points=10, outlier_radius=nan)) == 10
+    assert len(sim.run_scenario("outliers", dim=2, points=10, spacing=nan)) == 11
 
 
 # --- scenario runs -----------------------------------------------------------
@@ -227,29 +224,48 @@ def test_run_scenario_is_deterministic():
 
 
 def test_run_scenario_raises_before_the_pass(monkeypatch):
-    # Every subset is drawn before the shared pass, so a fraction that
-    # rounds to 0 raises without paying for the pass.
+    # Every argument is checked, and every subset drawn, before the first
+    # pass, so a bad one raises without paying for any.
     def never(*args, **kwargs):
-        raise AssertionError("metric_reports called")
+        raise AssertionError("metric pass called")
 
     monkeypatch.setattr(sim, "metric_reports", never)
+    monkeypatch.setattr(sim, "metric_report", never)
     with pytest.raises(DegenerateInput, match="rounds to 0"):
         sim.run_scenario("downsample", dim=2, points=3, seed=1)
+    for radius in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^radius must be finite and > 0, got {radius}$"):
+            sim.run_scenario("outliers", 768, outlier_radius=radius)
+    with pytest.raises(ValueError, match="^spacing must be finite, got nan$"):
+        sim.run_scenario("subclusters", dim=2, points=10, spacing=float("nan"))
+    with pytest.raises(ValueError, match=r"^total \(5\) must be >= k \(6\)$"):
+        sim.run_scenario("subclusters", dim=2, points=5)
 
 
 def test_run_scenario_draws_no_base_blob_it_does_not_read(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("gaussian_blob called")
+    # The base blob is the one draw from a generator seeded with the seed
+    # itself; the rows of spread and subclusters draw from their own streams.
+    seeds = []
+    default_rng = np.random.default_rng
 
-    monkeypatch.setattr(sim, "gaussian_blob", never)
-    for kind in ("spread", "subclusters"):
-        assert len(sim.run_scenario(kind, dim=2, points=30)) == len(sim.SWEEPS[kind])
+    def record(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", record)
+    for kind in sim.SWEEPS:
+        seeds.clear()
+        assert len(sim.run_scenario(kind, dim=2, points=30, seed=4)) == len(sim.SWEEPS[kind])
+        plain = [seed for seed in seeds if not isinstance(seed, np.random.SeedSequence)]
+        assert plain == ([4] if kind in ("downsample", "outliers") else []), kind
     # Every kind checks the sizes before it draws anything.
+    seeds.clear()
     for kind in sim.SWEEPS:
         with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
             sim.run_scenario(kind, dim=2, points=0)
         with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
             sim.run_scenario(kind, dim=0, points=10)
+    assert seeds == []
 
 
 def test_down_sampling_rows_reuse_base_blob(monkeypatch):
@@ -293,8 +309,8 @@ def test_outlier_radius_defaults_to_ten_sigma():
     explicit = sim.run_scenario("outliers", dim=2, points=50, seed=13, outlier_radius=10.0)
     assert [r.to_dict() for r in implicit] == [r.to_dict() for r in explicit]
     # and the defaulted cluster is reproducible by hand
-    base = sim.gaussian_blob(50, 2, 13)
-    shell = sim.sphere_points(50, 2, 10.0, np.random.SeedSequence([13, 1]))
+    base = _blob(50, 2, 13)
+    shell = sim._sphere_points(50, 2, 10.0, np.random.SeedSequence([13, 1]))
     assert implicit[1].to_dict() == metric_report(np.vstack([base, shell])).to_dict()
 
 
