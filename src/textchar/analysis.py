@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import DegenerateInput, InconsistentClassSize
-from .metrics import MetricReport, metric_reports
+from .metrics import MetricReport, _as_cluster, _reports
 from .simulation import _sample_rows, _sorted_draw
 
 if TYPE_CHECKING:
@@ -146,23 +146,29 @@ class _Plan(NamedTuple):
     groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
 
 
-def _plan(kept: dict[tuple[str, str], np.ndarray], cap: int | None,
-          seed: int) -> _Plan:
-    """Plan the profile of the ``kept`` rows of each (label, layer) group,
-    listed in profile order. Every layer of a class must keep as many rows,
-    and a group of more than ``cap`` rows gets its homogeneity rows from
-    ``SeedSequence([seed, g])``, ``g`` being its position in ``kept``; both
-    checks and draws precede every report."""
+def _plan(kept: dict[tuple[str, str], np.ndarray],
+          group_rows: dict[tuple[str, str], list[int]], cap: int | None, seed: int) -> _Plan:
+    """Plan the profile of the ``kept`` rows of every (label, layer) group,
+    given as positions within its ``group_rows``. Every layer of a class
+    must keep as many rows, a layer that keeps none counting 0. The groups
+    are then listed in profile order, that of their first kept row, and a
+    group of more than ``cap`` rows gets its homogeneity rows from
+    ``SeedSequence([seed, g])``, ``g`` being its position in that order;
+    both checks and draws precede every report."""
     if not kept:
         raise ValueError("no groups to profile")
-    class_sizes: dict[str, int] = {}
+    sizes: dict[str, int] = {}
     for (label, layer), rows in kept.items():
-        if class_sizes.setdefault(label, len(rows)) != len(rows):
+        if sizes.setdefault(label, len(rows)) != len(rows):
             raise InconsistentClassSize(
                 f"class {label!r} has {len(rows)} points in layer {layer!r} but "
-                f"{class_sizes[label]} elsewhere")
+                f"{sizes[label]} elsewhere")
+    # Every class keeps a unit, so after the check every group keeps a row.
+    order = sorted(kept, key=lambda key: group_rows[key][kept[key][0]])
+    class_sizes = {label: sizes[label] for label, _ in order}
     groups = {}
-    for g, (key, rows) in enumerate(kept.items()):
+    for g, key in enumerate(order):
+        rows = kept[key]
         if cap is not None and len(rows) > cap:
             rng = np.random.default_rng(np.random.SeedSequence([seed, g]))
             groups[key] = rows, rows[_sorted_draw(rng, len(rows), cap)]
@@ -201,11 +207,13 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     kept row, and a group of more than ``homogeneity_cap`` rows gets its
     homogeneity from ``homogeneity_cap`` of them, drawn with
     ``SeedSequence([seed, g])``, ``g`` being the group's position in that
-    list. The cap is None or an integer of at least 3. Then each group, in
-    record order, gets one ``metric_reports`` call, so one pairwise pass
-    serves it at every fraction, and only that group's rows are copied
-    while it is reported on. Each fraction's reports are averaged over the
-    layers of each class, then over classes weighted by class size.
+    list. The cap is None or an integer of at least 3. A class whose layers
+    keep different row counts (none, say) raises InconsistentClassSize.
+    Then each group, in record order, is copied and validated once and gets
+    one ``metrics._reports`` call on the positions planned here, as
+    ``metric_reports`` does after checking its subsets, so one pairwise
+    pass serves it at every fraction. Each fraction's reports are averaged
+    over the layers of each class, then over classes weighted by class size.
     """
     fractions = [float(f) for f in fractions]
     if not fractions:
@@ -245,21 +253,16 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         kept_units = _kept_units(units_by_class, len(unit_numbers), fraction, rng)
         kept = {key: np.flatnonzero(kept_units[units])
                 for key, units in group_units.items()}
-        # Groups in order of their first kept row, as grouping the kept rows
-        # in record order would list them.
-        order = sorted((key for key, idx in kept.items() if len(idx)),
-                       key=lambda key: group_rows[key][kept[key][0]])
-        plans.append(_plan({key: kept[key] for key in order}, homogeneity_cap, seed))
+        plans.append(_plan(kept, group_rows, homogeneity_cap, seed))
         sizes.append(int(kept_units.sum()))
 
+    # Every plan holds every group; its sorted positions need no check.
     reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
     for key, rows in group_rows.items():
-        at = [i for i, plan in enumerate(plans) if key in plan.groups]
-        if not at:
-            continue
-        subsets, hom_subsets = zip(*(plans[i].groups[key] for i in at))
-        reports.update(zip([(i, key) for i in at], metric_reports(
-            embeddings.vectors[rows], subsets, homogeneity_subsets=hom_subsets)))
+        subsets, hom_subsets = zip(*(plan.groups[key] for plan in plans))
+        cluster = _as_cluster(embeddings.vectors[rows])
+        for i, report in enumerate(_reports(cluster, subsets, hom_subsets)):
+            reports[i, key] = report
     return [_profile(fraction, size, {key: reports[i, key] for key in plan.groups},
                      plan.class_sizes, homogeneity_cap)
             for i, (fraction, size, plan) in enumerate(zip(fractions, sizes, plans))]

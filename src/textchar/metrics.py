@@ -46,6 +46,8 @@ DEFAULT_STD_FLOOR = 1e-12
 # 1.1 MiB, are the working memory beyond two ``m x (H + 2)`` operands,
 # whatever m is. The width is fixed so that reruns sum in the same order.
 _BLOCK_ROWS = 256
+# The diagonal and below of a full diagonal tile; a smaller one takes a corner.
+_LOWER = np.tri(_BLOCK_ROWS, dtype=bool)
 
 
 def _as_cluster(vectors) -> np.ndarray:
@@ -178,7 +180,6 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.nd
     np.multiply(centered, -2.0, out=right[:, :dim])
     strengths = np.zeros(members.shape)
     w_log_w = np.zeros(members.shape)
-    tri = np.tri(_BLOCK_ROWS, dtype=bool)
     most = min(_BLOCK_ROWS, m) ** 2
     log_buf, weight_buf, zero_buf = np.empty(most), np.empty(most), np.empty(most, dtype=bool)
     for s in range(0, m, _BLOCK_ROWS):
@@ -195,7 +196,7 @@ def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.nd
             if u == s:
                 # The diagonal and below of a diagonal tile: self-loops, and
                 # pairs the tile already holds above the diagonal.
-                zero |= tri[:shape[0], :shape[1]]
+                zero |= _LOWER[:shape[0], :shape[1]]
             # ln 1 = 0 keeps the masked entries finite; their weight is reset below.
             np.copyto(log_w, 1.0, where=zero)
             np.log(log_w, out=log_w)
@@ -299,13 +300,17 @@ def entropy_rate(cluster) -> MarkovChainSummary:
 def _reports(arr: np.ndarray, rows: list[np.ndarray],
              hom_rows: list[np.ndarray]) -> list[MetricReport]:
     """Report of each validated row subset ``rows[f]`` of a validated
-    cluster, homogeneity computed on its subset ``hom_rows[f]``. Every
-    ``MetricReport`` is built here; all homogeneity subsets share one pass.
+    cluster, homogeneity computed on its subset ``hom_rows[f]`` (a shorter
+    one adds the note ``homogeneity computed on {cap} of {m} points``).
+    Every ``MetricReport`` is built here; all homogeneity subsets share one
+    pass, which covers only the rows they hold.
 
     Every subset's per-axis standard deviations are computed before that
     pass, so their numpy work does not run while BLAS worker threads still
     spin after the pass's last products; the bits are the same in either
-    order. The cluster is validated once, by the caller.
+    order. Callers validate once: ``metric_report`` and ``metric_reports``
+    the cluster and subsets, ``analysis.downsample_sweep`` each group's copy
+    (its subsets are the sorted positions it planned).
     """
     # The whole cluster goes in as the array itself: numpy's axis-0 sums
     # depend on memory layout, so a C-order copy could change their bits.
@@ -370,7 +375,7 @@ def _row_subset(subset, m: int) -> np.ndarray:
     )
 
 
-def metric_reports(cluster, subsets, homogeneity_subsets=None) -> list[MetricReport]:
+def metric_reports(cluster, subsets) -> list[MetricReport]:
     """One metric report per row subset of a cluster, from one pairwise pass.
 
     Each subset is a strictly increasing integer array of row indices;
@@ -390,20 +395,7 @@ def metric_reports(cluster, subsets, homogeneity_subsets=None) -> list[MetricRep
     subset of rows 0-18 gets homogeneity 0.6423 here against 0.9967 from
     ``metric_report``. Exact distances for such entries are an open item
     (ROADMAP item 3).
-
-    ``homogeneity_subsets``, when given, holds one strictly increasing
-    subset of each row subset (anything else raises ValueError), and
-    homogeneity is computed on it instead: a shorter one yields the
-    homogeneity, skip reason and notes of ``metric_report`` on those rows,
-    plus the note ``homogeneity computed on {cap} of {m} points``. The pass
-    covers only the rows some homogeneity subset holds.
     """
     arr = _as_cluster(cluster)
     rows = [_row_subset(subset, arr.shape[0]) for subset in subsets]
-    if homogeneity_subsets is None:
-        return _reports(arr, rows, rows)
-    hom_rows = [_row_subset(subset, arr.shape[0]) for subset in homogeneity_subsets]
-    if (len(hom_rows) != len(rows)
-            or not all(np.isin(h, idx).all() for h, idx in zip(hom_rows, rows))):
-        raise ValueError("homogeneity_subsets must hold one subset of each row subset")
-    return _reports(arr, rows, hom_rows)
+    return _reports(arr, rows, rows)

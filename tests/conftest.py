@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from textchar.metrics import MetricReport, metric_report, metric_reports
+from textchar.metrics import MetricReport, _as_cluster, _reports, metric_report
 
 # One line per acceptance criterion, echoed after the test run so the
 # verdicts are visible without -s.
@@ -130,9 +130,8 @@ def spread_report(points) -> MetricReport:
     """``metric_report(points)`` without its O(m^2 H) pairwise pass:
     diversity, density and degenerate axes come out bitwise the same, and
     homogeneity is skipped on a 2-point homogeneity subset."""
-    pts = np.asarray(points)
-    (report,) = metric_reports(pts, [np.arange(len(pts))],
-                               homogeneity_subsets=[np.arange(2)])
+    pts = _as_cluster(points)
+    (report,) = _reports(pts, [np.arange(len(pts))], [np.arange(2)])
     return report
 
 

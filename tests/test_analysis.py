@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SNIPS_REFERENCE, SST2_REFERENCE, assert_same_report
-from textchar import analysis, io
+from textchar import analysis, io, metrics
 from textchar.errors import DegenerateInput, InconsistentClassSize
 from textchar.metrics import MetricReport, metric_report
 
@@ -52,6 +52,11 @@ def test_average_reports_skips_missing_homogeneity():
     ])
     assert agg.homogeneity == pytest.approx(0.8, abs=1e-15)
     assert agg.homogeneity_skipped == ("L2",)
+
+
+def test_average_reports_needs_a_report():
+    with pytest.raises(ValueError, match="^nothing to average$"):
+        analysis.average_reports([])
 
 
 def test_weighted_average_by_class_size():
@@ -263,6 +268,31 @@ def test_sweep_raises_when_class_empties():
         analysis.downsample_sweep(emb, [0.1], seed=0)
 
 
+@pytest.mark.parametrize("cap", [None, 3])
+def test_sweep_checks_no_subset_it_planned(monkeypatch, cap):
+    # The sweep builds its own sorted row subsets, so the public subset
+    # check of metric_reports never runs for it.
+    def refuse(subset, m):
+        raise AssertionError("the sweep re-validated a planned subset")
+
+    emb = two_class_embeddings(np.random.default_rng(15), n_per_class=12,
+                               layers=("L1", "L2"))
+    expected = [row.to_dict() for row in analysis.downsample_sweep(
+        emb, [1.0, 0.5, 0.25], seed=3, homogeneity_cap=cap)]
+    monkeypatch.setattr(metrics, "_row_subset", refuse)
+    got = analysis.downsample_sweep(emb, [1.0, 0.5, 0.25], seed=3, homogeneity_cap=cap)
+    assert [row.to_dict() for row in got] == expected
+
+
+def test_sweep_rejects_non_finite_vectors():
+    # A collection built in memory skips the readers' checks; the sweep's one
+    # check of each group's copy still refuses a NaN.
+    emb = two_class_embeddings(np.random.default_rng(16), n_per_class=5)
+    emb.vectors[7, 1] = np.nan
+    with pytest.raises(ValueError, match="^cluster contains non-finite values$"):
+        analysis.downsample_sweep(emb, [1.0, 0.5], seed=0)
+
+
 def _reference_sweep(emb, fractions, seed, cap):
     # One profile per fraction, drawn with the documented RNG calls: units
     # from SeedSequence([seed, i]) class by class, then each
@@ -323,6 +353,7 @@ def test_sweep_matches_per_fraction_reports(cap):
     for row, (size, reports) in zip(sweep, expected):
         assert row.size == size
         assert list(row.per_group) == list(reports)
+        assert list(row.class_sizes) == list(dict.fromkeys(label for label, _ in reports))
         for key, want in reports.items():
             assert_same_report(row.per_group[key], want)
     capped = [bool(want.notes) for _, reports in expected for want in reports.values()]

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from xml.etree import ElementTree
 from xml.sax import saxutils
 
@@ -82,6 +83,34 @@ def test_svg_escapes_markup_like_saxutils():
 def test_svg_omits_non_finite_values_like_none(value):
     panel = svg.line_chart("x", [0, 1, 2], [("density", [1.0, value, 2.0])])
     assert panel == svg.line_chart("x", [0, 1, 2], [("density", [1.0, None, 2.0])])
+
+
+@pytest.mark.parametrize("x_values, panels, message", [
+    ([], [("a", [])], "x_values must not be empty"),
+    ([0.0, 1.0], [], "at least one panel is required"),
+    ([0.0, 1.0], [("a", [1.0, 2.0]), ("b", [1.0])], "panel 'b' has 1 values for 2 x points"),
+], ids=["no-x-values", "no-panels", "short-panel"])
+def test_svg_rejects_malformed_charts(x_values, panels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        svg.line_chart("x", x_values, panels)
+
+
+def test_svg_pads_flat_ranges_and_marks_empty_panels():
+    # One x point and constant panels: each flat range is padded by 5% of
+    # its value (0.5 about zero) and the point drawn at its middle; a panel
+    # with no finite value gets the "no data" text and no line.
+    doc = ElementTree.fromstring(svg.line_chart(
+        "x", [1.0], [("a", [2.0]), ("b", [0.0]), ("c", [None])]))
+    ns = "{http://www.w3.org/2000/svg}"
+    texts = [el.text for el in doc.iter(f"{ns}text")]
+    assert texts == ["a", "2.1", "1.9", "b", "0.5", "-0.5", "c", "no data",
+                     "0.95", "1.05", "x"]
+    frames = [float(el.get("y")) for el in doc.iter(f"{ns}rect") if el.get("x")]
+    circles = list(doc.iter(f"{ns}circle"))
+    assert len(list(doc.iter(f"{ns}polyline"))) == len(circles) == 2
+    for top, circle in zip(frames, circles):
+        assert float(circle.get("cy")) == top + 75.0
+        assert float(circle.get("cx")) == (78 + 696) / 2
 
 
 def test_simulate_defaults_to_stdout(capsys):

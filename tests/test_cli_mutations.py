@@ -521,6 +521,10 @@ def _with(path, value):
                  id="homogeneity-boolean"),
     pytest.param(_with((1, "final", "diversity"), [1]), _SCORES,
                  "sweep.json: row 2: 'diversity' is a list, not a number", id="diversity-list"),
+    pytest.param([], _SCORES, "sweep.json: no sweep rows", id="no-sweep-rows"),
+    pytest.param(_SWEEP_ROWS, "fraction\n1.0\n0.5\n",
+                 "scores.csv, line 1: no score columns besides 'fraction'",
+                 id="no-score-columns"),
 ] + [
     # Only homogeneity may be null; any other present key must be a number.
     pytest.param(_with((1, *path), None), _SCORES,
@@ -592,8 +596,10 @@ def _broken_input(tmp: Path, kind: str, change) -> tuple[list[str], Path]:
     ("sidecar", [1], "line 2: expected an object with 'label'"),
     ("tokens", [[1e308, 0.5], [1e308, 0.5]],
      "line 2: record 's1' has a non-finite value on axis 0"),
+    ("jsonl", [[0.1, 0.2, 0.3]], "line 2: 'vector' must be a flat list of numbers"),
 ], ids=["sidecar-without-label", "no-tokens", "zero-width-token", "zero-width-tokens",
-        "vector-width", "token-width", "sidecar-not-an-object", "overflowing-mean"])
+        "vector-width", "token-width", "sidecar-not-an-object", "overflowing-mean",
+        "nested-vector"])
 def test_record_faults_name_file_and_line(kind, value, message):
     # Line 2 becomes the sidecar row given, or gets the vector or tokens given.
     def change(record):
@@ -649,6 +655,28 @@ def test_profile_rejects_zero_width_records(fmt, where):
         code, err = _run(["profile", "--input", str(src), "--format", fmt,
                           "--out", str(out)], [out])
         assert code == 1 and err == [f"textchar: error: {src}, {where}"], err
+
+
+# Two layers of class a in an id-less file: the six records are six units.
+_IDLESS_LAYERS = "".join(json.dumps({"label": "a", "layer": f"L{1 + i // 3}",
+                                     "vector": [float(i), float(i * i % 5), 0.5]}) + "\n"
+                         for i in range(6))
+
+
+@pytest.mark.parametrize("fmt, content, flags, message", [
+    ("csv", b"", [], "{src}, line 1: missing header row"),
+    ("binary", b"CMET\x01", [], "{src}, offset 5: file too short for a 16-byte header"),
+    # Fraction 0.34 keeps 2 units, at seed 1 both from layer L1.
+    ("jsonl", _IDLESS_LAYERS.encode(), ["--fractions", "1.0,0.34", "--seed", "1"],
+     "class 'a' has 0 points in layer 'L2' but 2 elsewhere"),
+], ids=["csv-empty", "binary-short-header", "layer-keeps-no-rows"])
+def test_profile_rejects_whole_file_faults(fmt, content, flags, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
+        src.write_bytes(content)
+        code, err = _run(["profile", "--input", str(src), "--format", fmt,
+                          "--out", str(out), *flags], [out])
+        assert code == 1 and err == [f"textchar: error: {message.format(src=src)}"], err
 
 
 @pytest.mark.parametrize("cell, fault", [

@@ -15,7 +15,7 @@ from conftest import (
     power_iteration_stationary,
     random_cluster,
 )
-from textchar import metrics
+from textchar import analysis, io, metrics
 from textchar.errors import DegenerateInput
 
 
@@ -50,8 +50,19 @@ def test_metric_reports_validate_the_cluster_once(monkeypatch):
     subsets = [np.arange(30), np.arange(0, 30, 2), np.arange(2), np.arange(5, 20)]
     metrics.metric_reports(pts, subsets)
     assert len(calls) == 1
-    metrics.metric_reports(pts, subsets, homogeneity_subsets=[s[:2] for s in subsets])
-    assert len(calls) == 2
+    # The sweep validates each group's copy once, whatever the fractions and
+    # the cap, and never again through a public entry.
+    monkeypatch.setattr(analysis, "_as_cluster", counted)
+    calls.clear()
+    keys = [(f"t{i}", label, layer) for label in ("a", "b", "c") for i in range(8)
+            for layer in ("L1", "L2")]
+    ids, labels, layers = (list(column) for column in zip(*keys))
+    emb = io.LabeledEmbeddings(np.random.default_rng(38).normal(size=(len(keys), 3)),
+                               ids, labels, layers)
+    for cap in (None, 3):
+        analysis.downsample_sweep(emb, [1.0, 0.5, 0.25], seed=2, homogeneity_cap=cap)
+        assert len(calls) == 6
+        calls.clear()
 
 
 def test_axis_stats_uses_population_divisor():
@@ -331,9 +342,8 @@ def test_chain_rows_never_receives_a_copy_pair(monkeypatch):
     monkeypatch.setattr(metrics, "_chain_rows", checked)
     metrics.metric_report(pts)
     metrics.metric_report(pts[:26])
-    metrics.metric_reports(pts, [np.arange(30), np.array([3, 7, 11, 25]), np.arange(20)],
-                           homogeneity_subsets=[np.arange(0, 30, 2), np.array([3, 7, 11, 25]),
-                                                np.arange(20)])
+    metrics._reports(pts, [np.arange(30), np.array([3, 7, 11, 25]), np.arange(20)],
+                     [np.arange(0, 30, 2), np.array([3, 7, 11, 25]), np.arange(20)])
     assert calls == [27, 23, 24]
 
 
@@ -605,9 +615,9 @@ def test_tiles_copy_pairs_match_brute_force(monkeypatch, block):
 
 
 def _capped_reference(cluster, idx):
-    # The capped group report as it was assembled field by field before
-    # metric_reports took homogeneity subsets: axis statistics from every
-    # row, homogeneity, reason and notes from the subsample plus a note.
+    # The capped group report assembled field by field: axis statistics
+    # from every row, homogeneity, reason and notes from the subsample plus
+    # a note.
     full = metrics.metric_report(cluster)
     if len(idx) == len(cluster):
         return full
@@ -636,7 +646,7 @@ def test_homogeneity_subsets_match_capped_reports():
         if m == 12:
             caps[1] = np.array([0, 2, 4, 9])  # a coincident subsample
             subsets[1] = np.arange(10)
-        reports = metrics.metric_reports(pts, subsets, homogeneity_subsets=caps)
+        reports = metrics._reports(pts, subsets, caps)
         for idx, cap, shared in zip(subsets, caps, reports):
             assert_same_report(shared, _capped_reference(pts[idx], np.searchsorted(idx, cap)))
     assert reports[1].homogeneity_skipped_reason.startswith("all 4 points coincide")
@@ -649,25 +659,11 @@ def test_homogeneity_subsets_pass_covers_only_their_rows():
     # homogeneity subset, so it must stay out of the pairwise pass.
     pts = np.random.default_rng(67).normal(size=(20, 768))
     pts[19, 0] = 1e47
-    full, first = metrics.metric_reports(
-        pts, [np.arange(20), np.arange(19)],
-        homogeneity_subsets=[np.arange(0, 19, 2), np.arange(1, 19, 2)])
+    full, first = metrics._reports(pts, [np.arange(20), np.arange(19)],
+                                   [np.arange(0, 19, 2), np.arange(1, 19, 2)])
     assert abs(full.homogeneity - homogeneity_of(pts[0:19:2])) <= 1e-12
     assert abs(first.homogeneity - homogeneity_of(pts[1:19:2])) <= 1e-12
     assert full.notes == ("homogeneity computed on 10 of 20 points",)
-
-
-@pytest.mark.parametrize("hom", [
-    [np.arange(12)],                        # one subset for two row subsets
-    [np.arange(12), np.arange(6)],          # row 5 is not in [0, 2, 4, 6]
-    [np.arange(12), np.array([2, 0, 4])],   # not increasing
-    [np.arange(12), np.array([], dtype=int)],
-])
-def test_homogeneity_subsets_are_validated(hom):
-    pts = np.random.default_rng(0).normal(size=(12, 3))
-    with pytest.raises(ValueError):
-        metrics.metric_reports(pts, [np.arange(12), np.array([0, 2, 4, 6])],
-                               homogeneity_subsets=hom)
 
 
 def _far_row(dim, value):
