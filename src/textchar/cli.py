@@ -19,14 +19,7 @@ from pathlib import Path
 from . import analysis, io, simulation, svg
 from .errors import TextcharError
 
-__all__ = [
-    "build_parser",
-    "cmd_correlate",
-    "cmd_pool",
-    "cmd_profile",
-    "cmd_simulate",
-    "main",
-]
+__all__ = ["main"]
 
 _SIM_COLUMNS = ("parameter", "diversity", "density", "density_log", "homogeneity")
 _CORRELATE_COLUMNS = ("metric", "score", "pearson_r", "n", "note")
@@ -83,7 +76,7 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> int:
     reports = simulation.run_scenario(
         args.scenario, dim=args.dims, points=args.points, seed=args.seed,
         outlier_radius=args.radius, spacing=args.spacing,
@@ -121,7 +114,7 @@ def _parse_fractions(raw: str) -> list[float]:
         raise ValueError(f"cannot parse fraction list {raw!r}") from None
 
 
-def cmd_profile(args) -> int:
+def _cmd_profile(args) -> int:
     # Without --fractions, the profile is the one-fraction sweep at 1.0.
     fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
     _require_inputs(args.input)
@@ -148,13 +141,13 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_pool(args) -> int:
+def _cmd_pool(args) -> int:
     _require_inputs(args.input)
     io.pool_token_file(args.input, args.out)
     return 0
 
 
-def cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> int:
     _require_inputs(args.metrics, args.scores)
     finals = io.read_sweep(args.metrics)
     scores = io.read_scores(args.scores, finals)
@@ -164,7 +157,7 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textchar",
         description="Characteristic metrics (diversity, density, homogeneity) "
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="outlier shell radius (outliers scenario)")
     sim.add_argument("--spacing", type=float, default=simulation.DEFAULT_SCALE_FACTOR,
                      help="sub-cluster center spacing (subclusters scenario)")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate)
 
     prof = sub.add_parser(
         "profile", help="profile a labeled vector file, optionally sweeping "
@@ -204,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="subsample classes larger than this for homogeneity")
     prof.add_argument("--out", default=None,
                       help="JSON output path (default: stdout)")
-    prof.set_defaults(func=cmd_profile)
+    prof.set_defaults(func=_cmd_profile)
 
     pool = sub.add_parser(
         "pool", help="mean-pool token-level vectors into one vector per sequence")
     pool.add_argument("--input", required=True, help="token-level jsonl file")
     pool.add_argument("--out", required=True, help="pooled jsonl output path")
-    pool.set_defaults(func=cmd_pool)
+    pool.set_defaults(func=_cmd_pool)
 
     corr = sub.add_parser(
         "correlate", help="correlate sweep metrics with external model scores")
@@ -220,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="CSV with a `fraction` column plus score columns")
     corr.add_argument("--out", default=None,
                       help="CSV output path (default: stdout)")
-    corr.set_defaults(func=cmd_correlate)
+    corr.set_defaults(func=_cmd_correlate)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TextcharError, OSError, ValueError) as exc:

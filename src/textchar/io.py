@@ -19,11 +19,13 @@ on-disk formats:
   order.
 
 Every JSON-lines record, a sidecar row too, needs a ``label``; a missing
-``id`` is ``"row-<n>"`` with ``n`` the 1-based record ordinal, and a
-missing ``layer`` is ``"default"``. The ``label``, ``id`` and ``layer``
-present must be JSON strings: ``null`` and ``"None"``, or ``1`` and
-``"1"``, are never read as one key. A ``vector`` or ``tokens`` holds JSON
-numbers only, never a string or ``true``.
+``layer`` is ``"default"``, and a missing ``id`` is ``"row-<n>"`` with
+``n`` the record's 1-based position among the records of its label and
+layer, so the n-th text of a class is one sampling unit at every layer.
+The ``label``, ``id`` and ``layer`` present must be JSON strings: ``null``
+and ``"None"``, or ``1`` and ``"1"``, are never read as one key. A
+``vector`` or ``tokens`` holds JSON numbers only, never a string or
+``true``.
 
 Every fault inside a record is a ParseError naming its file and line: a key
 or value of the wrong type, a cell that is not a number, a width other than
@@ -181,19 +183,19 @@ def _json_records(path: Path, payload: str | None
     at the line, not ``"2.5"`` read as 2.5 or ``true`` as 1.0."""
     required = ("label",) if payload is None else ("label", payload)
     expected = "expected an object with " + " and ".join(repr(key) for key in required)
-    ordinal = 0
+    positions: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(_text_lines(path), start=1):
         if not line.strip():
             continue
         obj = _json(path, line, lineno)
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise ParseError(path, expected, line=lineno)
-        ordinal += 1
-        keys = (obj.get("id", f"row-{ordinal}"), obj["label"],
-                obj.get("layer", DEFAULT_LAYER))
-        for name, value in zip(("id", "label", "layer"), keys):
-            if not isinstance(value, str):
+        for name in ("id", "label", "layer"):
+            if not isinstance(obj.get(name, ""), str):
                 raise ParseError(path, f"{name!r} is not a string", line=lineno)
+        label, layer = obj["label"], obj.get("layer", DEFAULT_LAYER)
+        n = positions[label, layer] = positions.get((label, layer), 0) + 1
+        keys = (obj.get("id", f"row-{n}"), label, layer)
         if payload is None:
             yield lineno, *keys, None
             continue
@@ -231,7 +233,8 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
 
     The dimensionality is taken from the first record and enforced on the
     rest. A record without a ``layer`` gets ``"default"``; one without an
-    ``id`` gets ``"row-<n>"`` with ``n`` the 1-based data-row ordinal.
+    ``id`` gets ``"row-<n>"``, ``n`` being its 1-based position among the
+    records of its label and layer.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -324,18 +327,21 @@ def _csv_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
     if "label" not in named:
         raise ParseError(path, "header has no 'label' column", line=1)
     axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
-    for ordinal, (lineno, row) in enumerate(rows, start=1):
+    positions: dict[tuple[str, str], int] = {}
+    for lineno, row in rows:
         if not axis_cols:
             raise ParseError(path, "header has no axis column for this row",
                              line=lineno)
-        rec_id = row[named["id"]] if "id" in named else f"row-{ordinal}"
+        label = row[named["label"]]
+        layer = row[named["layer"]] if "layer" in named else DEFAULT_LAYER
+        n = positions[label, layer] = positions.get((label, layer), 0) + 1
+        rec_id = row[named["id"]] if "id" in named else f"row-{n}"
         try:
             vector = np.array([_cell_float(row[i]) for i in axis_cols],
                               dtype=np.float64)
         except ValueError as exc:
             raise ParseError(path, f"non-numeric axis value: {exc}", line=lineno) from exc
-        yield (lineno, rec_id, row[named["label"]],
-               row[named["layer"]] if "layer" in named else DEFAULT_LAYER, vector)
+        yield lineno, rec_id, label, layer, vector
 
 
 def _write_csv(embeddings: LabeledEmbeddings, path: Path) -> None:

@@ -70,18 +70,10 @@ def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
 
 
 def _sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
-    """``n`` points uniform on the sphere of the given radius.
-
-    Gaussian draws normalized to the radius; rows that would have zero norm
-    (astronomically rare) are redrawn.
-    """
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(points, axis=1)
-    while (bad := norms == 0.0).any():
-        points[bad] = rng.normal(size=(int(bad.sum()), dim))
-        norms = np.linalg.norm(points, axis=1)
-    return points * (radius / norms)[:, None]
+    """``n`` points uniform on the sphere of the given radius: Gaussian
+    draws normalized to the radius."""
+    points = np.random.default_rng(seed).normal(size=(n, dim))
+    return points * (radius / np.linalg.norm(points, axis=1))[:, None]
 
 
 def _sub_clusters(k: int, total: int, dim: int, spacing: float, seed) -> np.ndarray:

@@ -116,17 +116,6 @@ def test_profile_layers_average_then_classes_weight():
     assert profile.final.diversity == pytest.approx(expected_final, rel=1e-14)
 
 
-def test_profile_final_is_convex_combination():
-    rng = np.random.default_rng(2)
-    groups = {("a", "L1"): rng.normal(size=(25, 4)),
-              ("b", "L1"): rng.normal(scale=3.0, size=(75, 4))}
-    profile = profile_of(groups)
-    for metric in ("diversity", "density", "homogeneity"):
-        values = [getattr(agg, metric) for agg in profile.per_class.values()]
-        final = getattr(profile.final, metric)
-        assert min(values) - 1e-12 <= final <= max(values) + 1e-12
-
-
 def test_profile_rejects_inconsistent_class_sizes():
     rng = np.random.default_rng(3)
     groups = {("a", "L1"): rng.normal(size=(10, 2)),
@@ -161,7 +150,7 @@ def test_profile_homogeneity_cap_subsamples(monkeypatch):
 
 
 def test_profile_requires_groups():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no groups to profile$"):
         profile_of({})
 
 
@@ -211,13 +200,6 @@ def test_sweep_full_fraction_matches_direct_profile(sizes, layers, cap, seed):
         assert_same_report(profile.per_group[key], want)
     assert profile.class_sizes == {f"class{c}": n for c, n in enumerate(sizes)}
     assert profile.size == size == sum(sizes)
-
-
-def test_sweep_sizes_track_fractions():
-    emb = two_class_embeddings(np.random.default_rng(7), n_per_class=50)
-    sweep = analysis.downsample_sweep(emb, [1.0, 0.5, 0.1], seed=0)
-    assert [row.size for row in sweep] == [100, 50, 10]
-    assert [row.fraction for row in sweep] == [1.0, 0.5, 0.1]
 
 
 def test_sweep_preserves_class_proportions():
@@ -363,7 +345,7 @@ def test_sweep_matches_per_fraction_reports(cap):
 @pytest.mark.parametrize("fractions", [[], [0.5, 0.5], [0.5, 0.9], [1.2], [0.0], [-0.5]])
 def test_sweep_validates_fractions(fractions):
     emb = two_class_embeddings(np.random.default_rng(13))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fractions must "):
         analysis.downsample_sweep(emb, fractions, seed=0)
 
 

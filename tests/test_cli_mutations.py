@@ -657,19 +657,35 @@ def test_profile_rejects_zero_width_records(fmt, where):
         assert code == 1 and err == [f"textchar: error: {src}, {where}"], err
 
 
-# Two layers of class a in an id-less file: the six records are six units.
-_IDLESS_LAYERS = "".join(json.dumps({"label": "a", "layer": f"L{1 + i // 3}",
-                                     "vector": [float(i), float(i * i % 5), 0.5]}) + "\n"
-                         for i in range(6))
+# Two layers of class a whose ids differ by layer: the six records are six units.
+_UNSHARED_LAYERS = "".join(
+    json.dumps({"id": f"t{i}", "label": "a", "layer": f"L{1 + i // 3}",
+                "vector": [float(i), float(i * i % 5), 0.5]}) + "\n" for i in range(6))
+
+
+# A valid binary file of one 2-dimensional float64 vector, without its sidecar.
+_BINARY = b"CMET\x01\x08\x00\x00" + bytes([1, 0, 0, 0, 2, 0, 0, 0]) + bytes(16)
 
 
 @pytest.mark.parametrize("fmt, content, flags, message", [
     ("csv", b"", [], "{src}, line 1: missing header row"),
     ("binary", b"CMET\x01", [], "{src}, offset 5: file too short for a 16-byte header"),
     # Fraction 0.34 keeps 2 units, at seed 1 both from layer L1.
-    ("jsonl", _IDLESS_LAYERS.encode(), ["--fractions", "1.0,0.34", "--seed", "1"],
+    ("jsonl", _UNSHARED_LAYERS.encode(), ["--fractions", "1.0,0.34", "--seed", "1"],
      "class 'a' has 0 points in layer 'L2' but 2 elsewhere"),
-], ids=["csv-empty", "binary-short-header", "layer-keeps-no-rows"])
+    ("csv", b"id,d0\na,1.0\n", [], "{src}, line 1: header has no 'label' column"),
+    ("jsonl", b'{"label": "a", "vector": [1.0]}\n{"vector": [2.0]}\n', [],
+     "{src}, line 2: expected an object with 'label' and 'vector'"),
+    ("binary", b"XXXX" + _BINARY[4:], [], "{src}, offset 0: bad magic b'XXXX', expected b'CMET'"),
+    ("binary", _BINARY[:4] + b"\x09" + _BINARY[5:], [], "{src}, offset 4: unsupported version 9"),
+    ("binary", _BINARY[:5] + b"\x03" + _BINARY[6:], [],
+     "{src}, offset 5: unsupported float width 3"),
+    ("binary", _BINARY[:-4], [],
+     "{src}, offset 28: expected 32 bytes for 1 x 2 x 8-byte floats, got 28"),
+    ("binary", _BINARY, [], "{src}: missing metadata sidecar 'in.binary.meta.jsonl'"),
+], ids=["csv-empty", "binary-short-header", "layer-keeps-no-rows", "csv-no-label",
+        "jsonl-no-label", "binary-magic", "binary-version", "binary-float-width",
+        "binary-truncated", "binary-no-sidecar"])
 def test_profile_rejects_whole_file_faults(fmt, content, flags, message):
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / f"in.{fmt}", Path(tmp) / "out.json"
@@ -701,8 +717,9 @@ def test_csv_cell_faults_name_file_and_line(cell, fault):
         assert code == 1 and err == [f"textchar: error: {src}, line 2: {fault}"], err
 
 
-@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"', HUGE_INT],
-                         ids=["nan", "1e400", "true", "x", "numeric-string", "400-digits"])
+@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"', HUGE_INT, "false"],
+                         ids=["nan", "1e400", "true", "x", "numeric-string", "400-digits",
+                              "false"])
 @pytest.mark.parametrize("kind", ["jsonl", "tokens"])
 def test_element_faults_name_file_and_line(kind, raw):
     # Element 1 of line 2's vector, or of its first token, becomes ``raw``:
@@ -720,7 +737,7 @@ def test_element_faults_name_file_and_line(kind, raw):
         fault = f"{key!r} is not numeric: int too large to convert to float"
     else:
         fault = (f"{key!r} is not numeric: a JSON "
-                 f"{'boolean' if raw == 'true' else 'string'} is not a number")
+                 f"{'boolean' if raw in ('true', 'false') else 'string'} is not a number")
     with tempfile.TemporaryDirectory() as tmp:
         argv, bad = _broken_input(Path(tmp), kind, change)
         bad.write_text(bad.read_text().replace(json.dumps(_PLACEHOLDER), raw))
