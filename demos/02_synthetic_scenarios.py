@@ -10,7 +10,7 @@ or the number of sub-clusters. SVG trend charts land in demos/output/.
 from pathlib import Path
 
 from textchar import simulation
-from textchar.svg import write_line_chart
+from textchar.svg import line_chart
 
 OUT_DIR = Path(__file__).parent / "output"
 
@@ -31,7 +31,7 @@ def show(kind, x_label, path, **kwargs):
         print(f"{x:>10g} {rep.diversity:>11.4f} {rep.density:>11.4f} {hom:>12}")
     panels = [(name, [getattr(rep, name) for rep in reports])
               for name in ("diversity", "density", "homogeneity")]
-    write_line_chart(path, x_label, xs, panels)
+    path.write_text(line_chart(x_label, xs, panels), encoding="utf-8")
 
 
 def main():

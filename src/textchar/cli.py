@@ -94,11 +94,10 @@ def _cmd_simulate(args) -> int:
             (name, [getattr(rep, name) for rep in reports])
             for name in ("diversity", "density", "homogeneity")
         ]
+        chart = svg.line_chart(args.scenario, xs, panels,
+                               title=f"{args.scenario}, {args.dims} dims, seed {args.seed}")
         try:
-            svg.write_line_chart(
-                args.svg, args.scenario, xs, panels,
-                title=f"{args.scenario}, {args.dims} dims, seed {args.seed}",
-            )
+            _write_text(args.svg, chart)
         except OSError:
             # A failed run leaves no output file, so the CSV goes too.
             if args.out is not None:

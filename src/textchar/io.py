@@ -1,5 +1,6 @@
 """Reading, writing and pooling of labeled embedding vectors, plus the
-readers of the sweep and score tables that ``correlate`` joins.
+readers of the sweep document that ``profile --fractions`` writes and of
+the score table that ``correlate`` joins to it.
 
 A collection is held as columns: one float64 ``m x H`` matrix plus the
 ``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
@@ -214,14 +215,14 @@ def _floats(value, line: str) -> np.ndarray:
     holds ``true`` or ``false`` is scanned for a boolean."""
     array = np.asarray(value)
     kind = array.dtype.kind
+    # A string beside a null, an object or an integer beyond int64 is in an object array.
     if kind == "U" or kind == "O" and any(isinstance(v, str) for v in array.flat):
         raise TypeError("a JSON string is not a number")
     # A one-letter search is a memchr, and no key name holds "u" or "f".
     if ("u" in line and "true" in line or "f" in line and "false" in line) \
             and _holds_bool(value):
         raise TypeError("a JSON boolean is not a number")
-    # An object array holds an integer beyond int64, a null or an object.
-    return np.asarray(value if kind == "O" else array, dtype=np.float64)
+    return np.asarray(array, dtype=np.float64)
 
 
 def _holds_bool(value) -> bool:
@@ -486,8 +487,8 @@ def read_sweep(path) -> dict[float, AggregateMetrics]:
     """Load the ``final`` aggregate of each sweep row for ``correlate``,
     keyed by the row's fraction, in row order.
 
-    Accepts either a full ``profile --fractions`` document or a bare list of
-    rows, each an object with ``fraction`` and a ``final`` object as
+    Reads the document ``profile --fractions`` writes: an object whose
+    ``rows`` list holds objects with ``fraction`` and a ``final`` object as
     ``AggregateMetrics.to_dict`` writes it; ``size`` is optional and checked
     but not kept. Only ``diversity`` and ``density`` are required in
     ``final``: a missing ``density_log`` reads as NaN, a missing or null
@@ -503,9 +504,9 @@ def read_sweep(path) -> dict[float, AggregateMetrics]:
     """
     path = Path(path)
     doc = _json(path, "".join(_text_lines(path)))
-    raw_rows = doc.get("rows") if isinstance(doc, dict) else doc
+    raw_rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(raw_rows, list):
-        raise ParseError(path, "expected a list of sweep rows or an object with 'rows'")
+        raise ParseError(path, "expected an object with a list of sweep rows in 'rows'")
     if not raw_rows:
         raise ParseError(path, "no sweep rows")
     finals: dict[float, AggregateMetrics] = {}

@@ -123,9 +123,10 @@ def _axis_stds(arr: np.ndarray) -> np.ndarray:
     return stds
 
 
-def _distinct_rows(arr: np.ndarray) -> np.ndarray:
+def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """Number of the distinct row that each row equals under ``==``, the
-    distinct rows numbered in order of first appearance.
+    distinct rows numbered in order of first appearance, and how many
+    distinct rows there are.
 
     Rows are keyed by their bytes after ``+ 0.0``, which turns ``-0.0`` into
     ``0.0``, so two rows share a number exactly when they compare equal
@@ -139,7 +140,7 @@ def _distinct_rows(arr: np.ndarray) -> np.ndarray:
         block = (arr[start:start + _BLOCK_ROWS] + 0.0).tobytes()
         index += [numbers.setdefault(block[offset:offset + width], len(numbers))
                   for offset in range(0, len(block), width)]
-    return np.array(index)
+    return np.array(index), len(numbers)
 
 
 def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +219,10 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     share one ``_chain_rows`` pass over the rows that some subset holds, so
     rows no subset holds cost nothing and cannot spoil a sum. Rows equal
     under ``==`` go into it once, each subset counting its copies, so a
-    copy pair never gets a weight. A subset whose chain is undefined gets
-    the reason why, as text, in place of its summary.
+    copy pair never gets a weight. The copy counts decide coincidence, with
+    no distance sum: a subset with one nonzero count is one repeated point.
+    A subset whose chain is undefined gets the reason why, as text, in
+    place of its summary.
     """
     covered = np.zeros(arr.shape[0], dtype=bool)
     for idx in subsets:
@@ -227,23 +230,19 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     if not covered.all():
         position = np.cumsum(covered) - 1
         arr, subsets = arr[covered], [position[idx] for idx in subsets]
-    slot = _distinct_rows(arr)  # each row's row in the pass
+    slot, count = _distinct_rows(arr)  # each row's row in the pass, and their number
     chains: list = [None] * len(subsets)
-    live = []
+    live, copies = [], []
     for f, idx in enumerate(subsets):
-        # A row strength can only vanish when every point equals that row,
-        # i.e. the whole subset is one repeated point. Detect that exactly
-        # instead of trusting floating-point distance sums.
-        if (slot[idx] == slot[idx[0]]).all():
+        counts = np.bincount(slot[idx], minlength=count)
+        if np.count_nonzero(counts) == 1:
             chains[f] = f"all {len(idx)} points coincide; the distance chain has no edges"
         else:
             live.append(f)
+            copies.append(counts)
     if not live:
         return chains
-    count = slot.max() + 1
-    members = np.zeros((count, len(live)))
-    for col, f in enumerate(live):
-        members[:, col] = np.bincount(slot[subsets[f]], minlength=count)
+    members = np.stack(copies, axis=1).astype(np.float64)
     rows = arr if count == len(arr) else arr[np.unique(slot, return_index=True)[1]]
     # Homogeneity is scale invariant and a power-of-two scaling is exact.
     # With |x| < 2**e, squared distances and the partial sums of their

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["line_chart", "write_line_chart"]
+__all__ = ["line_chart"]
 
 _WIDTH = 720
 _PANEL_HEIGHT = 150
@@ -126,8 +126,3 @@ def line_chart(x_label: str, x_values, panels, title: str | None = None) -> str:
                f'{_escape(x_label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_line_chart(path, x_label, x_values, panels, title=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_chart(x_label, x_values, panels, title=title))

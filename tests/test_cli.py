@@ -99,6 +99,8 @@ def test_simulate_defaults_to_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith("parameter,")
     assert len(out.splitlines()) == 11
+    args = cli._build_parser().parse_args(["simulate", "--scenario", "spread", "--dims", "2"])
+    assert (args.seed, args.points) == (0, 10_000)
 
 
 @pytest.mark.parametrize("sub", ["simulate", "profile", "pool", "correlate"])

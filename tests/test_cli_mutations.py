@@ -479,8 +479,10 @@ def _with(path, value):
      f"scores.csv, line 3: non-numeric cell: could not convert string to float: {cell!r}")
     for cell in ("+2.5", "１５", "٣")
 ] + [
-    pytest.param("5", _SCORES, "sweep.json: expected a list of sweep rows or an object "
-                 "with 'rows'", id="not-a-row-list"),
+    pytest.param("5", _SCORES, "sweep.json: expected an object with a list of sweep "
+                 "rows in 'rows'", id="not-a-row-list"),
+    pytest.param(json.dumps(_SWEEP_ROWS), _SCORES, "sweep.json: expected an object with "
+                 "a list of sweep rows in 'rows'", id="bare-row-list"),
     pytest.param(_SWEEP_ROWS[:1] + [{"fraction": 0.5, "size": 50}], _SCORES,
                  "sweep.json: row 2: expected an object with 'fraction' and a 'final' "
                  "object", id="no-final"),
@@ -532,6 +534,9 @@ def _with(path, value):
                  id=f"{path[-1]}-null")
     for path in (("fraction",), ("size",), ("final", "diversity"), ("final", "density"),
                  ("final", "density_log"))
+] + [
+    pytest.param(_with((0, "fraction"), 0), _SCORES,
+                 "sweep.json: row 1: fraction 0 is not in (0, 1]", id="fraction-0"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     # A string is the sweep document's raw text. A message names the file it
@@ -717,18 +722,24 @@ def test_csv_cell_faults_name_file_and_line(cell, fault):
         assert code == 1 and err == [f"textchar: error: {src}, line 2: {fault}"], err
 
 
-@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"', HUGE_INT, "false"],
-                         ids=["nan", "1e400", "true", "x", "numeric-string", "400-digits",
-                              "false"])
+@pytest.mark.parametrize("raw", ["NaN", "1e400", "true", '"x"', '"2.5"',
+                                 '18446744073709551616, "2.5"', HUGE_INT, "false"],
+                         ids=["nan", "1e400", "true", "x", "numeric-string",
+                              "numeric-string-beside-uint64", "400-digits", "false"])
 @pytest.mark.parametrize("kind", ["jsonl", "tokens"])
 def test_element_faults_name_file_and_line(kind, raw):
-    # Element 1 of line 2's vector, or of its first token, becomes ``raw``:
-    # not a number, or not a finite one. numpy reads true as 1.0 and "2.5"
-    # as 2.5; json reads a 400-digit integer, which float64 cannot hold.
+    # Element 1 of line 2's vector, or of its first token, becomes ``raw``,
+    # or elements 0 and 1 do when ``raw`` holds two: not a number, or not a
+    # finite one. numpy reads true as 1.0 and "2.5" as 2.5, and beside an
+    # integer beyond int64 it puts "2.5" in an object array; json reads a
+    # 400-digit integer, which float64 cannot hold.
     key, rec_id = ("tokens", "s1") if kind == "tokens" else ("vector", "pos0")
 
     def change(record):
-        (record[key][0] if kind == "tokens" else record[key])[1] = _PLACEHOLDER
+        row = record[key][0] if kind == "tokens" else record[key]
+        row[1] = _PLACEHOLDER
+        if "," in raw:
+            del row[0]
         return record
 
     if raw in ("NaN", "1e400"):
@@ -781,7 +792,7 @@ def test_duplicate_records_name_file_and_line(kind):
 def test_text_that_is_not_utf8_names_file_and_line(kind):
     with tempfile.TemporaryDirectory() as tmp:
         sweep, scores = Path(tmp) / "sweep.json", Path(tmp) / "scores.csv"
-        sweep.write_text(json.dumps(_SWEEP_ROWS))
+        sweep.write_text(json.dumps({"rows": _SWEEP_ROWS}))
         scores.write_text(_SCORES)
         if kind == "sidecar":
             src = Path(tmp) / "vectors.bin"

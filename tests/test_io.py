@@ -138,10 +138,10 @@ def test_read_sweep_reads_back_the_finals_of_profile(tmp_path):
     # Only diversity and density are required, and only homogeneity may be null.
     for extra in ({}, {"homogeneity": None}):
         final = {"diversity": 1, "density": 2, **extra}
-        out.write_text(json.dumps([{"fraction": 1.0, "final": final}]))
-        (bare,) = io.read_sweep(out).values()
-        assert (bare.diversity, bare.density) == (1.0, 2.0) and math.isnan(bare.density_log)
-        assert bare.homogeneity is None and bare.homogeneity_skipped == ()
+        out.write_text(json.dumps({"rows": [{"fraction": 1.0, "final": final}]}))
+        (least,) = io.read_sweep(out).values()
+        assert (least.diversity, least.density) == (1.0, 2.0) and math.isnan(least.density_log)
+        assert least.homogeneity is None and least.homogeneity_skipped == ()
 
 
 def test_read_scores_aligns_rows_to_the_sweep(tmp_path):
@@ -157,8 +157,8 @@ def test_read_scores_aligns_rows_to_the_sweep(tmp_path):
 
 _TEXTS = {
     "tokens": '{"id": "s", "label": "x", "tokens": [[1.0, 2.0], [0.5, 0.25]]}\n',
-    "sweep": '[{"fraction": 1.0, "final": {"diversity": 0.5, "density": 2.0, '
-             '"density_log": 0.75, "homogeneity": 0.5}}]\n',
+    "sweep": '{"rows": [{"fraction": 1.0, "final": {"diversity": 0.5, "density": 2.0, '
+             '"density_log": 0.75, "homogeneity": 0.5}}]}\n',
     "scores": "fraction,acc\n1.0,0.9\n",
 }
 

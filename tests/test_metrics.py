@@ -138,6 +138,8 @@ def test_density_floors_degenerate_axis():
     expected = math.log(2) - (math.log(1e-12) + math.log(1.0)) / math.sqrt(2)
     assert result.density_log == pytest.approx(expected, rel=1e-15)
     assert math.isfinite(result.density)
+    # A standard deviation of exactly the floor, 1e-12, is not below it.
+    assert metrics.metric_report([[0.0], [2e-12]]).degenerate_axes == 0
 
 
 def test_density_survives_768_dims_without_underflow():

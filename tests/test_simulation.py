@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -183,10 +185,25 @@ def test_run_scenario_validation():
 
 
 def test_default_sweeps():
-    assert {kind: len(sweep) for kind, sweep in sim.SWEEPS.items()} == {
-        "downsample": 10, "spread": 10, "outliers": 11, "subclusters": 10}
+    assert sim.SWEEPS == {
+        "downsample": (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+        "spread": tuple(float(spread) for spread in range(1, 11)),
+        "outliers": tuple(range(0, 501, 50)),
+        "subclusters": tuple(range(1, 11)),
+    }
     for kind, sweep in sim.SWEEPS.items():
         assert len(sim.run_scenario(kind, dim=2, points=40)) == len(sweep)
+    # The defaults, read without a 10_000-point run.
+    parameters = inspect.signature(sim.run_scenario).parameters
+    assert (parameters["points"].default, parameters["seed"].default) == (10_000, 0)
+
+
+def test_run_scenario_runs_at_its_smallest_sizes():
+    # The smallest sizes that the checks accept, and a radius below 1; a
+    # single point has no chain.
+    reports = sim.run_scenario("spread", 1, points=1)
+    assert len(reports) == 10 and all(report.homogeneity is None for report in reports)
+    assert len(sim.run_scenario("outliers", 1, points=1, outlier_radius=0.5)) == 11
 
 
 def test_run_scenario_raises_before_the_pass(monkeypatch):
