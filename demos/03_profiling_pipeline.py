@@ -38,10 +38,10 @@ def write_token_corpus(path):
                         "layer": layer, "tokens": tokens.tolist()}) + "\n")
 
 
-def show(aggregate, indent="  "):
-    hom = "-" if aggregate.homogeneity is None else f"{aggregate.homogeneity:.4f}"
-    print(f"{indent}diversity {aggregate.diversity:.4f}   "
-          f"density {aggregate.density:.4f}   homogeneity {hom}")
+def show(metrics, indent="  "):
+    hom = "-" if metrics.homogeneity is None else f"{metrics.homogeneity:.4f}"
+    print(f"{indent}diversity {metrics.diversity:.4f}   "
+          f"density {metrics.density:.4f}   homogeneity {hom}")
 
 
 def main():
@@ -61,7 +61,7 @@ def main():
     print("per (class, layer):")
     for (label, layer), report in profile.per_group.items():
         print(f"  {label:>8} / {layer}:")
-        show(analysis.average_reports([(layer, report)]), indent="      ")
+        show(report, indent="      ")
     print("per class (layers averaged):")
     for label, aggregate in profile.per_class.items():
         print(f"  {label:>8}:")

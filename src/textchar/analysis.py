@@ -11,7 +11,7 @@ of a sweep to externally supplied model scores, one column per score.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -39,10 +39,12 @@ METRIC_NAMES = ("diversity", "density", "homogeneity")
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Averaged metric values; ``density_log`` is re-derived from ``density``
-    so the log stays consistent with the linear value after averaging.
-    ``to_dict`` writes the ``final`` object of a profile or sweep row, and
-    ``io.read_sweep`` reads it back."""
+    """Averaged metric values. ``density_log`` is ``math.log(density)``
+    while the averaged ``density`` is finite and positive; when the average
+    overflows to inf or underflows to 0 it is the log of the same weighted
+    mean taken in log space, from the averaged reports' ``density_log``, so
+    it stays finite as theirs do. ``to_dict`` writes the ``final`` object of
+    a profile or sweep row, and ``io.read_sweep`` reads it back."""
 
     diversity: float
     density: float
@@ -51,7 +53,7 @@ class AggregateMetrics:
     homogeneity_skipped: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "homogeneity_skipped": list(self.homogeneity_skipped)}
+        return {**vars(self), "homogeneity_skipped": list(self.homogeneity_skipped)}
 
 
 @dataclass(eq=False)
@@ -97,9 +99,10 @@ def average_reports(
 
     ``keyed_reports`` pairs a displayable key (layer name, class label) with
     each report (a per-group report or a per-class aggregate) so skipped
-    homogeneity sources can be named. Uniform weights when none are given;
-    homogeneity weights are renormalized over the reports that actually have
-    a value.
+    homogeneity sources can be named. Uniform weights when none are given,
+    and positive ones otherwise; homogeneity weights are renormalized over
+    the reports that actually have a value. ``density_log`` is derived as
+    ``AggregateMetrics`` says.
     """
     if not keyed_reports:
         raise ValueError("nothing to average")
@@ -116,8 +119,14 @@ def average_reports(
         hom = sum(w * h for w, h in have) / total
     else:
         hom = None
-    return AggregateMetrics(diversity=div, density=den,
-                            density_log=math.log(den) if den > 0 else -math.inf,
+    if 0.0 < den < math.inf:
+        den_log = math.log(den)
+    else:
+        # log(sum w_i exp(l_i)), each term scaled by the largest.
+        terms = [math.log(w) + rep.density_log for w, (_, rep) in zip(weights, keyed_reports)]
+        top = max(terms)
+        den_log = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return AggregateMetrics(diversity=div, density=den, density_log=den_log,
                             homogeneity=hom, homogeneity_skipped=skipped)
 
 

@@ -246,10 +246,12 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
 
 
 def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
-    """Write a collection so that ``read_vectors`` recovers it."""
+    """Write a collection so that ``read_vectors`` recovers it. One writer
+    of JSON-lines records writes a jsonl file and a binary file's sidecar."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    writer = {"jsonl": _write_jsonl, "csv": _write_csv, "binary": _write_binary}[format]
+    writer = {"jsonl": _write_json_records, "csv": _write_csv,
+              "binary": _write_binary}[format]
     writer(embeddings, Path(path))
 
 
@@ -265,12 +267,19 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]
         yield lineno, rec_id, label, layer, vector
 
 
-def _write_jsonl(embeddings: LabeledEmbeddings, path: Path) -> None:
+def _write_json_records(embeddings: LabeledEmbeddings, path: Path,
+                        payload: str | None = "vector") -> None:
+    """Write one JSON line per row of ``embeddings``: its ``id``, ``label``
+    and ``layer`` and, unless ``payload`` is None, its vector under that
+    key. These are the records that ``_json_records(path, payload)`` reads:
+    a jsonl file, or with None a binary file's sidecar."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec_id, label, layer, vector in zip(embeddings.ids, embeddings.labels,
                                                 embeddings.layers, embeddings.vectors):
-            fh.write(json.dumps({"id": rec_id, "label": label, "layer": layer,
-                                 "vector": vector.tolist()}))
+            record = {"id": rec_id, "label": label, "layer": layer}
+            if payload is not None:
+                record[payload] = vector.tolist()
+            fh.write(json.dumps(record))
             fh.write("\n")
 
 
@@ -415,11 +424,7 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
         fh.write(_HEADER.pack(_MAGIC, 1, float_width, m, dim))
         fh.write(np.ascontiguousarray(embeddings.vectors,
                                       dtype=_DTYPES[float_width]).tobytes())
-    with open(_sidecar(path), "w", encoding="utf-8") as fh:
-        for rec_id, label, layer in zip(embeddings.ids, embeddings.labels,
-                                        embeddings.layers):
-            fh.write(json.dumps({"id": rec_id, "label": label, "layer": layer}))
-            fh.write("\n")
+    _write_json_records(embeddings, _sidecar(path), None)
 
 
 # --- pooling ----------------------------------------------------------------

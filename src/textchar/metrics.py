@@ -20,7 +20,7 @@ contract.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class MetricReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        # __init__ sets the fields in declaration order, the order of the keys.
+        return {**vars(self), "notes": list(self.notes)}
 
 
 def _axis_stds(arr: np.ndarray) -> np.ndarray:

@@ -107,9 +107,10 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
 
     The base blob ``default_rng(seed).normal(0.0, 1.0, (points, dim))`` is
     drawn once for the kinds that modify it, down-sampling and outliers:
-    down-sampling rows share one pairwise pass over it, and an outlier row
-    appends its shell points to it. A down-sampling fraction that keeps no
-    point raises ``DegenerateInput`` before the pass.
+    down-sampling rows share one pairwise pass over it, and each outlier
+    row appends its shell points to it, none for the first. A
+    down-sampling fraction that keeps no point raises ``DegenerateInput``
+    before the pass.
     """
     if kind not in SWEEPS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -139,8 +140,7 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
             rng = np.random.default_rng(stream)
             cluster = rng.normal(0.0, value, size=(points, dim))
         elif kind == "outliers":
-            cluster = base if value == 0 else np.vstack(
-                [base, _sphere_points(value, dim, outlier_radius, stream)])
+            cluster = np.vstack([base, _sphere_points(value, dim, outlier_radius, stream)])
         else:
             cluster = _sub_clusters(value, points, dim, spacing, stream)
         reports.append(metric_report(cluster))

@@ -5,7 +5,8 @@ pytest only, and pytest does not collect this file. From the repository root:
     PYTHONPATH=src python tests/mutants.py textchar.io [function] [-v]
 
 The first runs Tier-1 once under a line tracer, and exits 1 on a statement
-that no test runs, apart from the blocks in ``UNREACHED``. The second
+that no test runs, apart from the blocks in ``UNREACHED``, and on a key of
+``UNREACHED`` that names no such block, so the table only shrinks. The second
 mutates the module (``textchar``: every module), or one function of it, one
 statement at a time on a temporary copy of ``src/``, and reports each
 module's mutants, kills and survivors, and each test that alone kills some
@@ -39,7 +40,8 @@ PYTEST_OPTIONS = ["-q", "-p", "no:cacheprovider", "--assert=plain", "--hypothesi
 WARM_IMPORTS = ("numpy", "scipy.stats", "hypothesis.strategies")
 
 # Blocks that no Tier-1 test runs, by file and the text of their first
-# statement, with the reason.
+# statement, with the reason. A key goes in the change that tests or
+# deletes its block: the reach check fails on a key it does not use.
 UNREACHED = {
     ("cli.py", "sys.exit(main())"):
         "runs only as a script; CI runs the console script",
@@ -140,7 +142,7 @@ def check_reach() -> int:
         print("mutants.py: Tier-1 fails under the tracer")
         return 1
     hit = {pair for lines in reach.lines.values() for pair in lines}
-    expected, unexpected = [], []
+    expected, unexpected, used = [], [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         blocks: dict[int, list[Statement]] = {}
         for stmt, body in statements(ast.parse(path.read_text(encoding="utf-8"))):
@@ -149,6 +151,7 @@ def check_reach() -> int:
         for first, *rest in blocks.values():
             text = ast.unparse(first.node).splitlines()[0]
             reason = UNREACHED.get((path.name, text))
+            used.add((path.name, text))
             entry = (f"  {path.relative_to(ROOT)}:{first.node.lineno} {first.qualname}: "
                      f"{text} [{1 + len(rest)} statement{'s' * bool(rest)}]")
             (expected if reason else unexpected).append(entry + f" -- {reason}" * bool(reason))
@@ -156,7 +159,11 @@ def check_reach() -> int:
     if unexpected:
         print(f"{len(unexpected)} blocks run in no test; test them or delete them:",
               *unexpected, sep="\n")
-    return 1 if unexpected else 0
+    stale = [f"  {file}: {text}" for file, text in UNREACHED if (file, text) not in used]
+    if stale:
+        print(f"{len(stale)} UNREACHED keys name no block that runs in no test; "
+              "delete them:", *stale, sep="\n")
+    return 1 if unexpected or stale else 0
 
 
 class Mutant:

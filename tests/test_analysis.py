@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,82 @@ def test_weighted_average_by_class_size():
     assert final.homogeneity == pytest.approx(0.85, abs=1e-15)
     # the log column always tracks the averaged linear value
     assert final.density_log == pytest.approx(math.log(7.5), abs=1e-15)
+
+
+@pytest.mark.parametrize("result, listed", [
+    (MetricReport(0.5, 10.0, math.log(10.0), None, 1, "fewer than 3 samples (m=2)",
+                  ("a note",)), "notes"),
+    (analysis.AggregateMetrics(0.5, 10.0, math.log(10.0), None, ("L1",)),
+     "homogeneity_skipped"),
+])
+def test_to_dict_is_a_fresh_dict_of_the_fields(result, listed):
+    # The fields in declaration order, the tuple field as a list; changing
+    # the dict leaves the result as it was.
+    copy = dataclasses.replace(result)
+    d = result.to_dict()
+    fields = [field.name for field in dataclasses.fields(result)]
+    assert list(d) == fields
+    assert d == {**{name: getattr(result, name) for name in fields},
+                 listed: list(getattr(result, listed))}
+    assert type(d[listed]) is list
+    d[listed].append("more")
+    d["diversity"] = 0.0
+    assert result == copy and result.to_dict() != d
+
+
+# --- density_log beyond the float64 range ---------------------------------
+
+@pytest.mark.parametrize("copies", [(2, 2), (2, 3)])
+def test_aggregate_density_log_stays_finite_when_density_overflows(copies):
+    # Copies of one 768-d point floor every axis, so each group's density is
+    # inf and its log finite; so are the logs of the class and final means.
+    rng = np.random.default_rng(5)
+    groups = {(label, "L1"): np.repeat(rng.normal(size=(1, 768)), n, axis=0)
+              for label, n in zip("ab", copies)}
+    profile = profile_of(groups)
+    logs = [profile.per_group[label, "L1"].density_log for label in "ab"]
+    assert 700 < min(logs) and max(logs) < 800
+    for label, log in zip("ab", logs):
+        assert profile.per_class[label].density == math.inf
+        assert profile.per_class[label].density_log == log
+    weights = [n / sum(copies) for n in copies]
+    want = 700 + math.log(math.fsum(w * math.exp(log - 700) for w, log in zip(weights, logs)))
+    assert profile.final.density == math.inf
+    assert profile.final.density_log == pytest.approx(want, rel=1e-15)
+
+
+def test_aggregate_density_log_stays_finite_when_density_underflows():
+    # Scaled by 1e300, each group's density underflows to exactly 0 while its
+    # log stays finite; so do the class and final means.
+    rng = np.random.default_rng(0)
+    profile = profile_of({(label, "L1"): rng.normal(size=(3, 4)) * 1e300
+                          for label in "ab"})
+    logs = [profile.per_group[label, "L1"].density_log for label in "ab"]
+    assert -1400 < min(logs) and max(logs) < -1300 and logs[0] != logs[1]
+    for label, log in zip("ab", logs):
+        assert profile.per_class[label].density == 0.0
+        assert profile.per_class[label].density_log == log
+    want = math.log(0.5 * math.exp(logs[0] + 1300) + 0.5 * math.exp(logs[1] + 1300)) - 1300
+    assert profile.final.density == 0.0
+    assert profile.final.density_log == pytest.approx(want, rel=1e-15)
+
+
+def test_aggregate_of_zero_densities_weights_their_logs():
+    zero = [MetricReport(0.5, 0.0, log, 0.9, 0) for log in (-800.0, -801.0)]
+    agg = analysis.average_reports([("a", zero[0]), ("b", zero[1])], [0.25, 0.75])
+    assert agg.density == 0.0
+    assert agg.density_log == pytest.approx(-800 + math.log(0.25 + 0.75 * math.exp(-1)),
+                                            rel=1e-15)
+
+
+def test_aggregate_density_in_range_keeps_its_log_bitwise():
+    # Two classes of 10 points with sigma 100 in 2-d: densities below 1.
+    rng = np.random.default_rng(11)
+    profile = profile_of({(label, "L1"): rng.normal(0.0, 100.0, size=(10, 2))
+                          for label in "ab"})
+    for agg in [*profile.per_class.values(), profile.final]:
+        assert 0.0 < agg.density < 1.0
+        assert agg.density_log == math.log(agg.density)
 
 
 # --- the profile: the one-fraction sweep --------------------------------
@@ -174,6 +251,34 @@ def test_profile_aggregation_grows_linearly_in_the_class_count():
         assert seconds(16000) < 24 * seconds(2000)
     finally:
         gc.enable()
+
+
+def test_read_and_sweep_memory_grow_linearly_in_the_rows(tmp_path):
+    # Four times the rows of a 16-d binary file in 50 classes must take at
+    # most 4.5 times the traced peak of the read and of the sweep; a
+    # quadratic path would take about 16 times. tracemalloc sees numpy's
+    # buffers and does not depend on the speed of the machine.
+    def peaks(rows):
+        path = tmp_path / f"{rows}.bin"
+        io.write_vectors(io.LabeledEmbeddings(
+            np.random.default_rng(rows).normal(size=(rows, 16)),
+            [f"t{i}" for i in range(rows)], [f"c{i % 50}" for i in range(rows)],
+            ["L1"] * rows), path, "binary")
+        tracemalloc.start()
+        try:
+            embeddings = io.read_vectors(path, "binary")
+            read = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            analysis.downsample_sweep(embeddings, [1.0, 0.5, 0.25], seed=3,
+                                      homogeneity_cap=20)
+            return read, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (read, sweep), (read_4x, sweep_4x) = peaks(2500), peaks(10_000)
+    assert read_4x <= 4.5 * read
+    assert sweep_4x <= 4.5 * sweep
 
 
 # --- downsample_sweep -----------------------------------------------------

@@ -245,6 +245,17 @@ def test_binary_sidecar_rows_follow_the_jsonl_rule(tmp_path):
     assert str(exc.value) == f"{sidecar}, line 2: expected an object with 'label'"
 
 
+def test_binary_sidecar_holds_the_jsonl_records_without_vectors(tmp_path):
+    original = make_collection(np.random.default_rng(5), n=4, dim=3)
+    io.write_vectors(original, tmp_path / "v.jsonl", "jsonl")
+    io.write_vectors(original, tmp_path / "v.bin", "binary")
+    records = [json.loads(line) for line in (tmp_path / "v.jsonl").read_text().splitlines()]
+    for record in records:
+        assert record.pop("vector") is not None
+    assert (tmp_path / "v.bin.meta.jsonl").read_text() \
+        == "".join(json.dumps(record) + "\n" for record in records)
+
+
 def test_binary_sidecar_row_count_must_match(tmp_path):
     path = tmp_path / "counted.bin"
     io.write_vectors(make_collection(np.random.default_rng(3), n=3, dim=2),
