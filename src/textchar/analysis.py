@@ -218,11 +218,12 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     ``SeedSequence([seed, g])``, ``g`` being the group's position in that
     list. The cap is None or an integer of at least 3. A class whose layers
     keep different row counts (none, say) raises InconsistentClassSize.
-    Then each group, in record order, is copied and validated once and gets
-    one ``metrics._reports`` call on the positions planned here, as
-    ``metric_reports`` does after checking its subsets, so one pairwise
-    pass serves it at every fraction. Each fraction's reports are averaged
-    over the layers of each class, then over classes weighted by class size.
+    Then the collection's matrix is validated once, and each group, in
+    record order, is copied from it and gets one ``metrics._reports`` call
+    on the positions planned here, as ``metric_reports`` does after checking
+    its subsets, so one pairwise pass serves it at every fraction. Each
+    fraction's reports are averaged over the layers of each class, then
+    over classes weighted by class size.
     """
     fractions = [float(f) for f in fractions]
     if not fractions:
@@ -265,12 +266,12 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
         plans.append(_plan(kept, group_rows, homogeneity_cap, seed))
         sizes.append(int(kept_units.sum()))
 
+    vectors = _as_cluster(embeddings.vectors)
     # Every plan holds every group; its sorted positions need no check.
     reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
     for key, rows in group_rows.items():
         subsets, hom_subsets = zip(*(plan.groups[key] for plan in plans))
-        cluster = _as_cluster(embeddings.vectors[rows])
-        for i, report in enumerate(_reports(cluster, subsets, hom_subsets)):
+        for i, report in enumerate(_reports(vectors[rows], subsets, hom_subsets)):
             reports[i, key] = report
     return [_profile(fraction, size, {key: reports[i, key] for key in plan.groups},
                      plan.class_sizes, homogeneity_cap)

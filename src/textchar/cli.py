@@ -63,12 +63,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _require_inputs(*paths) -> None:
-    for path in paths:
-        if path is not None and not Path(path).exists():
-            raise FileNotFoundError(f"input path does not exist: {path}")
-
-
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -116,7 +110,6 @@ def _parse_fractions(raw: str) -> list[float]:
 def _cmd_profile(args) -> int:
     # Without --fractions, the profile is the one-fraction sweep at 1.0.
     fractions = [1.0] if args.fractions is None else _parse_fractions(args.fractions)
-    _require_inputs(args.input)
     embeddings = io.read_vectors(args.input, args.format)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
                                       homogeneity_cap=args.cap)
@@ -141,13 +134,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    _require_inputs(args.input)
     io.pool_token_file(args.input, args.out)
     return 0
 
 
 def _cmd_correlate(args) -> int:
-    _require_inputs(args.metrics, args.scores)
     finals = io.read_sweep(args.metrics)
     scores = io.read_scores(args.scores, finals)
     cells = [[entry.metric, entry.score, _num(entry.r), str(entry.n), entry.error or ""]

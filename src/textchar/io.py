@@ -122,8 +122,8 @@ def _columns(path: Path, records: Iterable[tuple[int, str, str, str, np.ndarray]
         labels.append(label)
         layers.append(layer)
         rows.append(vector)
-    return LabeledEmbeddings(np.stack(rows) if rows else np.empty((0, 0)),
-                             ids, labels, layers)
+    return (LabeledEmbeddings(np.stack(rows), ids, labels, layers) if rows
+            else LabeledEmbeddings())
 
 
 def _check_finite(path, rec_id: str, values: np.ndarray, line: int) -> None:

@@ -309,8 +309,8 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
     pass, so their numpy work does not run while BLAS worker threads still
     spin after the pass's last products; the bits are the same in either
     order. Callers validate once: ``metric_report`` and ``metric_reports``
-    the cluster and subsets, ``analysis.downsample_sweep`` each group's copy
-    (its subsets are the sorted positions it planned).
+    the cluster and subsets, ``analysis.downsample_sweep`` the collection it
+    copies each group from (its subsets are the sorted positions it planned).
     """
     # The whole cluster goes in as the array itself: numpy's axis-0 sums
     # depend on memory layout, so a C-order copy could change their bits.

@@ -2,15 +2,20 @@
 pytest only, and pytest does not collect this file. From the repository root:
 
     PYTHONPATH=src python tests/mutants.py
+    PYTHONPATH=src python tests/mutants.py --check [textchar.io ...] [-v]
     PYTHONPATH=src python tests/mutants.py textchar.io [function] [-v]
 
 The first runs Tier-1 once under a line tracer, and exits 1 on a statement
 that no test runs, apart from the blocks in ``UNREACHED``, and on a key of
-``UNREACHED`` that names no such block, so the table only shrinks. The second
+``UNREACHED`` that names no such block, so the table only shrinks. The last
 mutates the module (``textchar``: every module), or one function of it, one
 statement at a time on a temporary copy of ``src/``, and reports each
 module's mutants, kills and survivors, and each test that alone kills some
-mutant; README "Tests and demos" explains the report.
+mutant; README "Tests and demos" explains the report. ``--check`` mutates
+the modules named (every module by default) the same way, and exits 1 on a
+survivor that ``SURVIVORS`` does not list, and on an entry of ``SURVIVORS``
+for those modules whose mutant is now killed or no longer made, so that
+table only shrinks too.
 """
 
 from __future__ import annotations
@@ -53,6 +58,42 @@ UNREACHED = {
         "deletion settles it",
 }
 
+# Mutants that Tier-1 does not kill, by file, function, the text of their
+# statement and the mutation, with the reason. An entry goes in the change
+# that kills its mutant or deletes its statement: --check fails on an entry
+# that no survivor of a module it checks uses.
+_SCALING = ("roundoff only: the scaling margin moves a power-of-two scaling, and no "
+            "test sits at its threshold")
+SURVIVORS = {
+    ("analysis.py", "_plan", "if cap is not None and len(rows) > cap:",
+     "flip: len(rows) > cap -> (len(rows) >= cap)"):
+        "equivalent: a draw of cap of cap rows keeps every row, sorted",
+    ("io.py", "_csv_rows", "yield (1, header)", "add one: 1 -> 2"):
+        "equivalent: every caller drops the header's line number",
+    ("io.py", "_csv_records", "_, header = next(rows, (1, None))", "add one: 1 -> 2"):
+        "equivalent: the default's line number is dropped",
+    ("io.py", "read_scores", "_, header = next(rows, (1, None))", "add one: 1 -> 2"):
+        "equivalent: the default's line number is dropped",
+    ("metrics.py", "<module>", "_BLOCK_ROWS = 256", "add one: 256 -> 257"):
+        "roundoff only: the tile width orders the sums, which Tier-1 checks to "
+        "tolerances",
+    ("metrics.py", "_chain_rows", "most = min(_BLOCK_ROWS, m) ** 2", "add one: 2 -> 3"):
+        "equivalent: larger buffers",
+    ("metrics.py", "_chain_rows", "zero |= _LOWER[:shape[0], :shape[1]]", "add one: 0 -> 1"):
+        "equivalent: a diagonal tile is square",
+    **{("metrics.py", "_chains", "top = math.floor(((1000 - 2 * math.log2(len(arr))) / power "
+        "- math.log2(16 * dim)) / 2)", change): _SCALING
+       for change in ("add one: 1000 -> 1001", "add one: 2 -> 3", "add one: 16 -> 17",
+                      "add one: 2 -> 3 #2")},
+    **{("metrics.py", "_chains", "if e > top or 2 * e * power < -1022:", change): _SCALING
+       for change in ("flip: e > top -> (e >= top)",
+                      "flip: 2 * e * power < -1022 -> (2 * e * power <= -1022)",
+                      "add one: 2 -> 3", "add one: 1022 -> 1023")},
+    ("metrics.py", "_chains", "if not (sums > 0.0).all():",
+     "flip: sums > 0.0 -> (sums >= 0.0)"):
+        "a branch no test reaches: the zero-strength skip in UNREACHED (ROADMAP item 3)",
+}
+
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
           ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
           ast.Is: ast.IsNot, ast.IsNot: ast.Is}
@@ -68,6 +109,11 @@ class Statement:
         last = body[0].lineno - 1 if isinstance(body, list) and body else node.end_lineno
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         self.lines = set(range(first, max(node.lineno, last) + 1))
+
+    @property
+    def text(self) -> str:
+        """The first line of the statement's source, as ``ast`` writes it."""
+        return ast.unparse(self.node).splitlines()[0]
 
 
 def statements(tree: ast.Module) -> list[tuple[Statement, list]]:
@@ -149,7 +195,7 @@ def check_reach() -> int:
             if not any((str(path), line) in hit for line in stmt.lines):
                 blocks.setdefault(id(body), []).append(stmt)
         for first, *rest in blocks.values():
-            text = ast.unparse(first.node).splitlines()[0]
+            text = first.text
             reason = UNREACHED.get((path.name, text))
             used.add((path.name, text))
             entry = (f"  {path.relative_to(ROOT)}:{first.node.lineno} {first.qualname}: "
@@ -170,7 +216,7 @@ class Mutant:
     def __init__(self, stmt: Statement, operator: str, node: ast.AST, text: str):
         self.stmt, self.node, self.text = stmt, node, text
         before = ast.unparse(node).splitlines()[0]
-        self.label = f"{stmt.qualname}: {operator}: {before} -> {text.splitlines()[0]}"
+        self.change = f"{operator}: {before} -> {text.splitlines()[0]}"
 
 
 def mutants(stmt: Statement) -> list[Mutant]:
@@ -252,22 +298,31 @@ def _source(name: str) -> str:
     return (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
 
 
-def mutate(module: str, function: str | None, verbose: bool) -> int:
-    """Each mutant runs the tests whose traced run reaches its statement (all
-    that reach the module, for a statement run at import), cheapest first,
-    up to the first failure; a killed mutant runs once more without its
-    killer. Runs use hypothesis' derandomized ``ci`` profile, with no example
-    database. A run that outlives its time limit, or dies, is a kill."""
+def _modules(module: str) -> list[str]:
+    """The module names that ``module`` stands for: ``textchar``, all."""
     names = ([path.stem for path in sorted(PACKAGE.glob("*.py"))] if module == "textchar"
              else [module.removeprefix("textchar.")])
     if not all((PACKAGE / f"{name}.py").exists() for name in names):
         sys.exit(f"mutants.py: no module {module}")
+    return names
+
+
+def mutate(names: list[str], function: str | None, verbose: bool) -> dict[tuple, tuple]:
+    """Each mutant runs the tests whose traced run reaches its statement (every
+    test, for a statement run at import: a test can read a name it defines
+    without running a line of the module), cheapest first, up to the first
+    failure; a killed mutant runs once more without its killer. Runs use
+    hypothesis' derandomized ``ci`` profile, with no example database. A run
+    that outlives its time limit, or dies, is a kill.
+    Returns each mutant's line and killer (None: it survived) by its
+    ``SURVIVORS`` key; a change made again in the same function and
+    statement text gets ``#2``, ``#3`` and so on in source order."""
     chosen = {name: [mutant for stmt, _ in statements(ast.parse(_source(name)))
                      if function in (None, stmt.qualname)
                      or stmt.qualname.startswith(f"{function}.")
                      for mutant in mutants(stmt)] for name in names}
-    if not any(chosen.values()):
-        sys.exit(f"mutants.py: no mutant in {module} {function or ''}")
+    if function is not None and not any(chosen.values()):
+        sys.exit(f"mutants.py: no mutant in {' '.join(names)} {function}")
     for name in WARM_IMPORTS:
         importlib.import_module(name)
 
@@ -284,17 +339,20 @@ def mutate(module: str, function: str | None, verbose: bool) -> int:
         for file, line in pairs:
             tests_at.setdefault((file, line), set()).add(test)
     unique: dict[str, int] = {}
+    verdicts: dict[tuple, tuple] = {}
     with tempfile.TemporaryDirectory(prefix="textchar-mutants-") as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         for name in names:
             path, target = PACKAGE / f"{name}.py", copy / "textchar" / f"{name}.py"
             source = _source(name)
-            module_tests = {test for (file, _), tests in tests_at.items() if file == str(path)
-                            for test in tests}
-            started, survivors = time.perf_counter(), []
+            started, survivors, made = time.perf_counter(), [], {}
             for mutant in chosen[name]:
-                tests = module_tests if mutant.stmt.at_import else set().union(
+                key = (path.name, mutant.stmt.qualname, mutant.stmt.text, mutant.change)
+                made[key] = made.get(key, 0) + 1
+                key = key[:3] + (mutant.change + f" #{made[key]}" * (made[key] > 1),)
+                label = f"{mutant.stmt.qualname}: {key[3]}"
+                tests = set(times) if mutant.stmt.at_import else set().union(
                     *(tests_at.get((str(path), line), ()) for line in mutant.stmt.lines))
                 tests = sorted(tests, key=lambda test: (times.get(test, 0.0), test))
                 cost = sum(times.get(test, 0.0) for test in tests)
@@ -303,15 +361,15 @@ def mutate(module: str, function: str | None, verbose: bool) -> int:
                 killer = _first_failure(copy, tests, limit)
                 alone = killer in tests and _first_failure(
                     copy, [test for test in tests if test != killer], limit) is None
+                verdicts[key] = mutant.node.lineno, killer
                 if killer is None:
                     survivors.append(f"  survived {path.name}:{mutant.node.lineno} "
-                                     f"{mutant.label} ({len(tests)} tests, {cost:.2f} s)")
+                                     f"{label} ({len(tests)} tests, {cost:.2f} s)")
                 if alone:
                     unique[killer] = unique.get(killer, 0) + 1
                 if verbose:
                     verdict = f"killed by {killer}" + " alone" * alone if killer else "survived"
-                    print(f"  {path.name}:{mutant.node.lineno} {mutant.label}: {verdict}",
-                          flush=True)
+                    print(f"  {path.name}:{mutant.node.lineno} {label}: {verdict}", flush=True)
             target.write_text(source, encoding="utf-8")
             count = len(chosen[name])
             print(f"textchar.{name}{':' + function if function else ''}: {count} "
@@ -321,18 +379,49 @@ def mutate(module: str, function: str | None, verbose: bool) -> int:
     print("tests that alone kill some mutant (kills, traced time):")
     for test, count in sorted(unique.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {test}  {count}  {times.get(test, 0.0):.2f} s")
-    return 0
+    return verdicts
+
+
+def check(modules: list[str], verbose: bool) -> int:
+    """Mutate the modules (every one if none is named), then compare their
+    survivors with the entries of ``SURVIVORS`` for the same files."""
+    names = sorted({name for module in modules or ["textchar"] for name in _modules(module)})
+    verdicts = mutate(names, None, verbose)
+    files = {f"{name}.py" for name in names}
+    survived = [key for key, (_, killer) in verdicts.items() if killer is None]
+    unlisted = [f"  {key[0]}:{verdicts[key][0]} {key!r}" for key in survived
+                if key not in SURVIVORS]
+    stale = [f"  {key!r}: " + (f"killed by {verdicts[key][1]}" if key in verdicts
+                               else "no longer made")
+             for key in SURVIVORS if key[0] in files and key not in survived]
+    print(f"{len(survived) - len(unlisted)} survivors, as SURVIVORS lists them")
+    if unlisted:
+        print(f"{len(unlisted)} survivors that SURVIVORS does not list; kill them with a "
+              "test, or list them with a reason:", *unlisted, sep="\n")
+    if stale:
+        print(f"{len(stale)} SURVIVORS entries whose mutant is killed or no longer made; "
+              "delete them:", *stale, sep="\n")
+    return 1 if unlisted or stale else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", nargs="?", help="textchar.<module>, or textchar for all")
     parser.add_argument("function", nargs="?", help="a function of it, or Class.method")
+    parser.add_argument("--check", nargs="*", metavar="module",
+                        help="compare the survivors of these modules (default: all) "
+                             "with SURVIVORS")
     parser.add_argument("-v", "--verbose", action="store_true", help="list every mutant")
     args = parser.parse_args(argv)
+    if args.check is not None and args.module is not None:
+        parser.error("--check takes its modules after the flag")
     sys.dont_write_bytecode = True  # nothing written under src/
-    return check_reach() if args.module is None else mutate(args.module, args.function,
-                                                            args.verbose)
+    if args.check is not None:
+        return check(args.check, args.verbose)
+    if args.module is None:
+        return check_reach()
+    mutate(_modules(args.module), args.function, args.verbose)
+    return 0
 
 
 if __name__ == "__main__":

@@ -93,6 +93,21 @@ def test_svg_pads_flat_ranges_and_marks_empty_panels():
         assert float(circle.get("cx")) == (78 + 696) / 2
 
 
+def test_svg_layout_stacks_panels_between_fixed_margins():
+    # 150-px panels 34 px apart, a 46-px top margin and a 44-px bottom one
+    # that holds the x-axis labels and title.
+    ns = "{http://www.w3.org/2000/svg}"
+    doc = ElementTree.fromstring(svg.line_chart(
+        "x", [0.0, 1.0], [("a", [1.0, 2.0]), ("b", [3.0, None])], title="t"))
+    assert doc.get("height") == "424"
+    assert [el.get("y") for el in doc.iter(f"{ns}rect") if el.get("x")] == ["46", "230"]
+    x_axis = list(doc.iter(f"{ns}text"))[-3:]
+    assert [(el.text, el.get("y")) for el in x_axis] == [("0", "398"), ("1", "398"),
+                                                        ("x", "416")]
+    one = ElementTree.fromstring(svg.line_chart("x", [0.0, 1.0], [("a", [1.0, 2.0])]))
+    assert one.get("height") == "240"
+
+
 def test_simulate_defaults_to_stdout(capsys):
     assert cli.main(["simulate", "--scenario", "downsample", "--dims", "2",
                      "--seed", "5", "--points", "60"]) == 0

@@ -537,6 +537,9 @@ def _with(path, value):
 ] + [
     pytest.param(_with((0, "fraction"), 0), _SCORES,
                  "sweep.json: row 1: fraction 0 is not in (0, 1]", id="fraction-0"),
+    pytest.param(_SWEEP_ROWS, "acc\n0.9\n0.8\n",
+                 "scores.csv, line 1: expected a header with a 'fraction' column",
+                 id="no-fraction-column"),
 ])
 def test_correlate_rejects_repeats_and_booleans(sweep_rows, scores, message):
     # A string is the sweep document's raw text. A message names the file it
@@ -835,7 +838,7 @@ def test_text_that_is_not_utf8_names_file_and_line(kind):
     (["simulate", "--scenario", "downsample", "--dims", "0"], 1,
      "textchar: error: dim must be >= 1, got 0"),
     (["profile", "--input", "nope.jsonl", "--format", "jsonl"], 1,
-     "textchar: error: input path does not exist: nope.jsonl"),
+     "textchar: error: [Errno 2] No such file or directory: 'nope.jsonl'"),
 ] + [
     # The fraction list is parsed before the input is looked for.
     (["profile", "--input", "nope.jsonl", "--format", "jsonl", "--fractions", raw], 1,
@@ -847,11 +850,23 @@ def test_text_that_is_not_utf8_names_file_and_line(kind):
     (["simulate", "--scenario", "downsample", "--dims", "2", "--points", "20",
       "--svg", "nodir/chart.svg"], 1,
      "textchar: error: [Errno 2] No such file or directory: 'nodir/chart.svg'"),
+] + [
+    # The reader's open is the one check that an input exists.
+    (["pool", "--input", "nope.jsonl"], 1,
+     "textchar: error: [Errno 2] No such file or directory: 'nope.jsonl'"),
+    (["correlate", "--metrics", "nope.json", "--scores", "scores.csv"], 1,
+     "textchar: error: [Errno 2] No such file or directory: 'nope.json'"),
+    (["correlate", "--metrics", "sweep.json", "--scores", "nope.csv"], 1,
+     "textchar: error: [Errno 2] No such file or directory: 'nope.csv'"),
 ], ids=["bogus-scenario", "cap-2", "cap-0", "cap--3", "dims-0", "missing-input",
         "fractions-empty-entry", "fractions-trailing-comma", "fractions-leading-comma",
-        "svg-in-missing-directory"])
+        "svg-in-missing-directory", "missing-pool-input", "missing-metrics",
+        "missing-scores"])
 def test_bad_arguments_name_the_fault(argv, code, message, tmp_path, monkeypatch):
-    # The paths name files of an empty directory.
+    # The paths name files of a directory that holds only a valid sweep and
+    # its score table.
     monkeypatch.chdir(tmp_path)
+    Path("sweep.json").write_text(json.dumps({"kind": "sweep", "rows": _SWEEP_ROWS}))
+    Path("scores.csv").write_text(_SCORES)
     got, err = _run(argv + ["--out", "out"], [Path("out")])
     assert got == code and err[-1].startswith(message), err

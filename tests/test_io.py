@@ -279,6 +279,14 @@ def test_columns_must_have_one_entry_per_row():
         io.LabeledEmbeddings(np.zeros((2, 3)), ["a"], ["x"], ["L"])
 
 
+def test_a_file_without_records_reads_as_the_empty_collection(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    for empty in (io.LabeledEmbeddings(), io.read_vectors(path, "jsonl")):
+        assert empty.vectors.shape == (0, 0) and empty.vectors.dtype == np.float64
+        assert len(empty) == 0
+
+
 # --- pooling -----------------------------------------------------------
 
 def test_pool_token_file_defaults_id_and_layer(tmp_path):

@@ -50,8 +50,8 @@ def test_metric_reports_validate_the_cluster_once(monkeypatch):
     subsets = [np.arange(30), np.arange(0, 30, 2), np.arange(2), np.arange(5, 20)]
     metrics.metric_reports(pts, subsets)
     assert len(calls) == 1
-    # The sweep validates each group's copy once, whatever the fractions and
-    # the cap, and never again through a public entry.
+    # The sweep validates the whole collection once, whatever the fractions
+    # and the cap, and no group copy through a public entry.
     monkeypatch.setattr(analysis, "_as_cluster", counted)
     calls.clear()
     keys = [(f"t{i}", label, layer) for label in ("a", "b", "c") for i in range(8)
@@ -61,7 +61,7 @@ def test_metric_reports_validate_the_cluster_once(monkeypatch):
                                ids, labels, layers)
     for cap in (None, 3):
         analysis.downsample_sweep(emb, [1.0, 0.5, 0.25], seed=2, homogeneity_cap=cap)
-        assert len(calls) == 6
+        assert len(calls) == 1
         calls.clear()
 
 
