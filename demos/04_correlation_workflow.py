@@ -37,7 +37,8 @@ def main():
 
     embeddings = io.read_vectors(vectors_path, "jsonl")
     fractions = (1.0, 0.8, 0.6, 0.4, 0.2)
-    sweep = analysis.downsample_sweep(embeddings, fractions, seed=9)
+    seed = 9
+    sweep = analysis.downsample_sweep(embeddings, fractions, seed=seed)
 
     # Synthetic score columns, one value per fraction: one genuinely tied to
     # the sample size, one pure noise, so the contrast shows up in r.
@@ -58,10 +59,7 @@ def main():
 
     # The same workflow through the command line, artifact to artifact.
     sweep_path = OUT_DIR / "sweep.json"
-    sweep_path.write_text(json.dumps({
-        "kind": "sweep",
-        "rows": [{"fraction": p.fraction, "final": p.final.to_dict()}
-                 for p in sweep]}))
+    sweep_path.write_text(json.dumps(io.sweep_document(sweep, seed), indent=2) + "\n")
     scores_path = OUT_DIR / "scores.csv"
     scores_path.write_text("fraction,accuracy\n" + "".join(
         f"{fraction},{accuracy}\n"

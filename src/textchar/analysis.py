@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -148,22 +148,19 @@ def _profile(fraction: float, size: int, per_group: dict[tuple[str, str], Metric
                           homogeneity_cap=cap)
 
 
-class _Plan(NamedTuple):
-    class_sizes: dict[str, int]
-    # Per (label, layer) group, in profile order: its rows and its
-    # homogeneity rows, as positions within the whole group.
-    groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
-
-
 def _plan(kept: dict[tuple[str, str], np.ndarray],
-          group_rows: dict[tuple[str, str], list[int]], cap: int | None, seed: int) -> _Plan:
+          group_rows: dict[tuple[str, str], list[int]], cap: int | None, seed: int
+          ) -> tuple[dict[str, int], dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]]:
     """Plan the profile of the ``kept`` rows of every (label, layer) group,
     given as positions within its ``group_rows``. Every layer of a class
     must keep as many rows, a layer that keeps none counting 0. The groups
     are then listed in profile order, that of their first kept row, and a
     group of more than ``cap`` rows gets its homogeneity rows from
     ``SeedSequence([seed, g])``, ``g`` being its position in that order;
-    both checks and draws precede every report."""
+    both checks and draws precede every report.
+
+    Returns the class sizes and, per group in profile order, its rows and
+    its homogeneity rows, as positions within the whole group."""
     if not kept:
         raise ValueError("no groups to profile")
     sizes: dict[str, int] = {}
@@ -183,7 +180,7 @@ def _plan(kept: dict[tuple[str, str], np.ndarray],
             groups[key] = rows, rows[_sorted_draw(rng, len(rows), cap)]
         else:
             groups[key] = rows, rows
-    return _Plan(class_sizes, groups)
+    return class_sizes, groups
 
 
 def _kept_units(units_by_class: dict[str, np.ndarray], count: int,
@@ -256,7 +253,7 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     row_units = np.array(row_units, dtype=np.intp)
     group_units = {key: row_units[rows] for key, rows in group_rows.items()}
 
-    plans: list[_Plan] = []
+    plans = []
     sizes = []
     for index, fraction in enumerate(fractions):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -270,12 +267,13 @@ def downsample_sweep(embeddings: LabeledEmbeddings, fractions, seed: int = 0,
     # Every plan holds every group; its sorted positions need no check.
     reports: dict[tuple[int, tuple[str, str]], MetricReport] = {}
     for key, rows in group_rows.items():
-        subsets, hom_subsets = zip(*(plan.groups[key] for plan in plans))
+        subsets, hom_subsets = zip(*(groups[key] for _, groups in plans))
         for i, report in enumerate(_reports(vectors[rows], subsets, hom_subsets)):
             reports[i, key] = report
-    return [_profile(fraction, size, {key: reports[i, key] for key in plan.groups},
-                     plan.class_sizes, homogeneity_cap)
-            for i, (fraction, size, plan) in enumerate(zip(fractions, sizes, plans))]
+    return [_profile(fraction, size, {key: reports[i, key] for key in groups},
+                     class_sizes, homogeneity_cap)
+            for i, (fraction, size, (class_sizes, groups))
+            in enumerate(zip(fractions, sizes, plans))]
 
 
 def pearson(x, y) -> float:

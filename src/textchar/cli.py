@@ -113,22 +113,8 @@ def _cmd_profile(args) -> int:
     embeddings = io.read_vectors(args.input, args.format)
     sweep = analysis.downsample_sweep(embeddings, fractions, seed=args.seed,
                                       homogeneity_cap=args.cap)
-    if args.fractions is None:
-        doc = {"kind": "profile", **sweep[0].to_dict()}
-    else:
-        doc = {
-            "kind": "sweep",
-            "seed": args.seed,
-            "rows": [
-                {
-                    "fraction": profile.fraction,
-                    "size": profile.size,
-                    "final": profile.final.to_dict(),
-                    "profile": profile.to_dict(),
-                }
-                for profile in sweep
-            ],
-        }
+    doc = ({"kind": "profile", **sweep[0].to_dict()} if args.fractions is None
+           else io.sweep_document(sweep, args.seed))
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -1,6 +1,6 @@
 """Reading, writing and pooling of labeled embedding vectors, plus the
-readers of the sweep document that ``profile --fractions`` writes and of
-the score table that ``correlate`` joins to it.
+builder and reader of the sweep document that ``profile --fractions``
+writes and the reader of the score table that ``correlate`` joins to it.
 
 A collection is held as columns: one float64 ``m x H`` matrix plus the
 ``ids``, ``labels`` and ``layers`` of its rows. Three interchangeable
@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AggregateMetrics
+from .analysis import AggregateMetrics, DatasetProfile
 from .errors import ParseError
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "read_scores",
     "read_sweep",
     "read_vectors",
+    "sweep_document",
     "write_vectors",
 ]
 
@@ -100,24 +101,38 @@ class LabeledEmbeddings:
         return len(self.ids)
 
 
+def _keyed(path: Path, records: Iterable[tuple]) -> Iterator[tuple]:
+    """Pass on the ``(line, id, label, layer, payload)`` records of ``path``
+    with a None id read as ``"row-<n>"``, ``n`` counting every record of its
+    label and layer so far; the first record with the id, label and layer
+    of an earlier one is a ParseError at its line."""
+    counts: dict[tuple[str, str], int] = {}
+    seen: set[tuple[str, str, str]] = set()
+    for line, rec_id, label, layer, payload in records:
+        n = counts[label, layer] = counts.get((label, layer), 0) + 1
+        key = (f"row-{n}" if rec_id is None else rec_id, label, layer)
+        if key in seen:
+            raise ParseError(path, f"duplicate id {key[0]!r} for label {label!r}, "
+                                   f"layer {layer!r}", line=line)
+        seen.add(key)
+        yield line, *key, payload
+
+
 def _columns(path: Path, records: Iterable[tuple[int, str, str, str, np.ndarray]]
              ) -> LabeledEmbeddings:
-    """Collect ``(line, id, label, layer, vector)`` records of ``path`` into
-    columns.
+    """Collect the ``_keyed`` ``(line, id, label, layer, vector)`` records of
+    ``path`` into columns.
 
     The first record fixes the dimensionality. Records are checked in the
-    order they arrive, so the first one of another width, with a non-finite
-    value or with the id, label and layer of an earlier one is the one
-    named, at its line.
+    order they arrive, so the first one of another width or with a
+    non-finite value is the one named, at its line.
     """
     ids, labels, layers, rows = [], [], [], []
-    seen: set[tuple[str, str, str]] = set()
     for line, rec_id, label, layer, vector in records:
         if rows and vector.shape[0] != rows[0].shape[0]:
             raise ParseError(path, f"record {rec_id!r} has {vector.shape[0]} dimensions, "
                                    f"expected {rows[0].shape[0]}", line=line)
         _check_finite(path, rec_id, vector, line)
-        _check_new(path, seen, rec_id, label, layer, line)
         ids.append(rec_id)
         labels.append(label)
         layers.append(layer)
@@ -134,16 +149,6 @@ def _check_finite(path, rec_id: str, values: np.ndarray, line: int) -> None:
         axis = np.argwhere(~finite)[0][-1]
         raise ParseError(path, f"record {rec_id!r} has a non-finite value on axis {axis}",
                          line=line)
-
-
-def _check_new(path, seen: set, rec_id: str, label: str, layer: str, line: int) -> None:
-    """ParseError at ``line`` when an earlier record of ``seen`` has the same
-    id, label and layer; adds this record's to ``seen`` otherwise."""
-    key = (rec_id, label, layer)
-    if key in seen:
-        raise ParseError(path, f"duplicate id {rec_id!r} for label {label!r}, "
-                               f"layer {layer!r}", line=line)
-    seen.add(key)
 
 
 def _text_lines(path: Path, newline: str | None = None) -> Iterator[str]:
@@ -175,16 +180,16 @@ def _json(path: Path, text: str, line: int | None = None):
 
 
 def _json_records(path: Path, payload: str | None
-                  ) -> Iterator[tuple[int, str, str, str, np.ndarray | None]]:
+                  ) -> Iterator[tuple[int, str | None, str, str, np.ndarray | None]]:
     """Yield ``(line number, id, label, layer, payload array)`` for each
-    non-blank line of a JSONL file, by the record rule of this module. Each
+    non-blank line of a JSONL file, by the record rule of this module but
+    for the id, None where the line has none (``_keyed`` numbers it). Each
     line must also hold the ``payload`` key, unless that is None (the array
     is None then), and its value must be numbers in nested lists: it is read
     as a float64 array, and a JSON string or boolean in it is a ParseError
     at the line, not ``"2.5"`` read as 2.5 or ``true`` as 1.0."""
     required = ("label",) if payload is None else ("label", payload)
     expected = "expected an object with " + " and ".join(repr(key) for key in required)
-    positions: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(_text_lines(path), start=1):
         if not line.strip():
             continue
@@ -194,9 +199,7 @@ def _json_records(path: Path, payload: str | None
         for name in ("id", "label", "layer"):
             if not isinstance(obj.get(name, ""), str):
                 raise ParseError(path, f"{name!r} is not a string", line=lineno)
-        label, layer = obj["label"], obj.get("layer", DEFAULT_LAYER)
-        n = positions[label, layer] = positions.get((label, layer), 0) + 1
-        keys = (obj.get("id", f"row-{n}"), label, layer)
+        keys = (obj.get("id"), obj["label"], obj.get("layer", DEFAULT_LAYER))
         if payload is None:
             yield lineno, *keys, None
             continue
@@ -239,10 +242,11 @@ def read_vectors(path, format: str) -> LabeledEmbeddings:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    path = Path(path)
     if format == "binary":
-        return _read_binary(Path(path))
+        return _read_binary(path)
     records = {"jsonl": _jsonl_records, "csv": _csv_records}[format]
-    return _columns(Path(path), records(Path(path)))
+    return _columns(path, _keyed(path, records(path)))
 
 
 def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
@@ -257,7 +261,7 @@ def write_vectors(embeddings: LabeledEmbeddings, path, format: str) -> None:
 
 # --- jsonl ------------------------------------------------------------------
 
-def _jsonl_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
+def _jsonl_records(path: Path) -> Iterator[tuple[int, str | None, str, str, np.ndarray]]:
     for lineno, rec_id, label, layer, vector in _json_records(path, "vector"):
         if vector.ndim != 1:
             raise ParseError(path, "'vector' must be a flat list of numbers",
@@ -327,7 +331,7 @@ def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None
             raise ParseError(path, f"header repeats the {name!r} column", line=1)
 
 
-def _csv_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
+def _csv_records(path: Path) -> Iterator[tuple[int, str | None, str, str, np.ndarray]]:
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
     if header is None:
@@ -337,21 +341,17 @@ def _csv_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
     if "label" not in named:
         raise ParseError(path, "header has no 'label' column", line=1)
     axis_cols = [i for i, name in enumerate(header) if i not in named.values()]
-    positions: dict[tuple[str, str], int] = {}
     for lineno, row in rows:
         if not axis_cols:
             raise ParseError(path, "header has no axis column for this row",
                              line=lineno)
-        label = row[named["label"]]
-        layer = row[named["layer"]] if "layer" in named else DEFAULT_LAYER
-        n = positions[label, layer] = positions.get((label, layer), 0) + 1
-        rec_id = row[named["id"]] if "id" in named else f"row-{n}"
         try:
             vector = np.array([_cell_float(row[i]) for i in axis_cols],
                               dtype=np.float64)
         except ValueError as exc:
             raise ParseError(path, f"non-numeric axis value: {exc}", line=lineno) from exc
-        yield lineno, rec_id, label, layer, vector
+        yield (lineno, row[named["id"]] if "id" in named else None, row[named["label"]],
+               row[named["layer"]] if "layer" in named else DEFAULT_LAYER, vector)
 
 
 def _write_csv(embeddings: LabeledEmbeddings, path: Path) -> None:
@@ -400,9 +400,8 @@ def _read_binary(path: Path) -> LabeledEmbeddings:
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise ParseError(path, f"missing metadata sidecar {sidecar.name!r}")
-    ids, labels, layers, seen = [], [], [], set()
-    for line, rec_id, label, layer, _ in _json_records(sidecar, None):
-        _check_new(sidecar, seen, rec_id, label, layer, line)
+    ids, labels, layers = [], [], []
+    for _, rec_id, label, layer, _ in _keyed(sidecar, _json_records(sidecar, None)):
         ids.append(rec_id)
         labels.append(label)
         layers.append(layer)
@@ -430,9 +429,9 @@ def _write_binary(embeddings: LabeledEmbeddings, path: Path,
 # --- pooling ----------------------------------------------------------------
 
 def _pooled_records(path: Path) -> Iterator[tuple[int, str, str, str, np.ndarray]]:
-    """Mean-pool each sequence of a token-level file (``tokens`` instead of
-    ``vector``) as it is read."""
-    for lineno, rec_id, label, layer, matrix in _json_records(path, "tokens"):
+    """Mean-pool each ``_keyed`` sequence of a token-level file (``tokens``
+    instead of ``vector``) as it is read."""
+    for lineno, rec_id, label, layer, matrix in _keyed(path, _json_records(path, "tokens")):
         if matrix.shape == (0,):
             raise ParseError(path, f"sequence {rec_id!r} has no tokens", line=lineno)
         if matrix.ndim != 2:
@@ -488,11 +487,22 @@ def _check_numbers(doc: dict, keys, whole=()) -> None:
             raise ValueError(f"{key!r} is {value!r}, not a whole number")
 
 
+def sweep_document(profiles: Iterable[DatasetProfile], seed: int) -> dict:
+    """The document, written as JSON by ``profile --fractions``, of the
+    ``profiles`` that ``downsample_sweep`` made with ``seed``: one row per
+    profile with its ``fraction``, ``size``, ``final`` aggregate and whole
+    ``profile``. ``read_sweep`` reads it."""
+    return {"kind": "sweep", "seed": seed,
+            "rows": [{"fraction": profile.fraction, "size": profile.size,
+                      "final": profile.final.to_dict(), "profile": profile.to_dict()}
+                     for profile in profiles]}
+
+
 def read_sweep(path) -> dict[float, AggregateMetrics]:
     """Load the ``final`` aggregate of each sweep row for ``correlate``,
     keyed by the row's fraction, in row order.
 
-    Reads the document ``profile --fractions`` writes: an object whose
+    Reads the document that ``sweep_document`` builds: an object whose
     ``rows`` list holds objects with ``fraction`` and a ``final`` object as
     ``AggregateMetrics.to_dict`` writes it; ``size`` is optional and checked
     but not kept. Only ``diversity`` and ``density`` are required in

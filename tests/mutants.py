@@ -15,7 +15,9 @@ mutant; README "Tests and demos" explains the report. ``--check`` mutates
 the modules named (every module by default) the same way, and exits 1 on a
 survivor that ``SURVIVORS`` does not list, and on an entry of ``SURVIVORS``
 for those modules whose mutant is now killed or no longer made, so that
-table only shrinks too.
+table only shrinks too. Any failing test run counts as a kill, and some
+Tier-1 tests bound wall-clock time, so a loaded machine can turn a
+survivor into a kill: run one ``--check`` at a time.
 """
 
 from __future__ import annotations

@@ -777,18 +777,44 @@ def test_unreadable_json_names_file_and_line(kind, raw, fault):
         assert code == 1 and err == [f"textchar: error: {bad}, line 2: {fault}"], err
 
 
-@pytest.mark.parametrize("kind", ["jsonl", "tokens", "sidecar"])
-def test_duplicate_records_name_file_and_line(kind):
-    # Line 2 takes the id, label and layer of line 1.
-    if kind == "tokens":
-        keys, fault = {"id": "s0", "label": "a"}, "'s0' for label 'a', layer 'default'"
-    else:
-        keys, fault = {"layer": "l0"}, "'pos0' for label 'pos', layer 'l0'"
+@pytest.mark.parametrize("kind, keys, fault", [
+    ("jsonl", {"layer": "l0"}, "line 2: duplicate id 'pos0' for label 'pos', layer 'l0'"),
+    ("tokens", {"id": "s0", "label": "a"},
+     "line 2: duplicate id 's0' for label 'a', layer 'default'"),
+    ("sidecar", {"layer": "l0"}, "line 2: duplicate id 'pos0' for label 'pos', layer 'l0'"),
+    ("csv", None, "line 5: duplicate id 'a1' for label 'a', layer 'L'"),
+    ("jsonl", {"id": "row-1", "layer": "l0"},
+     "line 2: duplicate id 'row-1' for label 'pos', layer 'l0'"),
+    ("tokens", {"id": "row-1", "label": "a"},
+     "line 2: duplicate id 'row-1' for label 'a', layer 'default'"),
+    ("sidecar", {"id": "row-1", "layer": "l0"},
+     "line 2: duplicate id 'row-1' for label 'pos', layer 'l0'"),
+    ("jsonl", {"layer": "l0", "vector": [0.1, 0.2, 0.3, 0.4]},
+     "line 2: duplicate id 'pos0' for label 'pos', layer 'l0'"),
+    ("tokens", {"id": "s0", "label": "a", "tokens": [[0.1, 0.2, 0.3]]},
+     "line 2: duplicate id 's0' for label 'a', layer 'default'"),
+], ids=["jsonl", "tokens", "sidecar", "csv", "jsonl-row-1", "tokens-row-1", "sidecar-row-1",
+        "jsonl-width", "tokens-width"])
+def test_duplicate_records_name_file_and_line(kind, keys, fault):
+    # Line 2 takes the id, label and layer of line 1, given in ``keys``; an
+    # id "row-1" repeats line 1's once line 1 has no id, and a repeat of
+    # another width is named for the repeat. The csv file repeats its first
+    # row's keys on physical line 5, after a blank line.
     with tempfile.TemporaryDirectory() as tmp:
-        argv, bad = _broken_input(Path(tmp), kind, lambda record: {**record, **keys})
+        if kind == "csv":
+            bad = Path(tmp) / "in.csv"
+            bad.write_text("id,label,layer,d0\na1,a,L,0.5\nb1,b,L,1.0\n\na1,a,L,1.5\n")
+            argv = ["profile", "--format", "csv", "--input", str(bad),
+                    "--out", str(Path(tmp) / "out.json")]
+        else:
+            argv, bad = _broken_input(Path(tmp), kind, lambda record: {**record, **keys})
+            if keys.get("id") == "row-1":
+                first, rest = bad.read_text().split("\n", 1)
+                record = json.loads(first)
+                del record["id"]
+                bad.write_text(json.dumps(record) + "\n" + rest)
         code, err = _run(argv, [Path(tmp) / "out.json"])
-        assert code == 1 and err == [
-            f"textchar: error: {bad}, line 2: duplicate id {fault}"], err
+        assert code == 1 and err == [f"textchar: error: {bad}, {fault}"], err
 
 
 @pytest.mark.parametrize("kind", ["jsonl", "csv", "tokens", "sidecar", "sweep", "scores"])

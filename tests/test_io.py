@@ -133,6 +133,7 @@ def test_read_sweep_reads_back_the_finals_of_profile(tmp_path):
     assert cli.main(["profile", "--input", str(src), "--format", "jsonl",
                      "--fractions", "1.0,0.5", "--cap", "3", "--out", str(out)]) == 0
     sweep = analysis.downsample_sweep(collection, [1.0, 0.5], homogeneity_cap=3)
+    assert out.read_text() == json.dumps(io.sweep_document(sweep, 0), indent=2) + "\n"
     assert list(io.read_sweep(out).items()) == [(p.fraction, p.final) for p in sweep]
     assert sweep[0].final.homogeneity is not None and sweep[1].final.homogeneity_skipped
     # Only diversity and density are required, and only homogeneity may be null.
