@@ -290,15 +290,15 @@ def _write_json_records(embeddings: LabeledEmbeddings, path: Path,
 # --- csv --------------------------------------------------------------------
 
 def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield the header row as line 1, if there is one, then each non-blank
-    row with the physical line it ends on (a quoted cell may span lines).
+    """Yield the header row, if there is one, then each non-blank row, each
+    with the physical line it ends on (a quoted cell may span lines).
     Every row after the header must have as many cells as the header."""
     lines = csv.reader(_text_lines(path, newline=""))
     try:
         header = next(lines, None)
         if header is None:
             return
-        yield 1, header
+        yield lines.line_num, header
         for row in lines:
             if not row:
                 continue
@@ -333,7 +333,7 @@ def _reject_repeats(path: Path, header: list[str], names: Iterable[str]) -> None
 
 def _csv_records(path: Path) -> Iterator[tuple[int, str | None, str, str, np.ndarray]]:
     rows = _csv_rows(path)
-    _, header = next(rows, (1, None))
+    _, header = next(rows, (None, None))
     if header is None:
         raise ParseError(path, "missing header row", line=1)
     _reject_repeats(path, header, ("label", "id", "layer"))
@@ -572,7 +572,7 @@ def read_scores(path, fractions) -> dict[str, list[float]]:
     """
     path = Path(path)
     rows = _csv_rows(path)
-    _, header = next(rows, (1, None))
+    _, header = next(rows, (None, None))
     if header is None or "fraction" not in header:
         raise ParseError(path, "expected a header with a 'fraction' column", line=1)
     _reject_repeats(path, header, header)

@@ -51,11 +51,11 @@ _LOWER = np.tri(_BLOCK_ROWS, dtype=bool)
 
 
 def _as_cluster(vectors) -> np.ndarray:
-    """Validate and return a cluster as a float64 ``m x H`` array.
+    """Validate and return a cluster as a C-order float64 ``m x H`` array.
 
     Raises ValueError for empty input, wrong rank, or non-finite entries.
     """
-    arr = np.asarray(vectors, dtype=np.float64)
+    arr = np.asarray(vectors, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ValueError(f"cluster must be a 2-D matrix, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -124,24 +124,27 @@ def _axis_stds(arr: np.ndarray) -> np.ndarray:
     return stds
 
 
-def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Number of the distinct row that each row equals under ``==``, the
-    distinct rows numbered in order of first appearance, and how many
-    distinct rows there are.
+def _distinct_rows(arr: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows among the sorted positions ``held`` of
+    ``arr`` in order of first appearance. Returns each held row's number
+    (its row in the pairwise pass) at its own position, 0 at the others,
+    and the position of each number's first copy.
 
     Rows are keyed by their bytes after ``+ 0.0``, which turns ``-0.0`` into
     ``0.0``, so two rows share a number exactly when they compare equal
     element by element (the cluster holds no NaN). The bytes are taken a
-    block of rows at a time.
+    block of held rows at a time.
     """
     width = arr.itemsize * arr.shape[1]
     numbers: dict[bytes, int] = {}
-    index: list[int] = []
-    for start in range(0, arr.shape[0], _BLOCK_ROWS):
-        block = (arr[start:start + _BLOCK_ROWS] + 0.0).tobytes()
-        index += [numbers.setdefault(block[offset:offset + width], len(numbers))
-                  for offset in range(0, len(block), width)]
-    return np.array(index), len(numbers)
+    slot = np.zeros(arr.shape[0], dtype=np.intp)
+    for start in range(0, len(held), _BLOCK_ROWS):
+        rows = held[start:start + _BLOCK_ROWS]
+        keys = (arr[rows] + 0.0).tobytes()
+        slot[rows] = [numbers.setdefault(keys[offset:offset + width], len(numbers))
+                      for offset in range(0, len(keys), width)]
+    rise = np.maximum.accumulate(slot[held])  # first reaches k at number k's first copy
+    return slot, held[np.searchsorted(rise, range(len(numbers)))]
 
 
 def _chain_rows(arr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,23 +222,21 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     Each subset is a sorted index array of at least 2 rows. All subsets
     share one ``_chain_rows`` pass over the rows that some subset holds, so
     rows no subset holds cost nothing and cannot spoil a sum. Rows equal
-    under ``==`` go into it once, each subset counting its copies, so a
-    copy pair never gets a weight. The copy counts decide coincidence, with
-    no distance sum: a subset with one nonzero count is one repeated point.
-    A subset whose chain is undefined gets the reason why, as text, in
-    place of its summary.
+    under ``==`` go into it once, each held row mapped once to its row in
+    the pass and each subset counting its copies, so a copy pair never gets
+    a weight. The copy counts decide coincidence, with no distance sum: a
+    subset with one nonzero count is one repeated point. A subset whose
+    chain is undefined gets the reason as text instead.
     """
     covered = np.zeros(arr.shape[0], dtype=bool)
     for idx in subsets:
         covered[idx] = True
-    if not covered.all():
-        position = np.cumsum(covered) - 1
-        arr, subsets = arr[covered], [position[idx] for idx in subsets]
-    slot, count = _distinct_rows(arr)  # each row's row in the pass, and their number
+    held = np.flatnonzero(covered)
+    slot, first = _distinct_rows(arr, held)
     chains: list = [None] * len(subsets)
     live, copies = [], []
     for f, idx in enumerate(subsets):
-        counts = np.bincount(slot[idx], minlength=count)
+        counts = np.bincount(slot[idx], minlength=len(first))
         if np.count_nonzero(counts) == 1:
             chains[f] = f"all {len(idx)} points coincide; the distance chain has no edges"
         else:
@@ -244,7 +245,7 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     if not live:
         return chains
     members = np.stack(copies, axis=1).astype(np.float64)
-    rows = arr if count == len(arr) else arr[np.unique(slot, return_index=True)[1]]
+    rows = arr if len(first) == len(arr) else arr[first]
     # Homogeneity is scale invariant and a power-of-two scaling is exact.
     # With |x| < 2**e, squared distances and the partial sums of their
     # expansion stay below 16 H 4**e, and weights below that to the power
@@ -254,7 +255,7 @@ def _chains(arr: np.ndarray, subsets) -> list[MarkovChainSummary | str]:
     _, e = math.frexp(max(rows.max(), -rows.min()))
     dim = rows.shape[1]
     power = max(1.0, 0.5 * math.log(dim))
-    top = math.floor(((1000 - 2 * math.log2(len(arr))) / power - math.log2(16 * dim)) / 2)
+    top = math.floor(((1000 - 2 * math.log2(len(held))) / power - math.log2(16 * dim)) / 2)
     if e > top or 2 * e * power < -1022:
         rows = np.ldexp(rows, top - e)
     strengths, w_log_w = _chain_rows(rows, members)
@@ -300,8 +301,8 @@ def entropy_rate(cluster) -> MarkovChainSummary:
 def _reports(arr: np.ndarray, rows: list[np.ndarray],
              hom_rows: list[np.ndarray]) -> list[MetricReport]:
     """Report of each validated row subset ``rows[f]`` of a validated
-    cluster, homogeneity computed on its subset ``hom_rows[f]`` (a shorter
-    one adds the note ``homogeneity computed on {cap} of {m} points``).
+    C-order cluster, homogeneity computed on its subset ``hom_rows[f]`` (a
+    shorter one adds the note ``homogeneity computed on {cap} of {m} points``).
     Every ``MetricReport`` is built here; all homogeneity subsets share one
     pass, which covers only the rows they hold.
 
@@ -312,8 +313,6 @@ def _reports(arr: np.ndarray, rows: list[np.ndarray],
     the cluster and subsets, ``analysis.downsample_sweep`` the collection it
     copies each group from (its subsets are the sorted positions it planned).
     """
-    # The whole cluster goes in as the array itself: numpy's axis-0 sums
-    # depend on memory layout, so a C-order copy could change their bits.
     all_stds = [_axis_stds(arr if len(idx) == arr.shape[0] else arr[idx])
                 for idx in rows]
     chains = iter(_chains(arr, [h for h in hom_rows if len(h) >= 3]))
@@ -353,9 +352,10 @@ def metric_report(cluster) -> MetricReport:
     """Bundle diversity, density, and homogeneity for one cluster.
 
     The whole-cluster case of ``metric_reports``: it equals
-    ``metric_reports(cluster, [np.arange(m)])[0]`` bitwise, whatever the
-    memory layout. Never raises for degenerate inputs: when homogeneity
-    cannot be computed the report carries the reason instead.
+    ``metric_reports(cluster, [np.arange(m)])[0]`` bitwise. Both read the
+    cluster in C order, so its bits do not depend on its memory layout.
+    Never raises for degenerate inputs: when homogeneity cannot be computed
+    the report carries the reason instead.
     """
     arr = _as_cluster(cluster)
     whole = [np.arange(arr.shape[0])]
@@ -382,8 +382,8 @@ def metric_reports(cluster, subsets) -> list[MetricReport]:
     anything else raises ValueError. Report ``f`` matches
     ``metric_report(cluster[subsets[f]])``: diversity, density and
     degenerate axes bitwise; a subset of every row gives
-    ``metric_report(cluster)`` bitwise. Like ``metric_report`` it never
-    raises for a degenerate subset.
+    ``metric_report(cluster)`` bitwise. Like ``metric_report`` it reads
+    the cluster in C order and never raises for a degenerate subset.
 
     Homogeneity agrees only as far as the shared pass allows. That pass
     centers (and may scale) all the rows it covers at once and sums each

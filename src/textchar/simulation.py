@@ -58,15 +58,14 @@ def _sorted_draw(rng: np.random.Generator, m: int, keep: int) -> np.ndarray:
     return idx
 
 
-def _sample_rows(m: int, fraction: float, seed) -> np.ndarray:
+def _sample_rows(m: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of a uniform draw of ``round(fraction * m)`` of ``m``
-    rows, half up, for a ``fraction`` in (0, 1]; ``seed`` may also be a
-    Generator, which is drawn from as it is. Fraction 1.0 keeps every row;
-    a fraction that keeps no row is a ``DegenerateInput``."""
+    rows, half up, for a ``fraction`` in (0, 1]. Fraction 1.0 keeps every
+    row; a fraction that keeps no row is a ``DegenerateInput``."""
     keep = int(math.floor(fraction * m + 0.5))
     if keep == 0:
         raise DegenerateInput(f"fraction {fraction} of {m} points rounds to 0")
-    return _sorted_draw(np.random.default_rng(seed), m, keep)
+    return _sorted_draw(rng, m, keep)
 
 
 def _sphere_points(n: int, dim: int, radius: float, seed) -> np.ndarray:
@@ -131,7 +130,7 @@ def run_scenario(kind: str, dim: int, points: int = 10_000, seed: int = 0,
         base = np.random.default_rng(seed).normal(0.0, 1.0, size=(points, dim))
     streams = [np.random.SeedSequence([seed, index]) for index in range(len(sweep))]
     if kind == "downsample":
-        subsets = [_sample_rows(points, value, stream)
+        subsets = [_sample_rows(points, value, np.random.default_rng(stream))
                    for value, stream in zip(sweep, streams)]
         return tuple(metric_reports(base, subsets))
     reports = []

@@ -70,12 +70,6 @@ SURVIVORS = {
     ("analysis.py", "_plan", "if cap is not None and len(rows) > cap:",
      "flip: len(rows) > cap -> (len(rows) >= cap)"):
         "equivalent: a draw of cap of cap rows keeps every row, sorted",
-    ("io.py", "_csv_rows", "yield (1, header)", "add one: 1 -> 2"):
-        "equivalent: every caller drops the header's line number",
-    ("io.py", "_csv_records", "_, header = next(rows, (1, None))", "add one: 1 -> 2"):
-        "equivalent: the default's line number is dropped",
-    ("io.py", "read_scores", "_, header = next(rows, (1, None))", "add one: 1 -> 2"):
-        "equivalent: the default's line number is dropped",
     ("metrics.py", "<module>", "_BLOCK_ROWS = 256", "add one: 256 -> 257"):
         "roundoff only: the tile width orders the sums, which Tier-1 checks to "
         "tolerances",
@@ -83,7 +77,7 @@ SURVIVORS = {
         "equivalent: larger buffers",
     ("metrics.py", "_chain_rows", "zero |= _LOWER[:shape[0], :shape[1]]", "add one: 0 -> 1"):
         "equivalent: a diagonal tile is square",
-    **{("metrics.py", "_chains", "top = math.floor(((1000 - 2 * math.log2(len(arr))) / power "
+    **{("metrics.py", "_chains", "top = math.floor(((1000 - 2 * math.log2(len(held))) / power "
         "- math.log2(16 * dim)) / 2)", change): _SCALING
        for change in ("add one: 1000 -> 1001", "add one: 2 -> 3", "add one: 16 -> 17",
                       "add one: 2 -> 3 #2")},

@@ -286,7 +286,24 @@ def test_chain_rows_never_receives_a_copy_pair(monkeypatch):
     metrics.metric_report(pts[:26])
     metrics._reports(pts, [np.arange(30), np.array([3, 7, 11, 25]), np.arange(20)],
                      [np.arange(0, 30, 2), np.array([3, 7, 11, 25]), np.arange(20)])
-    assert calls == [27, 23, 24]
+    # Held rows 3 and 11 have copies only in rows no subset holds (7 and 21,
+    # and the signed-zero row 25), and no subset holds row 0: no held row
+    # may merge with an unheld one.
+    assert metrics._chains(pts, []) == []
+    metrics._chains(pts, [np.array([1, 3, 5, 11]), np.array([3, 4, 9, 11, 13])])
+    assert calls == [27, 23, 24, 7]
+    # Past one tile of held rows: every third row is unheld, so the held
+    # blocks are not the row blocks, and rows 500 and 700 are copies of
+    # rows 400 and 3 (unheld), both first seen after the 256th held row.
+    # One subset's pass is the pass of its own rows, bit for bit.
+    big = np.random.default_rng(31).normal(size=(800, 3))
+    big[500], big[700] = big[400], big[3]
+    idx = np.flatnonzero(np.arange(800) % 3 != 0)
+    (chain,) = metrics._chains(big, [idx])
+    want = metrics.entropy_rate(big[idx])
+    assert calls[-2:] == [len(idx) - 1] * 2
+    assert chain.entropy_rate == want.entropy_rate
+    assert np.array_equal(chain.stationary, want.stationary)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -352,9 +369,10 @@ def test_metric_report_serializes_to_json():
 
 @pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
 def test_whole_cluster_subset_is_metric_report_bitwise(monkeypatch, layout):
-    # numpy's axis-0 sums depend on memory layout, so a C-order copy of the
-    # rows would change the bits of the axis statistics. The strided case is
-    # a view into a column-major buffer, contiguous in neither order.
+    # numpy's axis-0 sums follow the memory layout, so the metrics read every
+    # cluster in C order: any layout gives the bits of its C-order copy. The
+    # strided case is a view into a column-major buffer, contiguous in
+    # neither order.
     rng = np.random.default_rng(89)
     axis_stds, seen = metrics._axis_stds, []
 
@@ -364,18 +382,27 @@ def test_whole_cluster_subset_is_metric_report_bitwise(monkeypatch, layout):
 
     monkeypatch.setattr(metrics, "_axis_stds", recorded)
     for _ in range(30):
-        pts = random_cluster(rng, max_m=60, max_dim=12, min_m=1)
-        if layout == "Fortran":
-            pts = np.asfortranarray(pts)
-        elif layout == "strided":
-            wide = np.zeros((2 * pts.shape[0], 3 * pts.shape[1]), order="F")
-            wide[::2, ::3] = pts
+        want = random_cluster(rng, max_m=60, max_dim=12, min_m=1)
+        if layout == "C":
+            pts = want.copy()
+        elif layout == "Fortran":
+            pts = np.asfortranarray(want)
+        else:
+            wide = np.zeros((2 * want.shape[0], 3 * want.shape[1]), order="F")
+            wide[::2, ::3] = want
             pts = wide[::2, ::3]
+        report = metrics.metric_report(want)
         seen.clear()
         (shared,) = metrics.metric_reports(pts, [np.arange(pts.shape[0])])
-        assert shared == metrics.metric_report(pts)
-        # Both calls hand the per-axis spread the array as it is, uncopied.
-        assert len(seen) == 2 and all(arr is pts for arr in seen)
+        assert shared == metrics.metric_report(pts) == report
+        if layout == "C":
+            # C input reaches the per-axis spread as it is, uncopied.
+            assert len(seen) == 2 and all(arr is pts for arr in seen)
+        if pts.shape[0] >= 2 and report.homogeneity_skipped_reason is None:
+            chain = metrics.entropy_rate(pts)
+            reference = metrics.entropy_rate(want)
+            assert chain.entropy_rate == reference.entropy_rate
+            assert np.array_equal(chain.stationary, reference.stationary)
 
 
 def _random_subsets(rng, m, count):
